@@ -37,11 +37,14 @@ from .evalbench import (
     DEFAULT_BUDGETS,
     LEARNABLE_METHODS,
     PRESET_SCENARIOS,
+    SweepCell,
+    SweepFailure,
     SweepResult,
     _run_sweep_cell,
     baseline_policy,
     gen_synthetic,
     load_scenario,
+    split_units,
 )
 from .reweight import RobustConfig, tilt_weights, uniform_weights
 from .saddle import (
@@ -310,6 +313,30 @@ def _sweep_splits(args):
     return train_data, tests, inputs
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary name so a killed run leaves no partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _read_cell(path: Path, digest: str):
+    """(cells, failures) of a finished sweep unit, or None if the file is
+    missing, unreadable or belongs to another configuration."""
+    try:
+        payload = json.loads(path.read_text())
+        if payload["digest"] != digest:
+            return None
+        cells = [SweepCell(c["method"], c["budget"], c["seed"], c["split"],
+                           Metrics(c["accuracy"], c["realized_cost"], c["reasoning_fraction"]))
+                 for c in payload["cells"]]
+        failures = [SweepFailure(f["method"], f["budget"], f["seed"], f["error"])
+                    for f in payload["failures"]]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return cells, failures
+
+
 def cmd_sweep(args) -> int:
     started = time.time()
     file_cfg = _load_config_file(args.config)
@@ -340,29 +367,28 @@ def cmd_sweep(args) -> int:
         return hashlib.sha256(f"{base_blob}|{budget!r}|{seed}".encode()).hexdigest()
 
     units = [(float(b), args.base_seed + r) for b in budgets for r in range(args.repeats)]
-    pending, cached = [], []
+    pending, done = [], []
     for budget, seed in units:
-        cell_path = cells_dir / f"b{budget:g}_s{seed}.json"
-        if args.resume and cell_path.exists():
-            payload = json.loads(cell_path.read_text())
-            if payload.get("digest") == unit_digest(budget, seed):
-                cached.append(payload)
-                continue
-        pending.append((budget, seed))
+        digest = unit_digest(budget, seed)
+        cached = _read_cell(cells_dir / f"{digest}.json", digest) if args.resume else None
+        if cached is None:
+            pending.append((budget, seed))
+        else:
+            done.append(cached)
 
-    work = [(train_data, splits, b, s, methods, template) for b, s in pending]
-    if args.workers > 1 and work:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    work = [(train_data, splits, group, methods, template)
+            for group in split_units(pending, args.workers)]
+    if len(work) > 1:
+        with ProcessPoolExecutor(max_workers=len(work)) as pool:
             results = list(pool.map(_run_sweep_cell, work))
     else:
         results = [_run_sweep_cell(w) for w in work]
 
-    from .evalbench import SweepCell, SweepFailure
-
-    all_cells, all_failures = [], []
-    for (budget, seed), (got_cells, got_failures) in zip(pending, results):
+    for (budget, seed), (got_cells, got_failures) in zip(
+            pending, (unit for group in results for unit in group)):
+        digest = unit_digest(budget, seed)
         payload = {
-            "digest": unit_digest(budget, seed),
+            "digest": digest,
             "cells": [
                 {"method": c.method, "budget": c.budget, "seed": c.seed,
                  "split": c.split, **c.metrics.to_dict()}
@@ -373,19 +399,11 @@ def cmd_sweep(args) -> int:
                 for f in got_failures
             ],
         }
-        (cells_dir / f"b{budget:g}_s{seed}.json").write_text(
-            json.dumps(payload, indent=1) + "\n")
-        cached.append(payload)
+        _write_atomic(cells_dir / f"{digest}.json", json.dumps(payload, indent=1) + "\n")
+        done.append((got_cells, got_failures))
 
-    for payload in cached:
-        for c in payload["cells"]:
-            all_cells.append(SweepCell(
-                c["method"], c["budget"], c["seed"], c["split"],
-                Metrics(c["accuracy"], c["realized_cost"], c["reasoning_fraction"]),
-            ))
-        for f in payload["failures"]:
-            all_failures.append(SweepFailure(f["method"], f["budget"], f["seed"], f["error"]))
-
+    all_cells = [c for got_cells, _ in done for c in got_cells]
+    all_failures = [f for _, got_failures in done for f in got_failures]
     all_cells.sort(key=lambda c: (c.method, c.budget, c.seed, c.split))
     all_failures.sort(key=lambda f: (f.method, f.budget, f.seed))
     result = SweepResult(tuple(all_cells), tuple(all_failures))

@@ -299,12 +299,9 @@ PolicySpec = Union[TabularPolicy, LinearPolicy, FeedForwardPolicy, ConstantPolic
 def sigmoid(x):
     """Overflow-safe elementwise logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|); a NaN passes through unchanged
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def policy_logits(policy: PolicySpec, features: np.ndarray) -> np.ndarray:

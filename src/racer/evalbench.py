@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ConstantPolicy, Dataset, Instance, Metrics, ValidationError, evaluate_policy
 from .reweight import RobustConfig
-from .trainer import TrainConfig, TrainingDivergenceError, train
+from .trainer import TrainConfig, TrainResult, train
 
 LEARNABLE_METHODS = ("racer", "racer-r", "racer-c", "acer")
 CONSTANT_METHODS = ("all-instruct", "all-reasoning", "random")
@@ -409,28 +409,60 @@ class SweepResult:
                          f"{r.reasoning_mean!r},{r.reasoning_std!r}\n")
 
 
-def _mode_for_method(method: str) -> str:
-    return {"racer": "racer", "racer-r": "racer-r",
-            "racer-c": "racer-c", "acer": "acer"}[method]
+def split_units(units: Sequence, workers: int) -> list[list]:
+    """Split units into at most ``workers`` contiguous, near-equal groups."""
+    if not units:
+        return []
+    n_groups = max(1, min(workers, len(units)))
+    size, extra = divmod(len(units), n_groups)
+    groups, start = [], 0
+    for g in range(n_groups):
+        stop = start + size + (g < extra)
+        groups.append(list(units[start:stop]))
+        start = stop
+    return groups
 
 
 def _run_sweep_cell(args):
-    """One (budget, seed) unit: train learnable methods, evaluate everything."""
-    train_data, splits, budget, seed, methods, template = args
-    cells: list[SweepCell] = []
-    failures: list[SweepFailure] = []
-    trained: dict[str, object] = {}
-    for method in methods:
-        if method not in LEARNABLE_METHODS:
-            continue
-        config = replace(
-            template, budget=float(budget), seed=int(seed),
-            robust=replace(template.robust, mode=_mode_for_method(method)),
-        )
+    """A group of (budget, seed) units: train every learnable (method,
+    budget, seed) of the group in one stack, then evaluate each unit.
+
+    Returns one (cells, failures) pair per unit, in order.
+    """
+    train_data, splits, units, methods, template = args
+    failures: list[list[SweepFailure]] = [[] for _ in units]
+    keys, configs = [], []
+    for u, (budget, seed) in enumerate(units):
+        for method in methods:
+            if method not in LEARNABLE_METHODS:
+                continue
+            try:
+                configs.append(replace(template, budget=float(budget), seed=int(seed),
+                                       robust=replace(template.robust, mode=method)))
+            except ValueError as exc:
+                failures[u].append(SweepFailure(method, budget, seed, str(exc)))
+                continue
+            keys.append((u, method))
+    trained: dict[tuple[int, str], object] = {}
+    if configs:
         try:
-            trained[method] = train(train_data, config).best.policy
-        except (TrainingDivergenceError, ValidationError, ValueError) as exc:
-            failures.append(SweepFailure(method, budget, seed, str(exc)))
+            outcomes = train(train_data, configs)
+        except ValueError as exc:  # e.g. too few rows: every replica fails alike
+            outcomes = [exc] * len(configs)
+        for (u, method), outcome in zip(keys, outcomes):
+            if isinstance(outcome, TrainResult):
+                trained[u, method] = outcome.best.policy
+            else:
+                budget, seed = units[u]
+                failures[u].append(SweepFailure(method, budget, seed, str(outcome)))
+    return [_score_unit(splits, budget, seed, methods,
+                        {m: trained[u, m] for m in methods if (u, m) in trained},
+                        failures[u])
+            for u, (budget, seed) in enumerate(units)]
+
+
+def _score_unit(splits, budget, seed, methods, trained, failures):
+    cells: list[SweepCell] = []
     for method in methods:
         if method in LEARNABLE_METHODS:
             if method not in trained:
@@ -467,6 +499,8 @@ def run_sweep(train_data: Dataset, tests: Mapping[str, Dataset],
     ablation mode; each random-baseline evaluation is paired to the racer
     run of the same (budget, seed) via its per-split reasoning rate.
     Cells are independent; failures are recorded and the sweep continues.
+    The units are split into ``workers`` contiguous groups, each trained as
+    one stack (in its own process when there are several).
     """
     if not budgets or not methods:
         raise ValidationError("budgets and methods must be non-empty")
@@ -477,21 +511,20 @@ def run_sweep(train_data: Dataset, tests: Mapping[str, Dataset],
         template = TrainConfig(budget=float(budgets[0]),
                                robust=RobustConfig(tau_reward=1.0, mode="racer"))
     splits = {"train": train_data, **dict(tests)}
-    units = [
-        (train_data, splits, float(budget), base_seed + rep, tuple(methods), template)
-        for budget in budgets
-        for rep in range(repeats)
-    ]
+    units = [(float(budget), base_seed + rep) for budget in budgets for rep in range(repeats)]
     cells: list[SweepCell] = []
     failures: list[SweepFailure] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_cell, units))
+    work = [(train_data, splits, group, tuple(methods), template)
+            for group in split_units(units, workers)]
+    if len(work) > 1:
+        with ProcessPoolExecutor(max_workers=len(work)) as pool:
+            results = list(pool.map(_run_sweep_cell, work))
     else:
-        results = [_run_sweep_cell(unit) for unit in units]
-    for got_cells, got_failures in results:
-        cells.extend(got_cells)
-        failures.extend(got_failures)
+        results = [_run_sweep_cell(w) for w in work]
+    for group in results:
+        for got_cells, got_failures in group:
+            cells.extend(got_cells)
+            failures.extend(got_failures)
     cells.sort(key=lambda c: (c.method, c.budget, c.seed, c.split))
     failures.sort(key=lambda f: (f.method, f.budget, f.seed))
     return SweepResult(tuple(cells), tuple(failures))

@@ -54,46 +54,62 @@ class RobustConfig:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Mean-1 density ratios for one batch plus the tilt anchor used."""
+    """Mean-1 density ratios for one batch plus the tilt anchor used.
+
+    A stack of batches holds one row of weights per batch and one anchor
+    per row.
+    """
 
     weights: np.ndarray
-    baseline: float
+    baseline: float | np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "baseline", float(self.baseline))
+        baseline = np.asarray(self.baseline, dtype=np.float64)
+        object.__setattr__(self, "baseline",
+                           float(baseline) if baseline.ndim == 0 else baseline)
 
 
-def uniform_weights(n: int, baseline: float = 0.0) -> WeightVector:
+def uniform_weights(shape, baseline: float = 0.0) -> WeightVector:
     """The tau = inf tilt: every sample keeps weight exactly 1."""
-    return WeightVector(np.ones(n), baseline)
+    return WeightVector(np.ones(shape), baseline)
 
 
-def tilt_weights(values, tau: float, direction: str) -> WeightVector:
-    """Batch-mean exponential tilt of a value vector.
+def tilt_weights(values, tau, direction: str) -> WeightVector:
+    """Batch-mean exponential tilt of a value vector, or of each row of a
+    2-d array about that row's own mean.
 
     worst_low downweights samples above the batch mean (adversary shrinks
     the reward), worst_high upweights samples above it (adversary inflates
     the cost). Weights are normalized to mean 1 so reweighted batch
     averages stay on the unweighted scale; exponentials are max-subtracted
-    for overflow safety.
+    for overflow safety. A vector needs a positive finite tau; a 2-d array
+    takes one tau per row (or one for all), and rows with tau = inf get
+    weight exactly 1.
     """
     f = np.asarray(values, dtype=np.float64)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("values must be a non-empty 1-d vector")
+    if f.ndim not in (1, 2) or f.size == 0:
+        raise ValueError("values must be a non-empty 1-d vector or 2-d array")
     if not np.all(np.isfinite(f)):
         raise ValueError("values contain a non-finite entry")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be a positive finite real, got {tau}")
+    if f.ndim == 1:
+        if not (np.ndim(tau) == 0 and math.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be a positive finite real, got {tau}")
+        t = tau
+    else:
+        t = np.asarray(tau, dtype=np.float64)
+        if t.shape not in ((), (f.shape[0],)) or not np.all(t > 0):
+            raise ValueError(f"tau must be positive (or inf) per row, got {tau}")
+        t = t.reshape(-1, 1)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    mean = f.mean()
-    s = (mean - f) / tau if direction == "worst_low" else (f - mean) / tau
-    w = np.exp(s - s.max())
-    w /= w.mean()
-    return WeightVector(w, float(mean))
+    mean = f.mean(axis=-1, keepdims=True)
+    s = (mean - f) / t if direction == "worst_low" else (f - mean) / t
+    w = np.exp(s - s.max(axis=-1, keepdims=True))
+    w /= w.mean(axis=-1, keepdims=True)
+    return WeightVector(w, mean[..., 0])
 
 
 def kl_divergence(p, q) -> float:

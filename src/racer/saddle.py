@@ -184,10 +184,12 @@ def policy_kl(problem: TabularProblem, pi: np.ndarray, pi_ref: np.ndarray) -> fl
     return float(np.sum(problem.rho * terms.sum(axis=1)))
 
 
-def dual_update(lam: float, eta: float, weighted_cost: float, budget: float,
-                beta: float) -> float:
-    """One projected dual ascent step on the budget multiplier."""
-    return max(0.0, lam + eta * (weighted_cost - budget - beta * lam))
+def dual_update(lam, eta: float, weighted_cost, budget, beta: float):
+    """One projected dual ascent step on the budget multiplier.
+
+    Elementwise, so it steps one multiplier or a vector of them.
+    """
+    return np.maximum(0.0, lam + eta * (weighted_cost - budget - beta * lam))
 
 
 _BRACKET_LIMIT = 2.0**60

@@ -5,7 +5,8 @@ batch-mean exponential tilts (reward tilted down, cost tilted up), and the
 policy takes one gradient-ascent step on the entropy-regularized Lagrangian
 while the budget multiplier takes one projected dual step on the tilt-
 weighted cost. Checkpoints are scored on a held-out split and the best
-feasible one is returned.
+feasible one is returned. Runs that share data and architecture train as
+one stack of replicas, so each numpy call advances all of them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -154,9 +155,6 @@ class DualState:
     eta: float = 1e-3
     beta: float = 0.005
 
-    def step(self, weighted_cost: float, budget: float) -> None:
-        self.lam = dual_update(self.lam, self.eta, weighted_cost, budget, self.beta)
-
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -220,42 +218,65 @@ def _params(policy: PolicySpec) -> list[np.ndarray]:
     raise TypeError(f"{type(policy).__name__} has no trainable parameters")
 
 
-def _rebuild(policy: PolicySpec, params: Sequence[np.ndarray]) -> PolicySpec:
-    if isinstance(policy, LinearPolicy):
+def _rebuild(kind: str, params: Sequence[np.ndarray]) -> PolicySpec:
+    if kind == "linear":
         return LinearPolicy(params[0].copy(), float(params[1][0]))
     weights = tuple(p.copy() for p in params[0::2])
     biases = tuple(p.copy() for p in params[1::2])
     return FeedForwardPolicy(weights, biases)
 
 
+# The kernels below work on stacks of R replicas: every parameter has a
+# leading replica axis and x has shape (R, B, d), one batch per replica.
+# Stacked matmuls and row reductions give each replica bitwise the numbers
+# that the same operations give on that replica alone.
+
 def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray):
+    """Logits (R, B) and the layer inputs that _backward needs."""
     if kind == "linear":
-        u = x @ params[0] + params[1][0]
-        return u, (x,)
+        return (x @ params[0][:, :, None])[..., 0] + params[1], (x,)
     acts = [x]
     h = x
-    n_layers = len(params) // 2
-    for i in range(n_layers - 1):
-        h = np.maximum(h @ params[2 * i].T + params[2 * i + 1], 0.0)
+    for w, b in zip(params[0:-2:2], params[1:-2:2]):
+        h = np.maximum(h @ w.transpose(0, 2, 1) + b[:, None, :], 0.0)
         acts.append(h)
-    u = (h @ params[-2].T + params[-1]).ravel()
+    u = (h @ params[-2].transpose(0, 2, 1) + params[-1][:, None, :])[..., 0]
     return u, tuple(acts)
 
 
-def _backward(params: Sequence[np.ndarray], kind: str, cache, gu: np.ndarray):
+def _backward(params: Sequence[np.ndarray], kind: str, acts, gu: np.ndarray):
     if kind == "linear":
-        (x,) = cache
-        return [x.T @ gu, np.array([gu.sum()])]
-    acts = cache
-    n_layers = len(params) // 2
+        (x,) = acts
+        return [(x.transpose(0, 2, 1) @ gu[..., None])[..., 0],
+                gu.sum(axis=1, keepdims=True)]
     grads: list[np.ndarray | None] = [None] * len(params)
-    delta = gu[:, None]  # gradient w.r.t. the final pre-activation, shape (B, 1)
-    for i in range(n_layers - 1, -1, -1):
-        grads[2 * i] = delta.T @ acts[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
+    delta = gu[..., None]  # gradient w.r.t. the final pre-activation, (R, B, 1)
+    for i in range(len(params) // 2 - 1, -1, -1):
+        grads[2 * i] = delta.transpose(0, 2, 1) @ acts[i]
+        grads[2 * i + 1] = delta.sum(axis=1)
         if i > 0:
             delta = (delta @ params[2 * i]) * (acts[i] > 0)
     return grads
+
+
+def _expectations(correct: np.ndarray, cost: np.ndarray, p: np.ndarray):
+    """Action gaps and policy-expected reward and cost per instance."""
+    dr = correct[..., 1] - correct[..., 0]
+    dc = cost[..., 1] - cost[..., 0]
+    return dr, dc, correct[..., 0] + p * dr, cost[..., 0] + p * dc
+
+
+def _objective(params, kind, acts, u, p, dr, dc, exp_r, exp_c, wr, wc, lam, beta):
+    """Per-replica objective values (R,) and their stacked gradients.
+
+    value = mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ]
+    """
+    lam = lam[:, None]
+    value = np.mean(wr * exp_r - lam * wc * exp_c + beta * _entropy_from_logits(u, p),
+                    axis=1)
+    # d value / d u_i; dH/du = -u * p * (1 - p)
+    gu = (wr * dr - lam * wc * dc - beta * u) * p * (1.0 - p) / u.shape[1]
+    return value, _backward(params, kind, acts, gu)
 
 
 def _policy_kind(policy: PolicySpec) -> str:
@@ -276,33 +297,28 @@ def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
         raise ValueError("weight vectors must align with the batch")
     kind = _policy_kind(policy)
     params = _params(policy)
-    value, grads, _ = _objective_on_params(
+    return _objective_on_params(
         params, kind, batch.features, batch.correct, batch.cost, wr, wc,
         dual.lam, dual.beta,
     )
-    return value, grads
 
 
 def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta,
                          where: str = "batch"):
-    n = x.shape[0]
-    u, cache = _forward(params, kind, x)
+    """The objective of one policy on one batch: a stack of one replica."""
+    stacked = [p[None] for p in params]
+    u, acts = _forward(stacked, kind, x[None])
     if not np.all(np.isfinite(u)):
-        bad = int(np.argmax(~np.isfinite(u)))
+        bad = int(np.argmax(~np.isfinite(u[0])))
         raise TrainingDivergenceError(f"non-finite logit at {where} index {bad}")
     p = sigmoid(u)
-    dr = correct[:, 1] - correct[:, 0]
-    dc = cost[:, 1] - cost[:, 0]
-    exp_r = correct[:, 0] + p * dr
-    exp_c = cost[:, 0] + p * dc
-    ent = _entropy_from_logits(u, p)
-    value = float(np.mean(wr * exp_r - lam * wc * exp_c + beta * ent))
+    dr, dc, exp_r, exp_c = _expectations(correct[None], cost[None], p)
+    values, grads = _objective(stacked, kind, acts, u, p, dr, dc, exp_r, exp_c,
+                               wr[None], wc[None], np.array([lam]), beta)
+    value = float(values[0])
     if not math.isfinite(value):
         raise TrainingDivergenceError(f"non-finite objective value in {where}")
-    # d value / d u_i; dH/du = -u * p * (1 - p)
-    gu = (wr * dr - lam * wc * dc - beta * u) * p * (1.0 - p) / n
-    grads = _backward(params, kind, cache, gu)
-    return value, grads, (p, exp_r, exp_c)
+    return value, [g[0] for g in grads]
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +341,10 @@ class _Adam:
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             params[i] += self.lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
 
+    def keep(self, rows):
+        self.m = [m[rows] for m in self.m]
+        self.v = [v[rows] for v in self.v]
+
 
 class _Sgd:
     def __init__(self, params, lr):
@@ -333,6 +353,9 @@ class _Sgd:
     def ascend(self, params, grads):
         for i, g in enumerate(grads):
             params[i] += self.lr * g
+
+    def keep(self, rows):
+        pass
 
 
 def init_policy(kind: str, dim: int, hidden: Sequence[int],
@@ -358,127 +381,215 @@ def init_policy(kind: str, dim: int, hidden: Sequence[int],
 # the training loop
 # ---------------------------------------------------------------------------
 
-def train(data: Dataset, config: TrainConfig) -> TrainResult:
+Outcome = Union[TrainResult, TrainingDivergenceError]
+
+
+def train(data: Dataset,
+          config: TrainConfig | Sequence[TrainConfig]) -> TrainResult | list[Outcome]:
     """Run the full primal-dual loop and return the best checkpoint.
 
     Deterministic in (data, config): splitting, initialization, shuffling
     and optional action sampling all derive from config.seed.
+
+    A sequence of configs that differ only in budget, seed and robust
+    trains as one stack, each numpy call advancing every replica, and
+    returns one outcome per config, in order: its TrainResult, or the
+    TrainingDivergenceError that config raises on its own. Each outcome is
+    bitwise the solo run's.
     """
-    n = len(data)
-    if n <= config.batch_size:
-        raise ValidationError(
-            f"dataset size {n} must exceed batch_size {config.batch_size}"
-        )
-    seq = np.random.SeedSequence(config.seed)
-    split_rng, init_rng, shuffle_rng, action_rng = (
-        np.random.default_rng(s) for s in seq.spawn(4)
-    )
+    if isinstance(config, TrainConfig):
+        (outcome,) = _Stack(data, [config]).run()
+        if isinstance(outcome, TrainingDivergenceError):
+            raise outcome
+        return outcome
+    return _Stack(data, list(config)).run()
 
-    perm = split_rng.permutation(n)
-    n_val = int(round(config.val_fraction * n))
-    if n_val < 1 or n - n_val <= 0:
-        raise ValidationError("validation split is empty")
-    train_idx = perm[: n - n_val]
-    val_data = data.subset(perm[n - n_val:])
-    train_data = data.subset(train_idx)
 
-    policy0 = init_policy(config.policy_kind, data.n_features, config.hidden,
-                          init_rng, bias=config.init_bias)
-    kind = _policy_kind(policy0)
-    params = _params(policy0)
-    opt = (_Adam(params, config.primal_lr) if config.optimizer == "adam"
-           else _Sgd(params, config.primal_lr))
-    dual = DualState(lam=config.lambda_init, eta=config.dual_lr, beta=config.beta)
+def _tilt(f: np.ndarray, tau: np.ndarray, direction: str) -> np.ndarray:
+    if np.isinf(tau).all():
+        return uniform_weights(f.shape).weights
+    return tilt_weights(f, tau, direction).weights
 
-    tau_r = config.robust.effective_tau_reward
-    tau_c = config.robust.effective_tau_cost
 
-    x_all = train_data.features
-    r_all = train_data.correct
-    c_all = train_data.cost
-    n_train = len(train_data)
+class _Stack:
+    """Replicas that share data and architecture, trained in lockstep.
 
-    history: list[EpochRecord] = []
-    checkpoints: list[Checkpoint] = []
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n_train)
-        reward_sum = cost_sum = 0.0
-        wr_lo = wc_lo = math.inf
-        wr_hi = wc_hi = -math.inf
-        epoch_costs: list[float] = []
-        n_batches = 0
-        for start in range(0, n_train, config.batch_size):
-            idx = order[start: start + config.batch_size]
-            x, r, c = x_all[idx], r_all[idx], c_all[idx]
-            where = f"epoch {epoch} batch {n_batches}"
+    Axis 0 of every per-replica array is the replica. A replica that
+    diverges leaves the stack with its error; the others go on unchanged.
+    """
 
-            # step 1: per-instance reward/cost summaries under the current policy
-            u, _ = _forward(params, kind, x)
-            if not np.all(np.isfinite(u)):
-                raise TrainingDivergenceError(f"non-finite logit in {where}")
-            p = sigmoid(u)
-            if config.sample_weight_inputs:
-                a = (action_rng.random(idx.size) < p).astype(np.int64)
-                rows = np.arange(idx.size)
-                f_r, f_c = r[rows, a], c[rows, a]
-            else:
-                f_r = r[:, 0] + p * (r[:, 1] - r[:, 0])
-                f_c = c[:, 0] + p * (c[:, 1] - c[:, 0])
-
-            # step 2: adversarial tilts (uniform when tau = inf)
-            w_r = (uniform_weights(idx.size, float(f_r.mean())) if math.isinf(tau_r)
-                   else tilt_weights(f_r, tau_r, "worst_low"))
-            w_c = (uniform_weights(idx.size, float(f_c.mean())) if math.isinf(tau_c)
-                   else tilt_weights(f_c, tau_c, "worst_high"))
-            wr_lo = min(wr_lo, float(w_r.weights.min()))
-            wr_hi = max(wr_hi, float(w_r.weights.max()))
-            wc_lo = min(wc_lo, float(w_c.weights.min()))
-            wc_hi = max(wc_hi, float(w_c.weights.max()))
-
-            # step 3: one ascent step on the reweighted objective
-            _, grads, (p_cur, exp_r, exp_c) = _objective_on_params(
-                params, kind, x, r, c, w_r.weights, w_c.weights,
-                dual.lam, config.beta, where=where,
+    def __init__(self, data: Dataset, configs: list[TrainConfig]):
+        if not configs:
+            raise ValueError("train needs at least one config")
+        lead = configs[0]
+        for cfg in configs[1:]:
+            if replace(cfg, budget=lead.budget, seed=lead.seed, robust=lead.robust) != lead:
+                raise ValueError("stacked configs may differ only in budget, seed and robust")
+        n = len(data)
+        if n <= lead.batch_size:
+            raise ValidationError(
+                f"dataset size {n} must exceed batch_size {lead.batch_size}"
             )
-            opt.ascend(params, grads)
+        n_val = int(round(lead.val_fraction * n))
+        if n_val < 1 or n - n_val <= 0:
+            raise ValidationError("validation split is empty")
 
-            # step 4: projected dual step on the tilt-weighted cost of the
-            # updated policy
-            u_new, _ = _forward(params, kind, x)
-            if not np.all(np.isfinite(u_new)):
-                raise TrainingDivergenceError(f"non-finite logit after update in {where}")
-            p_new = sigmoid(u_new)
-            exp_c_new = c[:, 0] + p_new * (c[:, 1] - c[:, 0])
-            weighted_cost = float(np.mean(w_c.weights * exp_c_new))
-            if config.dual_update_per_epoch:
-                epoch_costs.append(weighted_cost)
-            else:
-                dual.step(weighted_cost, config.budget)
+        self.config, self.kind = lead, lead.policy_kind
+        self.features, self.correct, self.cost = data.features, data.correct, data.cost
+        self.outcomes: list[Outcome | None] = [None] * len(configs)
+        self.histories: list[list[EpochRecord]] = [[] for _ in configs]
+        self.checkpoints: list[list[Checkpoint]] = [[] for _ in configs]
+        self.configs = configs
 
-            reward_sum += float(exp_r.mean())
-            cost_sum += float(exp_c.mean())
-            n_batches += 1
+        train_idx, self.val_sets, policies = [], [], []
+        self.shuffle_rngs, self.action_rngs = [], []
+        for cfg in configs:
+            split_rng, init_rng, shuffle_rng, action_rng = (
+                np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
+            )
+            perm = split_rng.permutation(n)
+            train_idx.append(perm[: n - n_val])
+            self.val_sets.append(data.subset(perm[n - n_val:]))
+            policies.append(init_policy(lead.policy_kind, data.n_features, lead.hidden,
+                                        init_rng, bias=lead.init_bias))
+            self.shuffle_rngs.append(shuffle_rng)
+            self.action_rngs.append(action_rng)
+        self.train_idx = np.stack(train_idx)
+        self.params = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
+        self.opt = (_Adam(self.params, lead.primal_lr) if lead.optimizer == "adam"
+                    else _Sgd(self.params, lead.primal_lr))
+        self.slot = np.arange(len(configs))  # position of each replica in configs
+        self.lam = np.full(len(configs), lead.lambda_init)
+        self.budget = np.array([cfg.budget for cfg in configs])
+        self.tau_r = np.array([cfg.robust.effective_tau_reward for cfg in configs])
+        self.tau_c = np.array([cfg.robust.effective_tau_cost for cfg in configs])
 
-        if config.dual_update_per_epoch:
-            dual.step(float(np.mean(epoch_costs)), config.budget)
+    def run(self) -> list[Outcome]:
+        for epoch in range(self.config.epochs):
+            if not self.slot.size:
+                break
+            self._epoch(epoch)
+        for slot in self.slot:
+            best = select_checkpoint(self.checkpoints[slot], self.configs[slot].budget)
+            self.outcomes[slot] = TrainResult(best, tuple(self.histories[slot]),
+                                              tuple(self.checkpoints[slot]))
+        return self.outcomes
 
-        snapshot = _rebuild(policy0, params)
-        val_metrics = evaluate_policy(snapshot, val_data, mode="expected")
-        checkpoints.append(Checkpoint(epoch, snapshot, val_metrics, dual.lam))
-        history.append(EpochRecord(
-            epoch=epoch,
-            train_reward=reward_sum / n_batches,
-            train_cost=cost_sum / n_batches,
-            lam=dual.lam,
-            val_accuracy=val_metrics.accuracy,
-            val_cost=val_metrics.realized_cost,
-            reasoning_fraction=val_metrics.reasoning_fraction,
-            reward_weight_range=(wr_lo, wr_hi),
-            cost_weight_range=(wc_lo, wc_hi),
-        ))
+    def _drop(self, failed: dict[int, str]) -> np.ndarray:
+        """Record each failed replica's error, remove it, return the kept rows."""
+        keep = np.ones(self.slot.size, dtype=bool)
+        for k, message in failed.items():
+            self.outcomes[self.slot[k]] = TrainingDivergenceError(message)
+            keep[k] = False
+        self.slot, self.lam, self.budget = self.slot[keep], self.lam[keep], self.budget[keep]
+        self.tau_r, self.tau_c = self.tau_r[keep], self.tau_c[keep]
+        self.train_idx, self.order = self.train_idx[keep], self.order[keep]
+        self.params = [p[keep] for p in self.params]
+        self.opt.keep(keep)
+        self.stats = {name: value[keep] for name, value in self.stats.items()}
+        kept = np.flatnonzero(keep)
+        for name in ("val_sets", "shuffle_rngs", "action_rngs"):
+            setattr(self, name, [getattr(self, name)[k] for k in kept])
+        return keep
 
-    best = select_checkpoint(checkpoints, config.budget)
-    return TrainResult(best, tuple(history), tuple(checkpoints))
+    def _epoch(self, epoch: int) -> None:
+        cfg = self.config
+        n_train = self.train_idx.shape[1]
+        self.order = np.stack([idx[rng.permutation(n_train)]
+                               for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
+        n_batches = -(-n_train // cfg.batch_size)
+        n_rep = self.slot.size
+        self.stats = {
+            "reward_sum": np.zeros(n_rep), "cost_sum": np.zeros(n_rep),
+            "wr_lo": np.full(n_rep, math.inf), "wr_hi": np.full(n_rep, -math.inf),
+            "wc_lo": np.full(n_rep, math.inf), "wc_hi": np.full(n_rep, -math.inf),
+            "batch_costs": np.empty((n_rep, n_batches)),
+        }
+        for b in range(n_batches):
+            self._batch(f"epoch {epoch} batch {b}", b)
+            if not self.slot.size:
+                return
+        st = self.stats
+        if cfg.dual_update_per_epoch:
+            self.lam = dual_update(self.lam, cfg.dual_lr, st["batch_costs"].mean(axis=1),
+                                   self.budget, cfg.beta)
+
+        for k, slot in enumerate(self.slot):
+            snapshot = _rebuild(self.kind, [p[k] for p in self.params])
+            val_metrics = evaluate_policy(snapshot, self.val_sets[k], mode="expected")
+            lam = float(self.lam[k])
+            self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
+            self.histories[slot].append(EpochRecord(
+                epoch=epoch,
+                train_reward=float(st["reward_sum"][k] / n_batches),
+                train_cost=float(st["cost_sum"][k] / n_batches),
+                lam=lam,
+                val_accuracy=val_metrics.accuracy,
+                val_cost=val_metrics.realized_cost,
+                reasoning_fraction=val_metrics.reasoning_fraction,
+                reward_weight_range=(float(st["wr_lo"][k]), float(st["wr_hi"][k])),
+                cost_weight_range=(float(st["wc_lo"][k]), float(st["wc_hi"][k])),
+            ))
+
+    def _batch(self, where: str, b: int) -> None:
+        cfg = self.config
+        idx = self.order[:, b * cfg.batch_size: (b + 1) * cfg.batch_size]
+
+        # step 1: per-instance reward/cost summaries under the current policy
+        u, acts = _forward(self.params, self.kind, self.features[idx])
+        finite = np.isfinite(u).all(axis=1)
+        if not finite.all():
+            keep = self._drop({k: f"non-finite logit in {where}"
+                               for k in np.flatnonzero(~finite)})
+            if not self.slot.size:
+                return
+            idx, u, acts = idx[keep], u[keep], tuple(a[keep] for a in acts)
+        x, r, c = acts[0], self.correct[idx], self.cost[idx]
+        p = sigmoid(u)
+        dr, dc, exp_r, exp_c = _expectations(r, c, p)
+        if cfg.sample_weight_inputs:
+            draws = np.stack([rng.random(idx.shape[1]) for rng in self.action_rngs])
+            act = draws < p
+            f_r = np.where(act, r[..., 1], r[..., 0])
+            f_c = np.where(act, c[..., 1], c[..., 0])
+        else:
+            f_r, f_c = exp_r, exp_c
+
+        # step 2: adversarial tilts (uniform where tau = inf)
+        w_r = _tilt(f_r, self.tau_r, "worst_low")
+        w_c = _tilt(f_c, self.tau_c, "worst_high")
+        st = self.stats
+        st["wr_lo"] = np.minimum(st["wr_lo"], w_r.min(axis=1))
+        st["wr_hi"] = np.maximum(st["wr_hi"], w_r.max(axis=1))
+        st["wc_lo"] = np.minimum(st["wc_lo"], w_c.min(axis=1))
+        st["wc_hi"] = np.maximum(st["wc_hi"], w_c.max(axis=1))
+
+        # step 3: one ascent step on the reweighted objective; the parameters
+        # are those of step 1, so its logits and probabilities are reused
+        value, grads = _objective(self.params, self.kind, acts, u, p, dr, dc,
+                                  exp_r, exp_c, w_r, w_c, self.lam, cfg.beta)
+        self.opt.ascend(self.params, grads)
+
+        # step 4: projected dual step on the tilt-weighted cost of the
+        # updated policy
+        u_new, _ = _forward(self.params, self.kind, x)
+        p_new = sigmoid(u_new)
+        weighted_cost = np.mean(w_c * (c[..., 0] + p_new * dc), axis=1)
+        if cfg.dual_update_per_epoch:
+            st["batch_costs"][:, b] = weighted_cost
+        else:
+            self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
+        st["reward_sum"] += exp_r.mean(axis=1)
+        st["cost_sum"] += exp_c.mean(axis=1)
+
+        # checked last: a failed replica leaves the stack here and what it
+        # computed after its failure goes with it, so its outcome is the
+        # error its solo run raises at this point
+        value_ok, logit_ok = np.isfinite(value), np.isfinite(u_new).all(axis=1)
+        if not (value_ok.all() and logit_ok.all()):
+            self._drop({k: (f"non-finite objective value in {where}" if not value_ok[k]
+                            else f"non-finite logit after update in {where}")
+                        for k in np.flatnonzero(~(value_ok & logit_ok))})
 
 
 def select_checkpoint(checkpoints: Sequence[Checkpoint], budget: float) -> Checkpoint:

@@ -212,10 +212,10 @@ def test_c05_gradient_correctness():
                 p += rng.standard_normal(p.shape) * 0.4
 
             def value_of(ps):
-                v, _, _ = _objective_on_params(ps, kind, x, correct, cost, wr, wc, lam, beta)
+                v, _ = _objective_on_params(ps, kind, x, correct, cost, wr, wc, lam, beta)
                 return v
 
-            _, grads, _ = _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta)
+            _, grads = _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta)
             fd = finite_diff_gradient(value_of, params, h=1e-5)
             for g, g_fd in zip(grads, fd):
                 rel = np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-8))
@@ -276,31 +276,37 @@ def test_c07_frontier_dominance(separable3_splits, frontier_sweep):
           f"(min margin {min(margins):+.3f}); random baseline collinear within 1e-12")
 
 
+def _robust_and_acer_policies(data, robust):
+    """Per seed, the robust and the acer policy, all trained as one stack."""
+    configs = []
+    for seed in range(N_SEEDS):
+        configs.append(replace(SHIFT_CONFIG, seed=seed, robust=robust))
+        configs.append(replace(SHIFT_CONFIG, seed=seed, robust=RobustConfig(mode="acer")))
+    outcomes = train(data, configs)
+    assert all(not isinstance(o, Exception) for o in outcomes), outcomes
+    policies = [o.best.policy for o in outcomes]
+    return list(zip(policies[0::2], policies[1::2]))
+
+
 def test_c08_shift_ablation():
     start = time.time()
     # (a) upward cost shift: cost-robust routing keeps the OOD budget
     train_up, _, ood_high = shift_scenarios(PRESET_SCENARIOS["shift-up"])
     safe = violations = 0
-    for seed in range(N_SEEDS):
-        cfg_c = replace(SHIFT_CONFIG, seed=seed,
-                        robust=RobustConfig(tau_cost=0.3, mode="racer-c"))
-        cfg_a = replace(cfg_c, robust=RobustConfig(mode="acer"))
-        m_c = evaluate_policy(train(train_up, cfg_c).best.policy, ood_high)
-        m_a = evaluate_policy(train(train_up, cfg_a).best.policy, ood_high)
-        safe += m_c.realized_cost <= 2.0
-        violations += m_a.realized_cost > 2.0
+    for pol_c, pol_a in _robust_and_acer_policies(
+            train_up, RobustConfig(tau_cost=0.3, mode="racer-c")):
+        safe += evaluate_policy(pol_c, ood_high).realized_cost <= 2.0
+        violations += evaluate_policy(pol_a, ood_high).realized_cost > 2.0
     assert safe >= 18, f"racer-c kept the OOD budget in only {safe}/{N_SEEDS} seeds"
     assert violations >= 10, f"acer violated in only {violations}/{N_SEEDS} seeds"
 
     # (b) downward cost shift: reward-robust routing wins on accuracy
     train_down, ood_low, _ = shift_scenarios(PRESET_SCENARIOS["shift-down"], n_test=6000)
     wins = losses = 0
-    for seed in range(N_SEEDS):
-        cfg_r = replace(SHIFT_CONFIG, seed=seed,
-                        robust=RobustConfig(tau_reward=0.3, mode="racer-r"))
-        cfg_a = replace(cfg_r, robust=RobustConfig(mode="acer"))
-        acc_r = evaluate_policy(train(train_down, cfg_r).best.policy, ood_low).accuracy
-        acc_a = evaluate_policy(train(train_down, cfg_a).best.policy, ood_low).accuracy
+    for pol_r, pol_a in _robust_and_acer_policies(
+            train_down, RobustConfig(tau_reward=0.3, mode="racer-r")):
+        acc_r = evaluate_policy(pol_r, ood_low).accuracy
+        acc_a = evaluate_policy(pol_a, ood_low).accuracy
         wins += acc_r > acc_a
         losses += acc_r < acc_a
     pvalue = sign_test_pvalue(wins, losses)

@@ -170,6 +170,34 @@ class TestSweep:
         assert cells[0].stat().st_mtime_ns == stamp
         assert (out / "sweep.csv").read_bytes() == raw
 
+    def test_close_budgets_get_their_own_cell_files(self, data_file, tmp_path):
+        out = tmp_path / "sw_close"
+        args = ["sweep", "--train-data", data_file, "--budgets", "2.0000001,2.0000002",
+                "--repeats", "1", "--methods", "racer", "--epochs", "2", "--out", out]
+        assert run(*args) == 0
+        cells = sorted((out / "cells").iterdir())
+        assert len(cells) == 2 and all(c.suffix == ".json" for c in cells)
+        stamps = [c.stat().st_mtime_ns for c in cells]
+        assert run(*args, "--resume") == 0
+        assert [c.stat().st_mtime_ns for c in cells] == stamps
+
+    def test_truncated_cell_is_recomputed_on_resume(self, data_file, tmp_path):
+        out = tmp_path / "sw_cut"
+        args = ["sweep", "--train-data", data_file, "--budgets", "2.0,3.0",
+                "--repeats", "1", "--methods", "racer,all-instruct", "--epochs", "2",
+                "--out", out]
+        assert run(*args) == 0
+        raw = (out / "sweep.csv").read_bytes()
+        cells = sorted((out / "cells").glob("*.json"))
+        whole = cells[0].read_bytes()
+        cells[0].write_bytes(whole[: len(whole) // 2])  # a run killed mid-write
+        untouched = cells[1].stat().st_mtime_ns
+        assert run(*args, "--resume") == 0
+        assert cells[0].read_bytes() == whole
+        assert cells[1].stat().st_mtime_ns == untouched
+        assert (out / "sweep.csv").read_bytes() == raw
+        assert sorted(p.name for p in (out / "cells").iterdir()) == sorted(c.name for c in cells)
+
     def test_scenario_shift_map_adds_ood_split(self, tmp_path):
         scenario = json.loads((SCENARIOS / "shift_up.json").read_text())
         scenario["n"] = 200

@@ -18,6 +18,7 @@ from racer.core import (
     policy_prob,
     policy_probs,
     save_dataset,
+    sigmoid,
 )
 from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
 
@@ -105,6 +106,25 @@ class TestPolicyProb:
         expected = 1.0 / (1.0 + math.exp(-1.0))
         assert policy_prob(policy, inst) == pytest.approx(expected, abs=1e-12)
         assert round(policy_prob(policy, inst), 5) == 0.73106
+
+    def test_sigmoid_edge_values_pinned(self):
+        x = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, math.inf, -math.inf,
+                      709.0, -709.0, 1e-320, -1e-320])
+        expected = np.array([0.5, 0.5, 1.0, 5e-324, 1.0, 0.0, 1.0, 0.0,
+                             1.0, 1.216780750623423e-308, 0.5, 0.5])
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # a NaN comes back bit for bit, sign included
+        for nan in (np.array([math.nan]), -np.array([math.nan])):
+            assert np.array_equal(sigmoid(nan).view(np.uint64), nan.view(np.uint64))
+
+    def test_sigmoid_matches_two_sided_formula(self):
+        x = np.random.default_rng(3).standard_normal(5000) * 40.0
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(sigmoid(x), expected)
+        assert np.array_equal(sigmoid(x.reshape(50, 100)), expected.reshape(50, 100))
 
     def test_mirrored_logits_sum_to_one(self):
         policy = LinearPolicy(np.array([1.0]), 0.0)

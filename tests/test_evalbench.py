@@ -17,6 +17,7 @@ from racer.evalbench import (
     load_scenario,
     run_sweep,
     shift_scenarios,
+    split_units,
 )
 from racer.reweight import RobustConfig
 from racer.trainer import TrainConfig
@@ -212,6 +213,25 @@ class TestRunSweep:
         seq = run_sweep(train, {}, workers=1, **kw)
         par = run_sweep(train, {}, workers=2, **kw)
         assert seq.cells == par.cells
+
+    def test_units_split_into_contiguous_groups(self):
+        units = list(range(7))
+        assert split_units(units, 1) == [units]
+        assert split_units(units, 3) == [[0, 1, 2], [3, 4], [5, 6]]
+        assert split_units(units, 10) == [[u] for u in units]
+        assert split_units([], 4) == []
+        assert split_units(units, 0) == [units]
+
+    def test_one_stack_matches_unit_by_unit(self):
+        train = gen_synthetic(two_domain(seed=10, n=400))
+        kw = dict(methods=["racer", "racer-c", "random"], repeats=2, base_seed=1,
+                  template=quick_template(epochs=3))
+        stacked = run_sweep(train, {}, budgets=[2.0, 3.0], **kw)
+        alone = [run_sweep(train, {}, budgets=[b], **{**kw, "repeats": 1, "base_seed": s})
+                 for b in (2.0, 3.0) for s in (1, 2)]
+        cells = sorted((c for r in alone for c in r.cells),
+                       key=lambda c: (c.method, c.budget, c.seed, c.split))
+        assert list(stacked.cells) == cells
 
     def test_aggregate_stats(self):
         train = gen_synthetic(two_domain(seed=11, n=300))

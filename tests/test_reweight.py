@@ -69,6 +69,40 @@ class TestTiltWeights:
         with pytest.raises(ValueError, match="direction"):
             tilt_weights([0.0, 1.0], 1.0, "sideways")
 
+    def test_rows_tilt_like_vectors(self):
+        rng = np.random.default_rng(8)
+        f = rng.uniform(0.0, 5.0, (4, 37))
+        tau = np.array([0.3, 1.0, 7.0, 0.05])
+        for direction in ("worst_low", "worst_high"):
+            stacked = tilt_weights(f, tau, direction)
+            for k in range(4):
+                alone = tilt_weights(f[k], float(tau[k]), direction)
+                assert np.array_equal(stacked.weights[k], alone.weights)
+                assert stacked.baseline[k] == alone.baseline
+
+    def test_infinite_tau_rows_get_unit_weights(self):
+        f = np.random.default_rng(9).uniform(0.0, 5.0, (3, 16))
+        wv = tilt_weights(f, np.array([math.inf, 0.5, math.inf]), "worst_high")
+        assert np.array_equal(wv.weights[[0, 2]], np.ones((2, 16)))
+        assert not np.array_equal(wv.weights[1], np.ones(16))
+        assert np.array_equal(tilt_weights(f, math.inf, "worst_low").weights, np.ones((3, 16)))
+
+    def test_row_tau_errors(self):
+        f = np.ones((2, 3))
+        for tau in (np.array([1.0, 0.0]), np.array([1.0, math.nan]), np.array([1.0, 1.0, 1.0]),
+                    -1.0):
+            with pytest.raises(ValueError, match="tau"):
+                tilt_weights(f, tau, "worst_high")
+        with pytest.raises(ValueError, match="tau"):
+            tilt_weights([0.0, 1.0], np.array([1.0]), "worst_high")
+        with pytest.raises(ValueError, match="non-finite"):
+            tilt_weights(np.array([[0.0, math.inf]]), 1.0, "worst_high")
+        with pytest.raises(ValueError, match="non-empty"):
+            tilt_weights(np.ones((2, 2, 2)), 1.0, "worst_high")
+
+    def test_uniform_weights_take_a_shape(self):
+        assert np.array_equal(uniform_weights((2, 3)).weights, np.ones((2, 3)))
+
 
 class TestKlDivergence:
     def test_identity_is_zero(self):

@@ -166,6 +166,17 @@ class TestPrimalDualIterate:
         # projection clips at zero
         assert dual_update(0.1, 1.0, 0.0, 5.0, 0.0) == 0.0
 
+    def test_dual_update_vector_matches_scalar_steps(self):
+        lam = np.array([1.0, 0.1, 0.0, 2.5])
+        cost = np.array([3.0, 0.0, 1.7, 2.0])
+        budget = np.array([2.0, 5.0, 1.5, 4.0])
+        stepped = dual_update(lam, 0.1, cost, budget, 0.01)
+        assert stepped.shape == (4,)
+        for k in range(4):
+            assert stepped[k] == dual_update(float(lam[k]), 0.1, float(cost[k]),
+                                             float(budget[k]), 0.01)
+        assert stepped[1] == 0.0
+
     def test_unit_constants(self):
         prob = random_problem(11, n_contexts=6, beta=1.0, unit_bounds=True)
         c = ConvergenceConstants.from_problem(prob)

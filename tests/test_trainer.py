@@ -1,13 +1,17 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_instance
 from oracles import finite_diff_gradient
 
 from racer.core import Dataset, LinearPolicy, Metrics, ValidationError, evaluate_policy
-from racer.reweight import RobustConfig, uniform_weights
+from racer.reweight import MODES, RobustConfig, uniform_weights
 from racer.trainer import (
     Checkpoint,
     DualState,
@@ -100,11 +104,11 @@ class TestBatchObjective:
             params = _params(policy)
             for p in params:
                 p += rng.standard_normal(p.shape) * 0.3
-            _, grads, _ = _objective_on_params(
+            _, grads = _objective_on_params(
                 params, kind, data.features, data.correct, data.cost, wr, wc, lam, beta)
 
             def value_of(ps):
-                v, _, _ = _objective_on_params(
+                v, _ = _objective_on_params(
                     ps, kind, data.features, data.correct, data.cost, wr, wc, lam, beta)
                 return v
 
@@ -236,6 +240,109 @@ class TestTrain:
         per_batch = train(data, TrainConfig(**base))
         per_epoch = train(data, TrainConfig(dual_update_per_epoch=True, **base))
         assert per_batch.history != per_epoch.history
+
+
+def result_bits(result):
+    """Every number a TrainResult holds, as exact bytes or reprs."""
+    def policy_bits(policy):
+        if isinstance(policy, LinearPolicy):
+            return (policy.weights.tobytes(), repr(policy.bias))
+        return tuple(a.tobytes() for a in policy.weights + policy.biases)
+
+    def checkpoint_bits(c):
+        return (c.epoch, repr(c.metrics), repr(c.lam), policy_bits(c.policy))
+
+    return (repr(result.history), tuple(checkpoint_bits(c) for c in result.checkpoints),
+            checkpoint_bits(result.best))
+
+
+def solo(data, config):
+    try:
+        return train(data, config)
+    except TrainingDivergenceError as exc:
+        return exc
+
+
+STACK_DATA = routing_dataset(seed=13, n=110)
+
+replica_draws = st.tuples(
+    st.sampled_from([1.2, 2.0, 3.5]), st.integers(0, 40), st.sampled_from(MODES),
+    st.sampled_from([0.3, 1.0, math.inf]), st.sampled_from([0.5, math.inf]),
+)
+
+
+class TestReplicaStack:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(replicas=st.lists(replica_draws, min_size=1, max_size=5),
+           kind=st.sampled_from(["linear", "feedforward"]),
+           sampled=st.booleans(), per_epoch=st.booleans(),
+           optimizer=st.sampled_from(["adam", "sgd"]))
+    def test_every_replica_equals_its_solo_run(self, replicas, kind, sampled,
+                                               per_epoch, optimizer):
+        base = TrainConfig(budget=2.0, epochs=2, batch_size=24, primal_lr=2e-2,
+                           dual_lr=0.1, policy_kind=kind, hidden=(5, 3),
+                           optimizer=optimizer, sample_weight_inputs=sampled,
+                           dual_update_per_epoch=per_epoch, val_fraction=0.2)
+        configs = [replace(base, budget=b, seed=s,
+                           robust=RobustConfig(tau_reward=tr, tau_cost=tc, mode=m))
+                   for b, s, m, tr, tc in replicas]
+        outcomes = train(STACK_DATA, configs)
+        assert len(outcomes) == len(configs)
+        for config, outcome in zip(configs, outcomes):
+            alone = train(STACK_DATA, config)
+            assert result_bits(outcome) == result_bits(alone)
+
+    @pytest.mark.parametrize("cause", ["objective", "logit"])
+    def test_diverging_replica_fails_alone(self, cause):
+        if cause == "objective":
+            # a vanishing temperature turns the reward tilt into NaN weights
+            data = routing_dataset(seed=3, n=120)
+            base = TrainConfig(budget=2.0, epochs=3, batch_size=32, primal_lr=1e-2,
+                               dual_lr=0.05, robust=RobustConfig(tau_reward=1.0))
+            configs = [replace(base, seed=1),
+                       replace(base, seed=2, robust=RobustConfig(tau_reward=1e-320)),
+                       replace(base, seed=3, robust=RobustConfig(mode="acer"))]
+        else:
+            # one huge feature overflows the logit of every replica that
+            # trains on it; the others hold it out for validation
+            data = Dataset([*routing_dataset(seed=4, n=99).instances,
+                            make_instance(99, [1e308, 0.0, 0.0], (1, 0), (100.0, 300.0))])
+            base = TrainConfig(budget=2.0, epochs=3, batch_size=16, primal_lr=10.0,
+                               dual_lr=0.05, val_fraction=0.5)
+            configs = [replace(base, seed=s) for s in range(8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            alone = [solo(data, c) for c in configs]
+            stacked = train(data, configs)
+        failed = [isinstance(a, TrainingDivergenceError) for a in alone]
+        assert any(failed) and not all(failed)
+        for a, b in zip(alone, stacked):
+            if isinstance(a, TrainingDivergenceError):
+                assert type(b) is TrainingDivergenceError and str(b) == str(a)
+            else:
+                assert result_bits(b) == result_bits(a)
+
+    def test_single_config_raises_its_divergence(self):
+        data = routing_dataset(seed=3, n=120)
+        config = TrainConfig(budget=2.0, epochs=1, batch_size=32,
+                             robust=RobustConfig(tau_reward=1e-320))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingDivergenceError, match="objective value in epoch 0"):
+                train(data, config)
+            (outcome,) = train(data, [config])
+        assert isinstance(outcome, TrainingDivergenceError)
+
+    def test_configs_may_differ_only_in_budget_seed_robust(self):
+        data = routing_dataset(seed=3, n=120)
+        base = TrainConfig(budget=2.0, epochs=1, batch_size=32)
+        with pytest.raises(ValueError, match="differ only"):
+            train(data, [base, replace(base, primal_lr=0.5)])
+        with pytest.raises(ValueError, match="at least one"):
+            train(data, [])
+        with pytest.raises(ValidationError, match="batch_size"):
+            train(data, [replace(base, batch_size=200), replace(base, batch_size=200, seed=1)])
 
 
 class TestSelectCheckpoint:
