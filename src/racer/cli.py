@@ -95,9 +95,14 @@ def _write_manifest(path, command: str, config: dict, inputs, outputs, seed,
         "seed": seed,
         "duration_s": time.time() - started,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    _write_atomic(Path(path), json.dumps(manifest, indent=1) + "\n")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary name so a killed run leaves no partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _fmt(value: float) -> str:
@@ -313,13 +318,6 @@ def _sweep_splits(args):
     return train_data, tests, inputs
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary name so a killed run leaves no partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _read_cell(path: Path, digest: str):
     """(cells, failures) of a finished sweep unit, or None if the file is
     missing, unreadable or belongs to another configuration."""
@@ -432,22 +430,37 @@ def cmd_sweep(args) -> int:
 # saddle demo
 # ---------------------------------------------------------------------------
 
+_PROBLEM_ARRAYS = ("rho", "reward", "cost", "w1", "w2")
+
+
 def _load_problem(path) -> TabularProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return TabularProblem(
-        rho=np.asarray(payload["rho"], dtype=np.float64),
-        reward=np.asarray(payload["reward"], dtype=np.float64),
-        cost=np.asarray(payload["cost"], dtype=np.float64),
-        w1=np.asarray(payload["w1"], dtype=np.float64),
-        w2=np.asarray(payload["w2"], dtype=np.float64),
-        budget=float(payload["budget"]),
-        beta=float(payload["beta"]),
-    )
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"problem file {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"problem file {path}: expected a JSON object, "
+                         f"got {type(payload).__name__}")
+    fields = {}
+    for key in (*_PROBLEM_ARRAYS, "budget", "beta"):
+        if key not in payload:
+            raise ParseError(f"problem file {path}: missing field {key!r}")
+        try:
+            fields[key] = (np.asarray(payload[key], dtype=np.float64)
+                           if key in _PROBLEM_ARRAYS else float(payload[key]))
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"problem file {path}: field {key!r} is not numeric") from None
+    return TabularProblem(**fields)
 
 
 def cmd_saddle_demo(args) -> int:
     started = time.time()
+    if args.contexts < 1 or args.iters < 1 or args.seed < 0:
+        raise UsageError("--contexts and --iters must be >= 1 and --seed >= 0")
+    if not 0.0 < args.beta < math.inf:
+        raise UsageError(f"--beta must be positive and finite, got {args.beta}")
+    if not 0.0 <= args.lambda0 < math.inf:
+        raise UsageError(f"--lambda0 must be non-negative and finite, got {args.lambda0}")
     inputs = []
     if args.problem is not None:
         problem = _load_problem(args.problem)
@@ -465,11 +478,9 @@ def cmd_saddle_demo(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write("t,lambda_t,kl_to_star,bound_t\n")
-        for t in range(trace.lambdas.shape[0]):
-            fh.write(f"{t},{float(trace.lambdas[t])!r},"
-                     f"{float(trace.kl_to_star[t])!r},{float(bound[t])!r}\n")
+    _write_atomic(trace_path, "t,lambda_t,kl_to_star,bound_t\n" + "".join(
+        f"{t},{lam!r},{kl!r},{b!r}\n" for t, (lam, kl, b) in enumerate(
+            zip(trace.lambdas.tolist(), trace.kl_to_star.tolist(), bound.tolist()))))
     config = {"contexts": args.contexts, "seed": args.seed, "beta": args.beta,
               "budget": args.budget, "problem": args.problem,
               "lambda0": args.lambda0, "iters": args.iters}
@@ -637,14 +648,14 @@ def main(argv=None) -> int:
         if "usage:" not in str(exc):
             print("run 'racer <command> --help' for usage", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, InfeasibleProblemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (ParseError, ValidationError, InfeasibleProblemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:
+        print(f"error: numeric failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_NUMERIC
 
 

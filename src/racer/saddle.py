@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TabularPolicy
+from .core import TabularPolicy, ValidationError
 
 
 class InfeasibleProblemError(ValueError):
@@ -44,39 +44,36 @@ class TabularProblem:
     beta: float
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.float64)
-        reward = np.asarray(self.reward, dtype=np.float64)
-        cost = np.asarray(self.cost, dtype=np.float64)
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
+        arrays = {name: np.asarray(getattr(self, name), dtype=np.float64)
+                  for name in ("rho", "reward", "cost", "w1", "w2")}
+        rho, reward, cost, w1, w2 = arrays.values()
+        if rho.ndim != 1 or rho.shape[0] == 0:
+            raise ValidationError("rho must be a non-empty 1-d vector")
         n = rho.shape[0]
-        if rho.ndim != 1 or n == 0:
-            raise ValueError("rho must be a non-empty 1-d vector")
         if reward.shape != (n, 2) or cost.shape != (n, 2):
-            raise ValueError("reward and cost must have shape (n, 2)")
+            raise ValidationError("reward and cost must have shape (n, 2)")
         if w1.shape != (n,) or w2.shape != (n,):
-            raise ValueError("w1 and w2 must have shape (n,)")
+            raise ValidationError("w1 and w2 must have shape (n,)")
+        for name, arr in (*arrays.items(), ("budget", self.budget)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} must be finite")
         if np.any(rho <= 0) or abs(rho.sum() - 1.0) > 1e-9:
-            raise ValueError("rho must be strictly positive and sum to 1")
+            raise ValidationError("rho must be strictly positive and sum to 1")
         if np.any(cost <= 0):
-            raise ValueError("costs must be strictly positive")
+            raise ValidationError("costs must be strictly positive")
         if np.any(w1 < 0) or np.any(w2 < 0):
-            raise ValueError("density ratios must be non-negative")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ValidationError("density ratios must be non-negative")
+        if not 0 < self.beta < np.inf:
+            raise ValidationError(f"beta must be positive and finite, got {self.beta}")
         instruct_cost = float(np.sum(rho * w2 * cost[:, 0]))
         if not instruct_cost < self.budget:
             raise InfeasibleProblemError(
                 f"weighted all-instruct cost {instruct_cost:.6g} >= budget {self.budget:.6g}; "
                 "no strictly feasible policy exists"
             )
-        for arr in (rho, reward, cost, w1, w2):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "reward", reward)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "budget", float(self.budget))
         object.__setattr__(self, "beta", float(self.beta))
 
@@ -111,32 +108,43 @@ class ConvergenceConstants:
                    lambda_cap=_dual_upper_bracket(problem))
 
 
-def _logits(problem: TabularProblem, lam: float) -> np.ndarray:
-    return (problem.w1[:, None] * problem.reward
-            - lam * problem.w2[:, None] * problem.cost) / problem.beta
+def _logit_columns(problem: TabularProblem, lam: float) -> list[np.ndarray]:
+    """Logits of action 0 and action 1: (w1 r_a - (lam w2) c_a) / beta."""
+    lam_w2 = lam * problem.w2
+    return [(problem.w1 * r - lam_w2 * c) / problem.beta
+            for r, c in zip(problem.reward.T, problem.cost.T)]
+
+
+def _softmax_columns(problem: TabularProblem, lam: float):
+    """Closed-form softmax over the two actions as (p0, p1, m, z): m is the
+    larger logit and z = exp(l0 - m) + exp(l1 - m)."""
+    l0, l1 = _logit_columns(problem, lam)
+    m = np.maximum(l0, l1)
+    e0, e1 = np.exp(l0 - m), np.exp(l1 - m)
+    z = e0 + e1
+    return e0 / z, e1 / z, m, z
+
+
+def _tabular_policy(pi: np.ndarray) -> TabularPolicy:
+    return TabularPolicy(dict(zip(map(str, range(pi.shape[0])), pi[:, 1].tolist())))
 
 
 def policy_matrix(problem: TabularProblem, lam: float) -> np.ndarray:
     """(n, 2) matrix of the closed-form softmax policy at multiplier lam."""
-    logits = _logits(problem, lam)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return np.stack(_softmax_columns(problem, lam)[:2], axis=1)
 
 
 def closed_form_policy(problem: TabularProblem, lam: float) -> TabularPolicy:
     """Closed-form primal maximizer as a tabular policy keyed by context index."""
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    pi = policy_matrix(problem, lam)
-    return TabularPolicy({str(i): float(pi[i, 1]) for i in range(problem.n_contexts)})
+    return _tabular_policy(policy_matrix(problem, lam))
 
 
 def partition_values(problem: TabularProblem, lam: float) -> np.ndarray:
     """Per-context partition function Q(z, lambda) of the closed-form softmax."""
-    logits = _logits(problem, lam)
-    m = logits.max(axis=1)
-    return np.exp(m) * np.exp(logits - m[:, None]).sum(axis=1)
+    _, _, m, z = _softmax_columns(problem, lam)
+    return np.exp(m) * z
 
 
 def dual_function(problem: TabularProblem, lam: float) -> tuple[float, float, float]:
@@ -145,17 +153,15 @@ def dual_function(problem: TabularProblem, lam: float) -> tuple[float, float, fl
     d'(lambda)  = -E_{rho, pi_lam}[w2 c] + C + beta lambda
     d''(lambda) = beta + E_rho[w2^2 Var_{pi_lam}(c)] / beta
     """
-    logits = _logits(problem, lam)
-    m = logits.max(axis=1)
-    log_q = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    p0, p1, m, z = _softmax_columns(problem, lam)
+    log_q = m + np.log(z)
     d = problem.beta * float(np.sum(problem.rho * log_q)) \
         + lam * problem.budget + 0.5 * problem.beta * lam**2
 
-    pi = policy_matrix(problem, lam)
-    mean_c = np.sum(pi * problem.cost, axis=1)
-    # two actions: Var(c) = pi0 * pi1 * (c1 - c0)^2
-    var_c = pi[:, 0] * pi[:, 1] * (problem.cost[:, 1] - problem.cost[:, 0]) ** 2
-    d1 = -float(np.sum(problem.rho * problem.w2 * mean_c)) \
+    c0, c1 = problem.cost.T
+    # two actions: E(c) = pi0 c0 + pi1 c1 and Var(c) = pi0 * pi1 * (c1 - c0)^2
+    var_c = p0 * p1 * (c1 - c0) ** 2
+    d1 = -float(np.sum(problem.rho * problem.w2 * (p0 * c0 + p1 * c1))) \
         + problem.budget + problem.beta * lam
     d2 = problem.beta + float(np.sum(problem.rho * problem.w2**2 * var_c)) / problem.beta
     return d, d1, d2
@@ -173,15 +179,6 @@ def lagrangian(problem: TabularProblem, pi: np.ndarray, lam: float) -> float:
         np.sum(problem.rho * (reward - lam * cost + problem.beta * entropy))
         + lam * problem.budget + 0.5 * problem.beta * lam**2
     )
-
-
-def policy_kl(problem: TabularProblem, pi: np.ndarray, pi_ref: np.ndarray) -> float:
-    """E_rho[KL(pi(.|z) || pi_ref(.|z))]; pi_ref must be strictly interior."""
-    pi = np.asarray(pi, dtype=np.float64)
-    pi_ref = np.asarray(pi_ref, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pi > 0, pi * (np.log(pi) - np.log(pi_ref)), 0.0)
-    return float(np.sum(problem.rho * terms.sum(axis=1)))
 
 
 def dual_update(lam, eta: float, weighted_cost, budget, beta: float):
@@ -245,23 +242,17 @@ def solve_saddle(problem: TabularProblem, tol: float = 1e-10,
                 lo = lam
             step = lam - g / h
             lam = step if lo < step < hi else 0.5 * (lo + hi)
-    d, _, _ = dual_function(problem, lam)
     pi = policy_matrix(problem, lam)
-    return SaddleSolution(
-        lambda_star=lam,
-        pi_star=TabularPolicy({str(i): float(pi[i, 1]) for i in range(problem.n_contexts)}),
-        dual_value=d,
-        partition=partition_values(problem, lam),
-        pi_matrix=pi,
-    )
+    return SaddleSolution(lambda_star=lam, pi_star=_tabular_policy(pi),
+                          dual_value=dual_function(problem, lam)[0],
+                          partition=partition_values(problem, lam), pi_matrix=pi)
 
 
 @dataclass(frozen=True)
 class IterateTrace:
-    """Primal-dual trajectory: lambdas[t], policies[t], and KL to pi_star."""
+    """Primal-dual trajectory: lambdas[t] and KL(pi_t || pi_star)[t]."""
 
     lambdas: np.ndarray
-    policies: np.ndarray
     kl_to_star: np.ndarray
     constants: ConvergenceConstants
     solution: SaddleSolution
@@ -300,20 +291,27 @@ def primal_dual_iterate(problem: TabularProblem, lambda0: float, iterations: int
     if solution is None:
         solution = solve_saddle(problem, tol=1e-12)
 
+    # loop invariants: log pi_star per action (-inf where it underflowed) and rho * w2
+    with np.errstate(divide="ignore"):
+        log_star0, log_star1 = np.log(solution.pi_matrix.T)
+    rho_w2 = problem.rho * problem.w2
+    c0, c1 = problem.cost.T
+
     lambdas = np.empty(iterations + 1)
     kls = np.empty(iterations + 1)
-    policies = np.empty((iterations + 1, problem.n_contexts, 2))
     lam = float(lambda0)
     for t in range(iterations + 1):
-        pi = policy_matrix(problem, lam)
+        p0, p1, _, _ = _softmax_columns(problem, lam)
         lambdas[t] = lam
-        policies[t] = pi
-        kls[t] = policy_kl(problem, pi, solution.pi_matrix)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kl0 = np.where(p0 > 0, p0 * (np.log(p0) - log_star0), 0.0)
+            kl1 = np.where(p1 > 0, p1 * (np.log(p1) - log_star1), 0.0)
+        kls[t] = float(np.sum(problem.rho * (kl0 + kl1)))
         if t == iterations:
             break
-        weighted_cost = float(np.sum(problem.rho * problem.w2 * np.sum(pi * problem.cost, axis=1)))
+        weighted_cost = float(np.sum(rho_w2 * (p0 * c0 + p1 * c1)))
         lam = dual_update(lam, constants.eta, weighted_cost, problem.budget, problem.beta)
-    return IterateTrace(lambdas, policies, kls, constants, solution, problem.beta)
+    return IterateTrace(lambdas, kls, constants, solution, problem.beta)
 
 
 def random_problem(seed: int, n_contexts: int = 8, beta: float = 0.05,

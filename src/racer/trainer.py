@@ -149,10 +149,9 @@ def config_from_dict(payload: dict) -> TrainConfig:
 
 @dataclass
 class DualState:
-    """Budget multiplier with its step size and regularization strength."""
+    """Budget multiplier and entropy regularization strength."""
 
     lam: float = 0.0
-    eta: float = 1e-3
     beta: float = 0.005
 
 

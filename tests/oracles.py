@@ -127,3 +127,66 @@ def sign_test_pvalue(wins: int, losses: int) -> float:
     for k in range(wins, n + 1):
         total += math.comb(n, k)
     return total / 2.0**n
+
+
+# Reference saddle kernels: the closed-form softmax written over the action
+# axis of (n, 2) arrays, and the primal-dual loop that stores every policy.
+# The library computes the same quantities column by column; tests hold the
+# two bitwise equal.
+
+def _saddle_logits(problem, lam):
+    return (problem.w1[:, None] * problem.reward
+            - lam * problem.w2[:, None] * problem.cost) / problem.beta
+
+
+def saddle_policy_matrix(problem, lam):
+    logits = _saddle_logits(problem, lam)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def saddle_partition_values(problem, lam):
+    logits = _saddle_logits(problem, lam)
+    m = logits.max(axis=1)
+    return np.exp(m) * np.exp(logits - m[:, None]).sum(axis=1)
+
+
+def saddle_dual_function(problem, lam):
+    logits = _saddle_logits(problem, lam)
+    m = logits.max(axis=1)
+    log_q = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    d = problem.beta * float(np.sum(problem.rho * log_q)) \
+        + lam * problem.budget + 0.5 * problem.beta * lam**2
+    pi = saddle_policy_matrix(problem, lam)
+    mean_c = np.sum(pi * problem.cost, axis=1)
+    var_c = pi[:, 0] * pi[:, 1] * (problem.cost[:, 1] - problem.cost[:, 0]) ** 2
+    d1 = -float(np.sum(problem.rho * problem.w2 * mean_c)) \
+        + problem.budget + problem.beta * lam
+    d2 = problem.beta + float(np.sum(problem.rho * problem.w2**2 * var_c)) / problem.beta
+    return d, d1, d2
+
+
+def saddle_policy_kl(problem, pi, pi_ref):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pi > 0, pi * (np.log(pi) - np.log(pi_ref)), 0.0)
+    return float(np.sum(problem.rho * terms.sum(axis=1)))
+
+
+def saddle_iterate(problem, lambda0, iterations, eta, pi_star):
+    """(lambdas, policies, kls) of the exact primal-dual iteration."""
+    lambdas = np.empty(iterations + 1)
+    kls = np.empty(iterations + 1)
+    policies = np.empty((iterations + 1, problem.n_contexts, 2))
+    lam = float(lambda0)
+    for t in range(iterations + 1):
+        pi = saddle_policy_matrix(problem, lam)
+        lambdas[t] = lam
+        policies[t] = pi
+        kls[t] = saddle_policy_kl(problem, pi, pi_star)
+        if t == iterations:
+            break
+        weighted_cost = float(np.sum(problem.rho * problem.w2
+                                     * np.sum(pi * problem.cost, axis=1)))
+        lam = np.maximum(0.0, lam + eta * (weighted_cost - problem.budget - problem.beta * lam))
+    return lambdas, policies, kls

@@ -1,16 +1,78 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racer.cli import main
+from racer.saddle import random_problem
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_quietly(*argv):
+    """(exit code, stderr) of a CLI run with its output captured."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+def fail_replace_of(monkeypatch, name):
+    """Make os.replace raise for destination files called name."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError(f"injected failure replacing {name}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+PROBLEM = {
+    "rho": [0.5, 0.5], "reward": [[1, 0], [0, 1]],
+    "cost": [[1.0, 3.0], [1.0, 4.0]], "w1": [1.0, 1.0], "w2": [1.0, 1.0],
+    "budget": 2.0, "beta": 0.5,
+}
+PROBLEM_FIELDS = tuple(PROBLEM)
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-10**400, 10**400),
+    st.floats(), st.lists(st.floats(), max_size=3),
+    st.lists(st.lists(st.floats(-2.0, 2.0), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def problem_texts(draw):
+    """Text of a problem file: a valid random problem with some fields dropped
+    or replaced by junk, optionally wrapped in a list or truncated."""
+    problem = random_problem(draw(st.integers(0, 50)), n_contexts=draw(st.integers(1, 5)),
+                             beta=draw(st.sampled_from([0.05, 0.5])))
+    payload = {k: np.asarray(getattr(problem, k)).tolist() for k in PROBLEM_FIELDS}
+    for key in draw(st.lists(st.sampled_from(PROBLEM_FIELDS), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del payload[key]
+        else:
+            payload[key] = draw(_junk)
+    if draw(st.integers(0, 9)) == 0:
+        payload = [payload]
+    text = json.dumps(payload)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
 
 
 @pytest.fixture()
@@ -258,15 +320,95 @@ class TestSaddleDemo:
                    "--out", tmp_path / "sd3") == 2
 
     def test_problem_file(self, tmp_path):
-        problem = {
-            "rho": [0.5, 0.5], "reward": [[1, 0], [0, 1]],
-            "cost": [[1.0, 3.0], [1.0, 4.0]], "w1": [1.0, 1.0], "w2": [1.0, 1.0],
-            "budget": 2.0, "beta": 0.5,
-        }
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(problem))
+        path.write_text(json.dumps(PROBLEM))
         assert run("saddle-demo", "--problem", path, "--iters", 50,
                    "--out", tmp_path / "sd4") == 0
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({k: v for k, v in PROBLEM.items() if k != "beta"}), "missing field 'beta'"),
+        (json.dumps({**PROBLEM, "reward": "xy"}), "field 'reward' is not numeric"),
+        (json.dumps({**PROBLEM, "budget": [2.0]}), "field 'budget' is not numeric"),
+        (json.dumps([PROBLEM]), "expected a JSON object, got list"),
+        (json.dumps(PROBLEM)[:40], "problem file"),
+        (json.dumps({**PROBLEM, "rho": [0.4, 0.4]}), "sum to 1"),
+        (json.dumps({**PROBLEM, "w1": [1.0, float("nan")]}), "w1 must be finite"),
+        (json.dumps({**PROBLEM, "rho": [0.5]}), "shape"),
+    ])
+    def test_bad_problem_file_is_data_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        assert run("saddle-demo", "--problem", path, "--out", tmp_path / "sd") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--contexts=0", "--iters=0", "--beta=0", "--beta=nan",
+                                      "--lambda0=-1", "--lambda0=inf", "--seed=-1"])
+    def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, flag):
+        assert run("saddle-demo", flag, "--out", tmp_path / "sd") == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_numeric_overflow_is_numeric_failure(self, tmp_path, capsys):
+        # (M K / beta)^2 of the convergence envelope overflows a float
+        assert run("saddle-demo", "--contexts", 5, "--beta", 1e-170, "--iters", 5,
+                   "--out", tmp_path / "sd") == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=problem_texts())
+    def test_fuzzed_problem_file_never_escapes(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.json"
+            path.write_text(text)
+            code, err = run_quietly("saddle-demo", "--problem", path, "--iters", 10,
+                                    "--out", Path(tmp) / "sd")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(contexts=st.integers(-1, 8), iters=st.integers(-1, 12), seed=st.integers(-1, 5),
+           beta=st.one_of(st.floats(), st.sampled_from([0.05, 0.5, 1e-170, 1e200])),
+           lambda0=st.one_of(st.floats(), st.floats(0.0, 5.0)),
+           budget=st.one_of(st.none(), st.floats()))
+    def test_fuzzed_arguments_never_escape(self, contexts, iters, seed, beta, lambda0, budget):
+        argv = [f"--contexts={contexts}", f"--iters={iters}", f"--seed={seed}",
+                f"--beta={beta!r}", f"--lambda0={lambda0!r}"]
+        if budget is not None:
+            argv.append(f"--budget={budget!r}")
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = run_quietly("saddle-demo", *argv, "--out", Path(tmp) / "sd")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("failing", ["trace.csv", "manifest.json"])
+    def test_failed_replace_keeps_previous_saddle_outputs(self, tmp_path, monkeypatch,
+                                                          failing):
+        out = tmp_path / "sd"
+        assert run("saddle-demo", "--contexts", 5, "--seed", 1, "--iters", 10,
+                   "--out", out) == 0
+        before = {name: (out / name).read_bytes() for name in ("trace.csv", "manifest.json")}
+        fail_replace_of(monkeypatch, failing)
+        assert run("saddle-demo", "--contexts", 5, "--seed", 2, "--iters", 30,
+                   "--out", out) == 2
+        assert (out / failing).read_bytes() == before[failing]
+        if failing == "trace.csv":  # the manifest is written last
+            assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+        else:
+            assert (out / "trace.csv").read_bytes() != before["trace.csv"]
+
+    def test_failed_replace_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "d.jsonl"
+        assert run("gen-synth", "--regime", "offsetbias", "--n", 20, "--seed", 1,
+                   "--out", out) == 0
+        manifest = tmp_path / "d.jsonl.manifest.json"
+        before = manifest.read_bytes()
+        fail_replace_of(monkeypatch, manifest.name)
+        assert run("gen-synth", "--regime", "offsetbias", "--n", 30, "--seed", 2,
+                   "--out", out) == 2
+        assert manifest.read_bytes() == before
 
 
 class TestInspectWeights:

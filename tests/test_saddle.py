@@ -1,10 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from oracles import central_difference
+from oracles import (
+    central_difference,
+    saddle_dual_function,
+    saddle_iterate,
+    saddle_partition_values,
+    saddle_policy_matrix,
+)
 
+from racer.core import ValidationError
 from racer.saddle import (
     ConvergenceConstants,
     InfeasibleProblemError,
@@ -13,6 +23,7 @@ from racer.saddle import (
     dual_function,
     dual_update,
     lagrangian,
+    partition_values,
     policy_matrix,
     primal_dual_iterate,
     random_problem,
@@ -47,6 +58,82 @@ class TestTabularProblem:
             TabularProblem(rho=np.array([0.4, 0.4]), reward=np.ones((2, 2)),
                            cost=np.ones((2, 2)), w1=np.ones(2), w2=np.ones(2),
                            budget=2.0, beta=1.0)
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rho", np.array([0.5, np.nan]), "rho must be finite"),
+        ("cost", np.array([[1.0, np.inf], [1.0, 2.0]]), "cost must be finite"),
+        ("budget", np.inf, "budget must be finite"),
+        ("beta", np.inf, "beta must be positive and finite"),
+        ("rho", np.float64(1.0), "non-empty 1-d"),
+    ])
+    def test_invariant_violations_are_validation_errors(self, field, value, message):
+        fields = dict(rho=np.full(2, 0.5), reward=np.ones((2, 2)), cost=np.ones((2, 2)),
+                      w1=np.ones(2), w2=np.ones(2), budget=2.0, beta=1.0)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=message):
+            TabularProblem(**fields)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestColumnKernels:
+    """The column-wise kernels equal the (n, 2) action-axis reference bitwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 300),
+           beta=st.floats(1e-2, 1.0), unit_bounds=st.booleans(),
+           lams=st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 1e6])),
+                         min_size=1, max_size=4))
+    @example(seed=3, n=50, beta=1e-4, unit_bounds=False, lams=[1e6, 0.0])
+    @example(seed=5, n=7, beta=1e-4, unit_bounds=True, lams=[1e6])
+    def test_bitwise_equal_to_reference(self, seed, n, beta, unit_bounds, lams):
+        try:
+            prob = random_problem(seed, n_contexts=n, beta=beta, unit_bounds=unit_bounds)
+        except InfeasibleProblemError:
+            reject()  # reasoning is nowhere costlier, so no budget is binding
+        with np.errstate(over="ignore"):
+            for lam in lams:
+                assert _bits(policy_matrix(prob, lam)) == _bits(saddle_policy_matrix(prob, lam))
+                assert _bits(partition_values(prob, lam)) == \
+                    _bits(saddle_partition_values(prob, lam))
+                assert _bits(dual_function(prob, lam)) == _bits(saddle_dual_function(prob, lam))
+            sol = solve_saddle(prob, tol=1e-12)
+            lam = sol.lambda_star
+            assert _bits(sol.pi_matrix) == _bits(saddle_policy_matrix(prob, lam))
+            assert _bits(sol.partition) == _bits(saddle_partition_values(prob, lam))
+            assert _bits(sol.dual_value) == _bits(saddle_dual_function(prob, lam)[0])
+        table = sol.pi_star.table
+        assert list(table) == [str(i) for i in range(n)]
+        assert _bits(list(table.values())) == _bits(sol.pi_matrix[:, 1])
+
+        trace = primal_dual_iterate(prob, lams[0], 25, solution=sol)
+        lambdas, _, kls = saddle_iterate(prob, lams[0], 25, trace.constants.eta, sol.pi_matrix)
+        assert _bits(trace.lambdas) == _bits(lambdas)
+        assert _bits(trace.kl_to_star) == _bits(kls)
+
+    def test_reference_covers_underflow(self):
+        # beta = 1e-4 and lambda = 1e6 drive exp to exactly 0, so the KL's
+        # pi > 0 branch and the -inf log of pi_star both take part
+        prob = random_problem(3, n_contexts=50, beta=1e-4)
+        assert np.any(policy_matrix(prob, 1e6) == 0.0)
+        assert np.any(solve_saddle(prob, tol=1e-12).pi_matrix == 0.0)
+
+    def test_iterate_memory_does_not_grow_with_iterations(self):
+        # storing every iterate's (n, 2) policy took 64 MB here
+        prob = random_problem(0, n_contexts=20_000, beta=0.05)
+        constants = ConvergenceConstants.from_problem(prob)
+        sol = solve_saddle(prob, tol=1e-12)
+        tracemalloc.start()
+        try:
+            trace = primal_dual_iterate(prob, 1.0, 200, constants=constants, solution=sol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.lambdas.shape == (201,)
+        assert peak < 8 * 2**20
 
 
 class TestClosedFormPolicy:

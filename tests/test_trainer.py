@@ -71,7 +71,7 @@ class TestBatchObjective:
         data = Dataset([make_instance(i, [0.5 * i, 1.0], (1, 1), (10.0, 20.0))
                         for i in range(4)])
         policy = LinearPolicy(np.array([0.3, -0.2]), 0.1)
-        dual = DualState(lam=0.0, eta=1e-3, beta=0.0)
+        dual = DualState(lam=0.0, beta=0.0)
         value, grads = batch_objective(policy, data, uniform_weights(4),
                                        uniform_weights(4), dual)
         assert value == pytest.approx(1.0, abs=1e-12)
@@ -82,7 +82,7 @@ class TestBatchObjective:
         # single instance, logit 1: H(sigma(1)) = H(0.73106) = 0.58220
         data = Dataset([make_instance(0, [1.0], (0, 0), (10.0, 20.0))])
         policy = LinearPolicy(np.array([1.0]), 0.0)
-        dual = DualState(lam=0.0, eta=1e-3, beta=1.0)
+        dual = DualState(lam=0.0, beta=1.0)
         value, _ = batch_objective(policy, data, uniform_weights(1),
                                    uniform_weights(1), dual)
         p = 1.0 / (1.0 + math.exp(-1.0))
