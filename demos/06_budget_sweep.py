@@ -10,7 +10,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from racer import (
-    Dataset,
     PRESET_SCENARIOS,
     RobustConfig,
     TrainConfig,
@@ -20,8 +19,8 @@ from racer import (
 
 scenario = PRESET_SCENARIOS["separable3"]
 train_data = gen_synthetic(scenario)
-id_test = Dataset(gen_synthetic(replace(scenario, seed=scenario.seed + 1)).instances,
-                  instruct_cost_mean=train_data.instruct_cost_mean)
+id_test = gen_synthetic(replace(scenario, seed=scenario.seed + 1)).with_cost_scale(
+    train_data.instruct_cost_mean)
 
 template = TrainConfig(budget=2.0, epochs=120, batch_size=64, primal_lr=2e-3,
                        dual_lr=0.05, seed=0, val_fraction=0.15,

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    Dataset,
     Metrics,
     ParseError,
     ValidationError,
+    atomic_open,
     evaluate_policy,
     load_dataset,
     policy_probs,
@@ -95,14 +95,12 @@ def _write_manifest(path, command: str, config: dict, inputs, outputs, seed,
         "seed": seed,
         "duration_s": time.time() - started,
     }
-    _write_atomic(Path(path), json.dumps(manifest, indent=1) + "\n")
+    _write_atomic(path, json.dumps(manifest, indent=1) + "\n")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary name so a killed run leaves no partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_atomic(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _fmt(value: float) -> str:
@@ -258,16 +256,15 @@ def cmd_eval(args) -> int:
     if args.baseline is not None:
         policy = _parse_baseline(args.baseline)
     else:
-        policy, _, _ = load_model(args.model)
+        policy, cost_mean, _ = load_model(args.model)
+        data = data.with_cost_scale(cost_mean)  # the model's training cost scale
         inputs.append(args.model)
     metrics = evaluate_policy(policy, data, mode=args.mode, seed=args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.json"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(metrics.to_dict(), fh, indent=1)
-        fh.write("\n")
+    _write_atomic(metrics_path, json.dumps(metrics.to_dict(), indent=1) + "\n")
     config = {"model": args.model, "baseline": args.baseline, "data": args.data,
               "mode": args.mode, "seed": args.seed}
     _write_manifest(out / "manifest.json", "eval", config, inputs,
@@ -294,8 +291,7 @@ def _sweep_splits(args):
         train_data = gen_synthetic(scenario)
 
         def shared_scale(config):
-            raw = gen_synthetic(config)
-            return Dataset(raw.instances, instruct_cost_mean=train_data.instruct_cost_mean)
+            return gen_synthetic(config).with_cost_scale(train_data.instruct_cost_mean)
 
         tests = {"id_test": shared_scale(replace(scenario, seed=scenario.seed + 1))}
         if scenario.shift:
@@ -311,9 +307,8 @@ def _sweep_splits(args):
         if "=" not in item:
             raise UsageError(f"--test-data expects name=path, got {item!r}")
         name, path = item.split("=", 1)
-        raw = load_dataset(path)
         # test splits share the training cost scale
-        tests[name] = Dataset(raw.instances, instruct_cost_mean=train_data.instruct_cost_mean)
+        tests[name] = load_dataset(path).with_cost_scale(train_data.instruct_cost_mean)
         inputs.append(path)
     return train_data, tests, inputs
 
@@ -549,7 +544,7 @@ def cmd_inspect_weights(args) -> int:
     else:
         wv = tilt_weights(f, args.tau, direction)
 
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_open(args.out) as fh:
         fh.write(f"# tau={args.tau!r}\n# direction={direction}\n# baseline={wv.baseline!r}\n")
         fh.write("index,f,weight\n")
         for i in range(len(data)):

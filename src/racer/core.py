@@ -8,10 +8,15 @@ All types are immutable after construction and every function here is pure.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import json
 import math
+import operator
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -51,22 +56,31 @@ class Instance:
             raise ValidationError(f"instance {self.id!r}: non-finite feature value")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
-        correct = (int(self.correct[0]), int(self.correct[1]))
+        correct = (self.correct[0], self.correct[1])
         if any(c not in (0, 1) for c in correct):
             raise ValidationError(f"instance {self.id!r}: correct flags must be 0 or 1")
-        object.__setattr__(self, "correct", correct)
+        object.__setattr__(self, "correct", (int(correct[0]), int(correct[1])))
         cost = (float(self.cost_raw[0]), float(self.cost_raw[1]))
         if not all(math.isfinite(c) and c > 0 for c in cost):
             raise ValidationError(f"instance {self.id!r}: costs must be positive and finite")
         object.__setattr__(self, "cost_raw", cost)
 
 
-class Dataset:
-    """Immutable ordered collection of instances with normalized costs.
+def _frozen(values) -> np.ndarray:
+    """Read-only C-ordered float64 view of values (no copy if already one)."""
+    arr = np.ascontiguousarray(values, dtype=np.float64).view()
+    arr.setflags(write=False)
+    return arr
 
+
+class Dataset:
+    """Immutable ordered columns of routing examples with normalized costs.
+
+    Row i is the instance ``ids[i]``: ``features[i]``, its two correct flags
+    ``correct[i]`` and raw mode costs ``cost_raw[i]``, and ``tags[i]``.
     Costs are divided by ``instruct_cost_mean`` (by default the mean raw cost
-    of action 0 over this dataset, so mean normalized instruct cost is 1).
-    Pass an explicit constant to put several splits on one cost scale.
+    of action 0 over this dataset, so mean normalized instruct cost is 1);
+    ``with_cost_scale`` puts several splits on one cost scale.
     """
 
     def __init__(self, instances: Iterable[Instance], instruct_cost_mean: float | None = None):
@@ -79,162 +93,211 @@ class Dataset:
                 raise ValidationError(
                     f"instance {inst.id!r}: feature dimension {inst.features.shape[0]} != {dim}"
                 )
-        self.instances = instances
-        self.ids = tuple(inst.id for inst in instances)
-        self.tags = tuple(inst.tag for inst in instances)
-        self.features = np.stack([inst.features for inst in instances])
-        self.correct = np.array([inst.correct for inst in instances], dtype=np.float64)
-        self.cost_raw = np.array([inst.cost_raw for inst in instances], dtype=np.float64)
-        if instruct_cost_mean is None:
-            instruct_cost_mean = float(np.mean(self.cost_raw[:, 0]))
-        if not (math.isfinite(instruct_cost_mean) and instruct_cost_mean > 0):
-            raise ValidationError("instruct_cost_mean must be positive and finite")
-        self.instruct_cost_mean = float(instruct_cost_mean)
-        self.cost = self.cost_raw / self.instruct_cost_mean
-        self.normalized = True
-        for arr in (self.features, self.correct, self.cost_raw, self.cost):
-            arr.setflags(write=False)
+        self.__dict__.update(vars(Dataset.from_columns(
+            [inst.id for inst in instances], [inst.tag for inst in instances],
+            np.stack([inst.features for inst in instances]),
+            [inst.correct for inst in instances], [inst.cost_raw for inst in instances],
+            instruct_cost_mean,
+        )))
+
+    @classmethod
+    def from_columns(cls, ids, tags, features, correct, cost_raw,
+                     instruct_cost_mean: float | None = None) -> "Dataset":
+        """Dataset over n ids and tags, (n, d) features and (n, 2) correct
+        flags and raw costs; C-ordered float64 features and costs are not
+        copied. A ValidationError names the first offending instance."""
+        self = cls.__new__(cls)
+        self.ids, self.tags = tuple(ids), tuple(tags)
+        n = len(self.ids)
+        if not n:
+            raise ValidationError("dataset is empty")
+        self.features, self.cost_raw = _frozen(features), _frozen(cost_raw)
+        self.correct = _frozen(np.asarray(correct, dtype=np.float64) + 0.0)  # -0.0 -> 0.0
+        if (len(self.tags), self.features.shape[:1], self.features.ndim, self.correct.shape,
+                self.cost_raw.shape) != (n, (n,), 2, (n, 2), (n, 2)):
+            raise ValidationError("columns must hold n ids and tags, (n, d) features "
+                                  "and (n, 2) correct flags and costs")
+        faults = {  # row masks, in the order a row is checked
+            "non-finite feature value": ~np.isfinite(self.features).all(axis=1),
+            "correct flags must be 0 or 1": ~np.isin(self.correct, (0.0, 1.0)).all(axis=1),
+            "costs must be positive and finite":
+                ~((self.cost_raw > 0.0) & (self.cost_raw < math.inf)).all(axis=1),
+        }
+        bad = np.logical_or.reduce(list(faults.values()))
+        if bad.any():
+            i = int(np.argmax(bad))
+            fault = next(msg for msg, rows in faults.items() if rows[i])
+            raise ValidationError(f"instance {self.ids[i]!r}: {fault}")
+        return self.with_cost_scale(instruct_cost_mean)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.ids)
 
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        """View of selected instances on the same cost scale."""
-        picked = [self.instances[int(i)] for i in indices]
-        return Dataset(picked, instruct_cost_mean=self.instruct_cost_mean)
+    @property
+    def instances(self) -> tuple[Instance, ...]:
+        """The rows as Instance objects, built on each access."""
+        return tuple(map(Instance, self.ids, self.features, self.correct.astype(np.int64).tolist(),
+                         self.cost_raw.tolist(), self.tags))
 
-    def renormalized(self) -> "Dataset":
-        """Same instances, cost scale recomputed from this dataset alone."""
-        return Dataset(self.instances)
+    def subset(self, indices: Sequence[int]) -> "Dataset":
+        """Selected rows, in the given order, on the same cost scale."""
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
+        return Dataset.from_columns([self.ids[i] for i in rows], [self.tags[i] for i in rows],
+                                    self.features[idx], self.correct[idx], self.cost_raw[idx],
+                                    self.instruct_cost_mean)
+
+    def with_cost_scale(self, instruct_cost_mean: float | None = None) -> "Dataset":
+        """The same columns (not copied) with costs divided by
+        instruct_cost_mean, by default this dataset's mean raw instruct cost."""
+        if instruct_cost_mean is None:
+            instruct_cost_mean = float(np.mean(self.cost_raw[:, 0]))
+        if not (math.isfinite(instruct_cost_mean) and instruct_cost_mean > 0):
+            raise ValidationError("instruct_cost_mean must be positive and finite")
+        scaled = copy.copy(self)
+        scaled.instruct_cost_mean = float(instruct_cost_mean)
+        scaled.cost = _frozen(self.cost_raw / scaled.instruct_cost_mean)
+        return scaled
 
 
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def atomic_open(path, newline: str | None = None):
+    """Text file written under a temporary name that replaces ``path`` only
+    when the block completes: a failed run leaves the previous file intact."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 _REQUIRED_FIELDS = ("id", "features", "correct_0", "correct_1", "cost_0", "cost_1")
-
-
-def _instance_from_record(record: dict, where: str) -> Instance:
-    for field in _REQUIRED_FIELDS:
-        if field not in record:
-            raise ParseError(f"{where}: missing field {field!r}")
-    return Instance(
-        id=str(record["id"]),
-        features=np.asarray(record["features"], dtype=np.float64),
-        correct=(record["correct_0"], record["correct_1"]),
-        cost_raw=(record["cost_0"], record["cost_1"]),
-        tag=record.get("tag"),
-    )
+_record_fields = operator.itemgetter(*_REQUIRED_FIELDS)
 
 
 def load_dataset(path, format: str | None = None) -> Dataset:
     """Read a JSONL or CSV routing dataset and return it cost-normalized.
 
-    Record order is preserved. Raises ParseError naming the line for
-    malformed records, ValidationError for invariant violations.
+    Record order is preserved. Raises ParseError naming the line (and field)
+    for undecodable records, ValidationError for invariant violations.
     """
     path = str(path)
-    if format is None:
-        format = "csv" if path.endswith(".csv") else "jsonl"
-    if format == "jsonl":
-        instances = _load_jsonl(path)
-    elif format == "csv":
-        instances = _load_csv(path)
-    else:
+    loader = {"jsonl": _load_jsonl, "csv": _load_csv}.get(
+        format or ("csv" if path.endswith(".csv") else "jsonl"))
+    if loader is None:
         raise ValueError(f"unknown format {format!r}")
-    return Dataset(instances)
+    try:
+        rows = loader(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not rows:
+        raise ValidationError("dataset is empty")
+    _, tags, ids, features, *values = zip(*rows)
+    try:  # one conversion per column
+        features = np.array(features, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        features = values = None
+    if features is None or features.ndim != 2 or values.ndim != 2 or np.isnan(values).any():
+        return Dataset(_row_instance(*row) for row in rows)  # raises the first row's error
+    return Dataset.from_columns(map(str, ids), tags, features, values[:2].T, values[2:].T)
 
 
-def _load_jsonl(path: str) -> list[Instance]:
-    instances = []
+def _row_instance(lineno, tag, id_, *fields) -> Instance:
+    """One decoded row as an Instance; a value that is not a number is a
+    ParseError naming the line and field."""
+    values = []
+    for name, value in zip(_REQUIRED_FIELDS[1:], fields):
+        try:
+            values.append(np.asarray(value, dtype=np.float64) if name == "features"
+                          else float(value))  # a null would become nan in np.array
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"line {lineno}: field {name!r} is not numeric") from None
+    return Instance(str(id_), values[0], values[1:3], values[3:], tag)
+
+
+def _load_jsonl(path: str) -> list[tuple]:
+    """(line, tag, id, features, correct_0, correct_1, cost_0, cost_1) per record."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:  # also too-long integers
+                msg = getattr(exc, "msg", exc)
+                raise ParseError(f"line {lineno}: invalid JSON ({msg})") from None
             if not isinstance(record, dict):
                 raise ParseError(f"line {lineno}: record is not an object")
-            instances.append(_instance_from_record(record, f"line {lineno}"))
-    return instances
+            try:
+                rows.append((lineno, record.get("tag")) + _record_fields(record))
+            except KeyError:
+                missing = next(f for f in _REQUIRED_FIELDS if f not in record)
+                raise ParseError(f"line {lineno}: missing field {missing!r}") from None
+    return rows
 
 
-def _load_csv(path: str) -> list[Instance]:
-    instances = []
+def _load_csv(path: str) -> list[tuple]:
+    """Rows as _load_jsonl gives them, with the values still text."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError("line 1: missing CSV header")
-        feat_cols = sorted(
-            (c for c in reader.fieldnames if c.startswith("feat_")),
-            key=lambda c: int(c.split("_", 1)[1]),
-        )
-        if not feat_cols:
-            raise ParseError("line 1: no feat_* columns in header")
-        for row in reader:
-            where = f"line {reader.line_num}"
-            try:
-                record = {
-                    "id": row["id"],
-                    "features": [float(row[c]) for c in feat_cols],
-                    "correct_0": int(row["correct_0"]),
-                    "correct_1": int(row["correct_1"]),
-                    "cost_0": float(row["cost_0"]),
-                    "cost_1": float(row["cost_1"]),
-                    "tag": row.get("tag") or None,
-                }
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"{where}: missing field ({exc})") from None
-            except ValueError as exc:
-                raise ParseError(f"{where}: bad value ({exc})") from None
-            instances.append(_instance_from_record(record, where))
-    return instances
+        try:
+            feat_cols = sorted((c for c in reader.fieldnames if c.startswith("feat_")),
+                               key=lambda c: int(c.split("_", 1)[1]))
+        except ValueError:
+            raise ParseError("line 1: feature columns must be named feat_<index>") from None
+        missing = [c for c in ("id", *_REQUIRED_FIELDS[2:]) if c not in reader.fieldnames]
+        if missing or not feat_cols:
+            raise ParseError(f"line 1: no {(missing or ['feat_*'])[0]} column in header")
+        return [(reader.line_num, row.get("tag") or None, row["id"], [row[c] for c in feat_cols],
+                 row["correct_0"], row["correct_1"], row["cost_0"], row["cost_1"])
+                for row in reader]
+
+
+def _json_text(value) -> str:
+    """json.dumps(value), faster for strings."""
+    return json.encoder.encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
 
 
 def save_dataset(data: Dataset, path, format: str | None = None) -> None:
-    """Write raw (unnormalized) records; load_dataset round-trips bitwise."""
+    """Write raw (unnormalized) records atomically; load_dataset round-trips
+    bitwise. Each JSONL line is the ``json.dumps`` of its record."""
     path = str(path)
     if format is None:
         format = "csv" if path.endswith(".csv") else "jsonl"
-    if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for inst in data.instances:
-                record = {
-                    "id": inst.id,
-                    "features": list(inst.features),
-                    "correct_0": inst.correct[0],
-                    "correct_1": inst.correct[1],
-                    "cost_0": inst.cost_raw[0],
-                    "cost_1": inst.cost_raw[1],
-                }
-                if inst.tag is not None:
-                    record["tag"] = inst.tag
-                fh.write(json.dumps(record) + "\n")
-    elif format == "csv":
-        d = data.n_features
-        header = ["id"] + [f"feat_{j}" for j in range(d)] + [
-            "correct_0", "correct_1", "cost_0", "cost_1", "tag",
-        ]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for inst in data.instances:
-                writer.writerow(
-                    [inst.id]
-                    + [repr(v) for v in inst.features.tolist()]
-                    + [inst.correct[0], inst.correct[1],
-                       repr(inst.cost_raw[0]), repr(inst.cost_raw[1]),
-                       inst.tag or ""]
-                )
-    else:
+    if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
+    rows = zip(data.ids, data.features.tolist(), data.correct.astype(np.int64).tolist(),
+               data.cost_raw.tolist(), data.tags)
+    with atomic_open(path, newline="" if format == "csv" else None) as fh:
+        if format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(["id", *(f"feat_{j}" for j in range(data.n_features)),
+                             "correct_0", "correct_1", "cost_0", "cost_1", "tag"])
+            writer.writerows([i, *map(repr, f), c0, c1, repr(k0), repr(k1), t or ""]
+                             for i, f, (c0, c1), (k0, k1), t in rows)
+            return
+        # json writes a float as float.__repr__, so a list of floats reprs as its JSON
+        tags = ["" if t is None else ', "tag": ' + _json_text(t) for t in data.tags]
+        fh.writelines(f'{{"id": {_json_text(i)}, "features": {f!r}, "correct_0": {c0}, '
+                      f'"correct_1": {c1}, "cost_0": {k0!r}, "cost_1": {k1!r}{t}}}\n'
+                      for (i, f, (c0, c1), (k0, k1), _), t in zip(rows, tags))
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +500,24 @@ def policy_to_dict(policy: PolicySpec) -> dict:
 
 
 def policy_from_dict(payload: dict) -> PolicySpec:
+    """Inverse of policy_to_dict; ParseError if the weight shapes do not fit."""
     kind = payload.get("kind")
     if kind == "tabular":
         return TabularPolicy({str(k): float(v) for k, v in payload["table"].items()})
     if kind == "linear":
-        return LinearPolicy(np.asarray(payload["weights"], dtype=np.float64), payload["bias"])
+        policy = LinearPolicy(np.asarray(payload["weights"], dtype=np.float64), payload["bias"])
+        if policy.weights.ndim != 1:
+            raise ParseError("linear policy weights must be a vector")
+        return policy
     if kind == "feedforward":
-        return FeedForwardPolicy(
-            tuple(np.asarray(w, dtype=np.float64) for w in payload["weights"]),
-            tuple(np.asarray(b, dtype=np.float64) for b in payload["biases"]),
-        )
+        ws = tuple(np.asarray(w, dtype=np.float64) for w in payload["weights"])
+        bs = tuple(np.asarray(b, dtype=np.float64) for b in payload["biases"])
+        policy = FeedForwardPolicy(ws, bs)
+        if (any(w.ndim != 2 or b.shape != w.shape[:1] for w, b in zip(ws, bs))
+                or any(w.shape[0] != nxt.shape[1] for w, nxt in zip(ws, ws[1:]))
+                or ws[-1].shape[0] != 1):
+            raise ParseError("feedforward policy layer shapes do not chain to one logit")
+        return policy
     if kind == "constant":
         return ConstantPolicy(payload["p_reason"])
     raise ValidationError(f"unknown policy kind {kind!r}")

@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConstantPolicy, Dataset, Instance, Metrics, ValidationError, evaluate_policy
+from .core import (ConstantPolicy, Dataset, Metrics, ParseError, ValidationError, atomic_open,
+                   evaluate_policy)
 from .reweight import RobustConfig
 from .trainer import TrainConfig, TrainResult, train
 
@@ -144,8 +145,6 @@ def scenario_from_dict(payload: dict) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    from .core import ParseError
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -158,7 +157,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(config.to_dict(), fh, indent=1)
         fh.write("\n")
 
@@ -229,8 +228,8 @@ PRESET_SCENARIOS: dict[str, ScenarioConfig] = {
 # generation
 # ---------------------------------------------------------------------------
 
-def _gen_instances(config: ScenarioConfig, weights: np.ndarray, seed: int,
-                   n: int) -> list[Instance]:
+def _gen_columns(config: ScenarioConfig, weights: np.ndarray, seed: int, n: int):
+    """(ids, tags, features, correct, cost_raw) of n rows drawn from the mixture."""
     rng = np.random.default_rng(seed)
     k = len(config.domains)
     dom_idx = rng.choice(k, size=n, p=weights / weights.sum())
@@ -258,16 +257,9 @@ def _gen_instances(config: ScenarioConfig, weights: np.ndarray, seed: int,
     noise = np.array([d.feature_noise for d in config.domains])[dom_idx]
     features = means + noise[:, None] * rng.standard_normal(means.shape)
 
-    return [
-        Instance(
-            id=f"syn-{seed}-{i:06d}",
-            features=features[i],
-            correct=(int(correct0[i]), int(correct1[i])),
-            cost_raw=(float(cost0[i]), float(cost1[i])),
-            tag=config.domains[dom_idx[i]].name,
-        )
-        for i in range(n)
-    ]
+    names = [d.name for d in config.domains]
+    return ([f"syn-{seed}-{i:06d}" for i in range(n)], [names[j] for j in dom_idx.tolist()],
+            features, np.stack([correct0, correct1], axis=1), np.stack([cost0, cost1], axis=1))
 
 
 def gen_synthetic(config: ScenarioConfig, apply_shift: bool = False) -> Dataset:
@@ -277,8 +269,7 @@ def gen_synthetic(config: ScenarioConfig, apply_shift: bool = False) -> Dataset:
     shift map replaces the mixture weights.
     """
     cfg = config.with_weights(config.shift) if (apply_shift and config.shift) else config
-    instances = _gen_instances(cfg, cfg.weights(), cfg.seed, cfg.n)
-    return Dataset(instances)
+    return Dataset.from_columns(*_gen_columns(cfg, cfg.weights(), cfg.seed, cfg.n))
 
 
 def shift_scenarios(base: ScenarioConfig, concentration: float = 0.8,
@@ -305,8 +296,8 @@ def shift_scenarios(base: ScenarioConfig, concentration: float = 0.8,
         others = weights.sum() - weights[target]
         new = weights * (1.0 - concentration) / others if others > 0 else weights * 0.0
         new[target] = concentration
-        instances = _gen_instances(base, new, seed, n_test)
-        return Dataset(instances, instruct_cost_mean=train_split.instruct_cost_mean)
+        return Dataset.from_columns(*_gen_columns(base, new, seed, n_test),
+                                    instruct_cost_mean=train_split.instruct_cost_mean)
 
     low = int(np.argmin(medians))
     high = int(np.argmax(medians))
@@ -391,7 +382,7 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         cells = sorted(self.cells, key=lambda c: (c.method, c.budget, c.seed, c.split))
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write("method,budget,seed,split,accuracy,cost,reasoning_frac\n")
             for c in cells:
                 m = c.metrics
@@ -399,7 +390,7 @@ class SweepResult:
                          f"{m.accuracy!r},{m.realized_cost!r},{m.reasoning_fraction!r}\n")
 
     def aggregate_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write("method,budget,split,n,accuracy_mean,accuracy_std,"
                      "cost_mean,cost_std,reasoning_mean,reasoning_std\n")
             for r in self.aggregate():

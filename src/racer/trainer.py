@@ -24,8 +24,10 @@ from .core import (
     FeedForwardPolicy,
     LinearPolicy,
     Metrics,
+    ParseError,
     PolicySpec,
     ValidationError,
+    atomic_open,
     evaluate_policy,
     policy_from_dict,
     policy_to_dict,
@@ -609,7 +611,7 @@ def select_checkpoint(checkpoints: Sequence[Checkpoint], budget: float) -> Check
 
 def history_to_csv(history: Sequence[EpochRecord], path) -> None:
     """Spec columns only: epoch, reward, cost, lambda and validation metrics."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch,train_reward,train_cost,lambda,val_acc,val_cost,reasoning_frac\n")
         for rec in history:
             fh.write(
@@ -635,15 +637,24 @@ def save_model(path, policy: PolicySpec, instruct_cost_mean: float,
         "config": config.to_dict() if config is not None else None,
         "config_digest": config.digest() if config is not None else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 
 
 def load_model(path) -> tuple[PolicySpec, float, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _MODEL_FORMAT:
-        raise ValidationError(f"unsupported model format {payload.get('format')!r}")
-    policy = policy_from_dict(payload["policy"])
-    return policy, float(payload["instruct_cost_mean"]), payload
+    """(policy, instruct_cost_mean, payload) of a model file; ParseError
+    unless it decodes to a well-formed model."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)  # a ValueError for bad JSON or UTF-8
+        if not isinstance(payload, dict):
+            raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
+        if payload.get("format") != _MODEL_FORMAT:
+            raise ValidationError(f"unsupported model format {payload.get('format')!r}")
+        return policy_from_dict(payload["policy"]), float(payload["instruct_cost_mean"]), payload
+    except ValidationError:
+        raise
+    except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"model file {path}: {exc if isinstance(exc, ParseError) else repr(exc)}"
+                         ) from None

@@ -6,9 +6,14 @@ refinement), the binary tilt by bisection on the entropy equation, and
 derivatives by central finite differences.
 """
 
+import csv
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from racer.core import ParseError, ValidationError
 
 
 def _kl_rows(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -190,3 +195,213 @@ def saddle_iterate(problem, lambda0, iterations, eta, pi_star):
                                      * np.sum(pi * problem.cost, axis=1)))
         lam = np.maximum(0.0, lam + eta * (weighted_cost - problem.budget - problem.beta * lam))
     return lambdas, policies, kls
+
+
+# Reference data path: one frozen Instance per row, as the library built,
+# read and wrote datasets before they became columnar. Flags go through
+# int(), so a non-integral flag is truncated here (the library rejects it).
+# Tests hold the columnar generator, loaders and writers bitwise equal to
+# these on every input both accept.
+
+@dataclass(frozen=True)
+class RowInstance:
+    id: str
+    features: np.ndarray
+    correct: tuple
+    cost_raw: tuple
+    tag: object = None
+
+    def __post_init__(self):
+        feats = np.asarray(self.features, dtype=np.float64)
+        if feats.ndim != 1:
+            raise ValidationError(f"instance {self.id!r}: features must be a 1-d vector")
+        if not np.all(np.isfinite(feats)):
+            raise ValidationError(f"instance {self.id!r}: non-finite feature value")
+        feats.setflags(write=False)
+        object.__setattr__(self, "features", feats)
+        correct = (int(self.correct[0]), int(self.correct[1]))
+        if any(c not in (0, 1) for c in correct):
+            raise ValidationError(f"instance {self.id!r}: correct flags must be 0 or 1")
+        object.__setattr__(self, "correct", correct)
+        cost = (float(self.cost_raw[0]), float(self.cost_raw[1]))
+        if not all(math.isfinite(c) and c > 0 for c in cost):
+            raise ValidationError(f"instance {self.id!r}: costs must be positive and finite")
+        object.__setattr__(self, "cost_raw", cost)
+
+
+def row_columns(instances, instruct_cost_mean=None) -> dict:
+    """The columns a per-row Dataset built from instances."""
+    instances = tuple(instances)
+    if not instances:
+        raise ValidationError("dataset is empty")
+    dim = instances[0].features.shape[0]
+    for inst in instances:
+        if inst.features.shape[0] != dim:
+            raise ValidationError(
+                f"instance {inst.id!r}: feature dimension {inst.features.shape[0]} != {dim}")
+    cols = {
+        "ids": tuple(inst.id for inst in instances),
+        "tags": tuple(inst.tag for inst in instances),
+        "features": np.stack([inst.features for inst in instances]),
+        "correct": np.array([inst.correct for inst in instances], dtype=np.float64),
+        "cost_raw": np.array([inst.cost_raw for inst in instances], dtype=np.float64),
+    }
+    if instruct_cost_mean is None:
+        instruct_cost_mean = float(np.mean(cols["cost_raw"][:, 0]))
+    if not (math.isfinite(instruct_cost_mean) and instruct_cost_mean > 0):
+        raise ValidationError("instruct_cost_mean must be positive and finite")
+    cols["instruct_cost_mean"] = float(instruct_cost_mean)
+    cols["cost"] = cols["cost_raw"] / cols["instruct_cost_mean"]
+    return cols
+
+
+def row_gen_instances(config, weights, seed, n) -> list:
+    rng = np.random.default_rng(seed)
+    k = len(config.domains)
+    dom_idx = rng.choice(k, size=n, p=weights / weights.sum())
+    p0 = np.array([d.p_instruct for d in config.domains])[dom_idx]
+    p1 = np.array([d.p_reasoning for d in config.domains])[dom_idx]
+    if config.agreement > 0.0:
+        shared = rng.random(n)
+        u0, u1 = rng.random(n), rng.random(n)
+        tie = rng.random(n) < config.agreement
+        u0 = np.where(tie, shared, u0)
+        u1 = np.where(tie, shared, u1)
+    else:
+        u0, u1 = rng.random(n), rng.random(n)
+    correct0 = (u0 < p0).astype(np.int64)
+    correct1 = (u1 < p1).astype(np.int64)
+    base_medians = np.array([d.instruct_cost_median for d in config.domains])[dom_idx]
+    cost0 = base_medians * np.exp(rng.normal(0.0, config.instruct_cost_sigma, size=n))
+    medians = np.array([d.cost_ratio_median for d in config.domains])[dom_idx]
+    sigmas = np.array([d.cost_ratio_sigma for d in config.domains])[dom_idx]
+    ratio = medians * np.exp(sigmas * rng.standard_normal(n))
+    cost1 = cost0 * ratio
+    means = np.array([d.feature_mean for d in config.domains])[dom_idx]
+    noise = np.array([d.feature_noise for d in config.domains])[dom_idx]
+    features = means + noise[:, None] * rng.standard_normal(means.shape)
+    return [
+        RowInstance(
+            id=f"syn-{seed}-{i:06d}",
+            features=features[i],
+            correct=(int(correct0[i]), int(correct1[i])),
+            cost_raw=(float(cost0[i]), float(cost1[i])),
+            tag=config.domains[dom_idx[i]].name,
+        )
+        for i in range(n)
+    ]
+
+
+def row_gen_synthetic(config, apply_shift=False) -> dict:
+    cfg = config.with_weights(config.shift) if (apply_shift and config.shift) else config
+    return row_columns(row_gen_instances(cfg, cfg.weights(), cfg.seed, cfg.n))
+
+
+def row_shift_scenarios(base, concentration=0.8, n_test=None):
+    train_split = row_gen_synthetic(base)
+    n_test = base.n if n_test is None else n_test
+    medians = [d.cost_ratio_median for d in base.domains]
+
+    def shifted(target, seed):
+        weights = np.array([d.weight for d in base.domains])
+        others = weights.sum() - weights[target]
+        new = weights * (1.0 - concentration) / others if others > 0 else weights * 0.0
+        new[target] = concentration
+        return row_columns(row_gen_instances(base, new, seed, n_test),
+                           instruct_cost_mean=train_split["instruct_cost_mean"])
+
+    return (train_split, shifted(int(np.argmin(medians)), base.seed + 1),
+            shifted(int(np.argmax(medians)), base.seed + 2))
+
+
+_ROW_FIELDS = ("id", "features", "correct_0", "correct_1", "cost_0", "cost_1")
+
+
+def _row_from_record(record, where):
+    for field in _ROW_FIELDS:
+        if field not in record:
+            raise ParseError(f"{where}: missing field {field!r}")
+    return RowInstance(
+        id=str(record["id"]),
+        features=np.asarray(record["features"], dtype=np.float64),
+        correct=(record["correct_0"], record["correct_1"]),
+        cost_raw=(record["cost_0"], record["cost_1"]),
+        tag=record.get("tag"),
+    )
+
+
+def row_load(path, format) -> dict:
+    """Columns of a JSONL or CSV file read record by record."""
+    instances = []
+    if format == "jsonl":
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+                if not isinstance(record, dict):
+                    raise ParseError(f"line {lineno}: record is not an object")
+                instances.append(_row_from_record(record, f"line {lineno}"))
+        return row_columns(instances)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError("line 1: missing CSV header")
+        feat_cols = sorted((c for c in reader.fieldnames if c.startswith("feat_")),
+                           key=lambda c: int(c.split("_", 1)[1]))
+        if not feat_cols:
+            raise ParseError("line 1: no feat_* columns in header")
+        for row in reader:
+            where = f"line {reader.line_num}"
+            try:
+                record = {
+                    "id": row["id"],
+                    "features": [float(row[c]) for c in feat_cols],
+                    "correct_0": int(row["correct_0"]),
+                    "correct_1": int(row["correct_1"]),
+                    "cost_0": float(row["cost_0"]),
+                    "cost_1": float(row["cost_1"]),
+                    "tag": row.get("tag") or None,
+                }
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"{where}: missing field ({exc})") from None
+            except ValueError as exc:
+                raise ParseError(f"{where}: bad value ({exc})") from None
+            instances.append(_row_from_record(record, where))
+    return row_columns(instances)
+
+
+def row_save(instances, path, format) -> None:
+    """Write instances record by record: json.dumps per JSONL line."""
+    if format == "jsonl":
+        with open(path, "w", encoding="utf-8") as fh:
+            for inst in instances:
+                record = {
+                    "id": inst.id,
+                    "features": list(inst.features),
+                    "correct_0": inst.correct[0],
+                    "correct_1": inst.correct[1],
+                    "cost_0": inst.cost_raw[0],
+                    "cost_1": inst.cost_raw[1],
+                }
+                if inst.tag is not None:
+                    record["tag"] = inst.tag
+                fh.write(json.dumps(record) + "\n")
+        return
+    d = instances[0].features.shape[0]
+    header = ["id"] + [f"feat_{j}" for j in range(d)] + [
+        "correct_0", "correct_1", "cost_0", "cost_1", "tag"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for inst in instances:
+            writer.writerow(
+                [inst.id]
+                + [repr(v) for v in inst.features.tolist()]
+                + [inst.correct[0], inst.correct[1],
+                   repr(inst.cost_raw[0]), repr(inst.cost_raw[1]),
+                   inst.tag or ""]
+            )

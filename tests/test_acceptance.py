@@ -14,7 +14,7 @@ import pytest
 
 from oracles import finite_diff_gradient, grid_worst_case, sign_test_pvalue
 
-from racer.core import Dataset, evaluate_policy
+from racer.core import evaluate_policy
 from racer.evalbench import (
     PRESET_SCENARIOS,
     baseline_policy,
@@ -58,8 +58,8 @@ N_SEEDS = 20
 def separable3_splits():
     scenario = PRESET_SCENARIOS["separable3"]
     train_data = gen_synthetic(scenario)
-    id_test = Dataset(gen_synthetic(replace(scenario, seed=scenario.seed + 1)).instances,
-                      instruct_cost_mean=train_data.instruct_cost_mean)
+    id_test = gen_synthetic(replace(scenario, seed=scenario.seed + 1)).with_cost_scale(
+        train_data.instruct_cost_mean)
     return train_data, id_test
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racer.cli import main
+from racer.core import LinearPolicy, evaluate_policy, load_dataset, save_dataset
+from racer.evalbench import PRESET_SCENARIOS, shift_scenarios
 from racer.saddle import random_problem
+from racer.trainer import save_model
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -73,6 +77,82 @@ def problem_texts(draw):
     if draw(st.integers(0, 4)) == 0:
         text = text[:draw(st.integers(0, len(text)))]
     return text
+
+
+RECORD = {"id": "a", "features": [0.5, -1.0], "correct_0": 1, "correct_1": 0,
+          "cost_0": 1.5, "cost_1": 4.0, "tag": "t"}
+
+
+def model_text(instruct_cost_mean=2.0, **policy) -> str:
+    """A linear model file for 2-d features, with policy fields overridden."""
+    return json.dumps({
+        "format": "racer-model-v1",
+        "policy": {"kind": "linear", "weights": [0.5, -0.5], "bias": 0.25, **policy},
+        "instruct_cost_mean": instruct_cost_mean, "config": None, "config_digest": None,
+    }, indent=1)
+
+
+MODEL_TEXT = model_text()
+
+
+@st.composite
+def dataset_texts(draw):
+    """(file name, bytes) of a small JSONL or CSV dataset with some values
+    dropped or replaced by junk, some lines truncated or non-UTF-8."""
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        record = dict(RECORD, id=f"r{i}")
+        for key in draw(st.lists(st.sampled_from(sorted(RECORD)), max_size=2, unique=True)):
+            if draw(st.booleans()):
+                del record[key]
+            else:
+                record[key] = draw(_junk)
+        records.append(record)
+    if fmt == "jsonl":
+        text = "\n".join(json.dumps(r) for r in records)
+        if draw(st.integers(0, 9)) == 0:
+            text += "\n" + draw(st.sampled_from(["[1]", "{", "null", "1" * 5000]))
+    else:
+        header = draw(st.sampled_from([
+            "id,feat_0,feat_1,correct_0,correct_1,cost_0,cost_1,tag",
+            "id,feat_1,feat_x,correct_0,correct_1,cost_0,cost_1", "id,correct_0", ""]))
+        rows = [",".join(str(r.get(k, "")).replace(",", ";") for k in (
+            "id", "features", "features", "correct_0", "correct_1", "cost_0", "cost_1", "tag"))
+            for r in records]
+        rows = [row.replace("[", "").replace("]", "") for row in rows]
+        text = "\n".join([header, *rows])
+    data = text.encode()
+    if draw(st.integers(0, 4)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    if draw(st.integers(0, 9)) == 0:
+        data += b"\xff\xfe"
+    return f"d.{fmt}", data
+
+
+@st.composite
+def model_texts(draw):
+    """Bytes of a model file: a valid linear, feed-forward, tabular or
+    constant model with some fields dropped or replaced by junk."""
+    policy = draw(st.sampled_from([
+        {"kind": "linear", "weights": [0.5, -0.5], "bias": 0.25},
+        {"kind": "feedforward", "weights": [[[0.1, 0.2], [0.3, -0.1]], [[1.0, -1.0]]],
+         "biases": [[0.0, 0.1], [0.2]]},
+        {"kind": "tabular", "table": {"r0": 0.5, "r1": 0.1}},
+        {"kind": "constant", "p_reason": 0.3},
+    ]))
+    payload = json.loads(MODEL_TEXT)
+    payload["policy"] = policy
+    for key in draw(st.lists(st.sampled_from(sorted(policy)), max_size=2, unique=True)):
+        policy[key] = draw(_junk)
+    if draw(st.integers(0, 4)) == 0:
+        payload[draw(st.sampled_from(["format", "policy", "instruct_cost_mean"]))] = draw(_junk)
+    if draw(st.integers(0, 9)) == 0:
+        payload = [payload]
+    data = json.dumps(payload).encode()
+    if draw(st.integers(0, 6)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
 
 
 @pytest.fixture()
@@ -212,6 +292,77 @@ class TestEval:
 
     def test_model_or_baseline_required(self, data_file, tmp_path):
         assert run("eval", "--data", data_file, "--out", tmp_path / "z") == 1
+
+    def test_model_eval_uses_the_model_cost_scale(self, tmp_path):
+        base = replace(PRESET_SCENARIOS["shift-up"], n=400)
+        train_split, _, ood_high = shift_scenarios(base, n_test=300)
+        policy = LinearPolicy(np.array([0.4, -0.3, 0.2]), -0.5)
+        save_model(tmp_path / "model.json", policy, train_split.instruct_cost_mean)
+        save_dataset(ood_high, tmp_path / "ood.jsonl")
+        assert run("eval", "--model", tmp_path / "model.json", "--data", tmp_path / "ood.jsonl",
+                   "--out", tmp_path / "ev") == 0
+        got = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+        assert got == evaluate_policy(policy, ood_high).to_dict()
+        # the split's own scale would report another cost
+        own = evaluate_policy(policy, load_dataset(tmp_path / "ood.jsonl"))
+        assert own.realized_cost != got["realized_cost"]
+        assert own.accuracy == got["accuracy"]
+        # a baseline keeps the data's own scale
+        assert run("eval", "--baseline", "all-instruct", "--data", tmp_path / "ood.jsonl",
+                   "--out", tmp_path / "ev2") == 0
+        base_cost = json.loads((tmp_path / "ev2" / "metrics.json").read_text())["realized_cost"]
+        assert base_cost == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("features", "xy", "line 1: field 'features' is not numeric"),
+        ("correct_0", "x", "line 1: field 'correct_0' is not numeric"),
+        ("cost_0", None, "line 1: field 'cost_0' is not numeric"),
+        ("correct_0", 0.5, "instance 'a': correct flags must be 0 or 1"),
+    ])
+    def test_bad_record_is_data_error(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({**RECORD, field: value}) + "\n")
+        assert run("eval", "--baseline", "all-instruct", "--data", path,
+                   "--out", tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        (MODEL_TEXT[:60], "JSONDecodeError"),
+        (model_text(weights=[[0.5, -0.5]]), "weights must be a vector"),
+        (model_text(bias="b"), "could not convert string to float"),
+        (model_text(kind="feedforward", weights=[[[1.0, 0.0]], [[1.0, 1.0]]], biases=[[0.0], [0.0]]),
+         "layer shapes do not chain"),
+        (model_text(kind="feedforward", weights=[[[1.0, 0.0]]], biases=[[0.0, 1.0]]),
+         "layer shapes do not chain"),
+        (model_text(instruct_cost_mean=-2.0), "instruct_cost_mean must be positive"),
+    ], ids=["list", "truncated", "matrix-weights", "text-bias", "unchained-layers",
+            "bias-shape", "negative-scale"])
+    def test_bad_model_file_is_data_error(self, tmp_path, capsys, text, message):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps(RECORD) + "\n")
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert run("eval", "--model", model, "--data", data, "--out", tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data_text=dataset_texts(), model_text=model_texts())
+    def test_fuzzed_data_and_model_files_never_escape(self, data_text, model_text):
+        name, data = data_text
+        with tempfile.TemporaryDirectory() as tmp:
+            data_path, model_path = Path(tmp) / name, Path(tmp) / "model.json"
+            data_path.write_bytes(data)
+            model_path.write_bytes(model_text)
+            for source in (["--model", model_path], ["--baseline", "random:0.5"]):
+                code, err = run_quietly("eval", *source, "--data", data_path,
+                                        "--out", Path(tmp) / "ev")
+                assert code in (0, 1, 2, 3)
+                assert "Traceback" not in err
 
 
 class TestSweep:
@@ -398,6 +549,30 @@ class TestAtomicOutputs:
             assert (out / "manifest.json").read_bytes() == before["manifest.json"]
         else:
             assert (out / "trace.csv").read_bytes() != before["trace.csv"]
+
+    @pytest.mark.parametrize("failing", ["corpus.jsonl", "corpus.csv", "model.json",
+                                         "metrics.json"])
+    def test_failed_replace_keeps_previous_output(self, tmp_path, monkeypatch, failing):
+        def produce(seed):
+            if failing.startswith("corpus"):
+                return run("gen-synth", "--regime", "offsetbias", "--n", 30 + seed,
+                           "--seed", seed, "--out", tmp_path / failing)
+            data = tmp_path / f"d{seed}.jsonl"
+            assert run("gen-synth", "--regime", "offsetbias", "--n", 120, "--seed", seed,
+                       "--out", data) == 0
+            if failing == "model.json":
+                return run("train", "--data", data, "--budget", 2, "--epochs", 2,
+                           "--seed", seed, "--out", tmp_path / "run")
+            return run("eval", "--baseline", "random:0.5", "--data", data,
+                       "--out", tmp_path / "run")
+
+        assert produce(1) == 0
+        target = next(tmp_path.rglob(failing))
+        before = target.read_bytes()
+        fail_replace_of(monkeypatch, failing)
+        assert produce(2) == 2
+        assert target.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_failed_replace_keeps_previous_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "d.jsonl"

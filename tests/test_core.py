@@ -209,7 +209,7 @@ class TestInvariants:
 
     def test_normalization_idempotent(self):
         data = random_dataset(2)
-        again = data.renormalized()
+        again = data.with_cost_scale(None)
         assert again.instruct_cost_mean == data.instruct_cost_mean
         assert np.array_equal(again.cost, data.cost)
 
