@@ -46,7 +46,7 @@ from .evalbench import (
     load_scenario,
     split_units,
 )
-from .reweight import RobustConfig, tilt_weights, uniform_weights
+from .reweight import tilt_weights, uniform_weights
 from .saddle import (
     ConvergenceConstants,
     InfeasibleProblemError,
@@ -110,74 +110,76 @@ def _fmt(value: float) -> str:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path}: invalid JSON ({exc.msg})") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)  # a ValueError for bad JSON or UTF-8
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"config file {path}: not a JSON file ({exc!r})") from None
     if not isinstance(payload, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ParseError(f"config file {path}: expected a JSON object, "
+                         f"got {type(payload).__name__}")
     return payload
 
 
-_TRAIN_DEFAULTS = {
-    "budget": None,
-    "tau_r": 1.0,
-    "tau_c": math.inf,
-    "mode": "racer",
-    "beta": 0.005,
-    "epochs": 60,
-    "batch_size": 64,
-    "lr": 1e-4,
-    "dual_lr": 1e-3,
-    "seed": 0,
-    "val_fraction": 0.1,
-    "policy": "linear",
-    "hidden": "256,128,64",
-    "optimizer": "adam",
-    "lambda_init": 0.0,
-    "init_bias": 0.0,
+def _widths(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        return tuple(int(h) for h in value.split(",") if h)
+    return tuple(int(h) for h in value)
+
+
+_ROBUST_FIELDS = ("tau_reward", "tau_cost", "mode")
+
+# flag and config-file key: (TrainConfig or RobustConfig field, converter,
+# built-in default)
+_TRAIN_FIELDS = {
+    "budget": ("budget", float, None),
+    "tau_r": ("tau_reward", float, 1.0),
+    "tau_c": ("tau_cost", float, math.inf),
+    "mode": ("mode", str, "racer"),
+    "beta": ("beta", float, 0.005),
+    "epochs": ("epochs", int, 60),
+    "batch_size": ("batch_size", int, 64),
+    "lr": ("primal_lr", float, 1e-4),
+    "dual_lr": ("dual_lr", float, 1e-3),
+    "seed": ("seed", int, 0),
+    "val_fraction": ("val_fraction", float, 0.1),
+    "policy": ("policy_kind", str, "linear"),
+    "hidden": ("hidden", _widths, "256,128,64"),
+    "optimizer": ("optimizer", str, "adam"),
+    "lambda_init": ("lambda_init", float, 0.0),
+    "init_bias": ("init_bias", float, 0.0),
 }
 
 
-def _resolve(flags: dict, file_cfg: dict, defaults: dict) -> dict:
-    resolved = {}
-    for key, default in defaults.items():
-        if flags.get(key) is not None:
-            resolved[key] = flags[key]
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
-    return resolved
+def _train_config(args, default_budget: float | None = None) -> TrainConfig:
+    """The TrainConfig of the flags over the --config file over the defaults.
 
-
-def _train_config(resolved: dict) -> TrainConfig:
-    if resolved["budget"] is None:
-        raise UsageError("--budget is required")
-    hidden = resolved["hidden"]
-    if isinstance(hidden, str):
-        hidden = tuple(int(h) for h in hidden.split(",") if h)
-    return TrainConfig(
-        budget=float(resolved["budget"]),
-        beta=float(resolved["beta"]),
-        robust=RobustConfig(
-            tau_reward=float(resolved["tau_r"]),
-            tau_cost=float(resolved["tau_c"]),
-            mode=str(resolved["mode"]),
-        ),
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        primal_lr=float(resolved["lr"]),
-        dual_lr=float(resolved["dual_lr"]),
-        seed=int(resolved["seed"]),
-        val_fraction=float(resolved["val_fraction"]),
-        policy_kind=str(resolved["policy"]),
-        hidden=tuple(hidden),
-        optimizer=str(resolved["optimizer"]),
-        lambda_init=float(resolved["lambda_init"]),
-        init_bias=float(resolved["init_bias"]),
-    )
+    Each value is converted and checked on its own, against a valid base
+    config, so a bad one is blamed on where it came from: a UsageError for a
+    flag, a ParseError naming the file and the field for the config file.
+    """
+    file_cfg = _load_config_file(args.config)
+    config = TrainConfig(budget=1.0)
+    for key, (name, convert, default) in _TRAIN_FIELDS.items():
+        value = getattr(args, key, None)
+        from_file = value is None and key in file_cfg
+        if from_file:
+            value = file_cfg[key]
+        elif value is None:
+            value = default if key != "budget" else default_budget
+            if value is None:
+                raise UsageError("--budget is required")
+        try:
+            value = convert(value)
+            if name in _ROBUST_FIELDS:
+                config = replace(config, robust=replace(config.robust, **{name: value}))
+            else:
+                config = replace(config, **{name: value})
+        except (ValueError, TypeError, OverflowError) as exc:
+            if from_file:
+                raise ParseError(f"config file {args.config}: field {key!r}: {exc}") from None
+            raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +205,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_train(args) -> int:
     started = time.time()
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(
-        {k: getattr(args, k, None) for k in _TRAIN_DEFAULTS}, file_cfg, _TRAIN_DEFAULTS
-    )
-    resolved["budget"] = args.budget if args.budget is not None else resolved["budget"]
-    config = _train_config(resolved)
+    config = _train_config(args)
     data = load_dataset(args.data)
     result = train(data, config)
 
@@ -332,12 +329,7 @@ def _read_cell(path: Path, digest: str):
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(
-        {k: getattr(args, k, None) for k in _TRAIN_DEFAULTS}, file_cfg, _TRAIN_DEFAULTS
-    )
-    resolved["budget"] = resolved["budget"] or 1.0  # overwritten per cell
-    template = _train_config(resolved)
+    template = _train_config(args, default_budget=1.0)  # budget set per cell
     budgets = _parse_floats(args.budgets) if args.budgets else DEFAULT_BUDGETS
     methods = tuple(m for m in (args.methods or "").split(",") if m) or (
         "racer", "all-instruct", "all-reasoning", "random")
@@ -497,6 +489,8 @@ def cmd_gen_synth(args) -> int:
     started = time.time()
     if (args.scenario is None) == (args.regime is None):
         raise UsageError("exactly one of --scenario or --regime is required")
+    if (args.n is not None and args.n < 1) or (args.seed is not None and args.seed < 0):
+        raise UsageError("--n must be >= 1 and --seed >= 0")
     inputs = []
     if args.scenario is not None:
         scenario = load_scenario(args.scenario)
@@ -525,7 +519,8 @@ def cmd_inspect_weights(args) -> int:
     data = load_dataset(args.data)
     inputs = [args.data]
     if args.model is not None:
-        policy, _, _ = load_model(args.model)
+        policy, cost_mean, _ = load_model(args.model)
+        data = data.with_cost_scale(cost_mean)  # the model's training cost scale
         inputs.append(args.model)
     elif args.baseline is not None:
         policy = _parse_baseline(args.baseline)

@@ -11,6 +11,7 @@ can be calibrated to reported corpus statistics (e.g. medians 11.2 / 3.4 /
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -54,8 +55,12 @@ class DomainSpec:
             raise ValidationError(f"domain {self.name!r}: accuracies must lie in [0, 1]")
         if not self.cost_ratio_median > 1.0:
             raise ValidationError(f"domain {self.name!r}: cost-ratio median must exceed 1")
-        if self.weight < 0:
-            raise ValidationError(f"domain {self.name!r}: negative mixture weight")
+        if not 0 <= self.weight < math.inf:
+            raise ValidationError(f"domain {self.name!r}: mixture weight must be "
+                                  f"non-negative and finite")
+        if not 0 <= self.cost_ratio_sigma < math.inf:
+            raise ValidationError(f"domain {self.name!r}: cost-ratio sigma must be "
+                                  f"non-negative and finite")
         if not self.instruct_cost_median > 0:
             raise ValidationError(f"domain {self.name!r}: instruct cost median must be positive")
         object.__setattr__(self, "feature_mean", tuple(float(v) for v in self.feature_mean))
@@ -83,6 +88,13 @@ class ScenarioConfig:
             raise ValidationError("all domains must share one feature dimension")
         if self.n < 1:
             raise ValidationError("n must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.instruct_cost_sigma < math.inf:
+            raise ValidationError("instruct_cost_sigma must be non-negative and finite")
+        for d in self.domains if self.shift else ():
+            if d.name not in self.shift:
+                raise ValidationError(f"shift gives no weight for domain {d.name!r}")
         if not 0.0 <= self.agreement <= 1.0:
             raise ValidationError("agreement must lie in [0, 1]")
         object.__setattr__(self, "domains", tuple(self.domains))
@@ -119,41 +131,77 @@ class ScenarioConfig:
         }
 
 
+_JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str, "a list": list,
+               "an object": dict}
+_REQUIRED = object()
+
+
+def _decode(value, kind: str):
+    """value as the kind of JSON value named; TypeError if it is another
+    (OverflowError for an integer past the float range)."""
+    if kind == "a list of numbers":
+        return tuple(_decode(v, "a number") for v in _decode(value, "a list"))
+    if kind == "an object of numbers":
+        return {k: _decode(v, "a number") for k, v in _decode(value, "an object").items()}
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise TypeError
+    return float(value) if kind == "a number" else value
+
+
+def _field(record: dict, key: str, kind: str, default=_REQUIRED, where: str = ""):
+    if key not in record:
+        if default is _REQUIRED:
+            raise ParseError(f"{where}missing field {key!r}")
+        return default
+    try:
+        return _decode(record[key], kind)
+    except (TypeError, OverflowError):
+        raise ParseError(f"{where}field {key!r} is not {kind}") from None
+
+
 def scenario_from_dict(payload: dict) -> ScenarioConfig:
-    domains = tuple(
-        DomainSpec(
-            name=d["name"],
-            weight=d["weight"],
-            p_instruct=d["p_instruct"],
-            p_reasoning=d["p_reasoning"],
-            cost_ratio_median=d["cost_ratio_median"],
-            cost_ratio_sigma=d.get("cost_ratio_sigma", 0.5),
-            feature_mean=tuple(d.get("feature_mean", (0.0,))),
-            feature_noise=d.get("feature_noise", 0.25),
-            instruct_cost_median=d.get("instruct_cost_median", 1.0),
-        )
-        for d in payload["domains"]
-    )
+    """The scenario a decoded file describes; ParseError naming the field
+    when one is missing or of the wrong type."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
+    domains = []
+    for i, d in enumerate(_field(payload, "domains", "a list")):
+        where = f"domain {i}: "
+        if not isinstance(d, dict):
+            raise ParseError(f"{where}expected a JSON object, got {type(d).__name__}")
+        domains.append(DomainSpec(
+            name=_field(d, "name", "a string", where=where),
+            weight=_field(d, "weight", "a number", where=where),
+            p_instruct=_field(d, "p_instruct", "a number", where=where),
+            p_reasoning=_field(d, "p_reasoning", "a number", where=where),
+            cost_ratio_median=_field(d, "cost_ratio_median", "a number", where=where),
+            cost_ratio_sigma=_field(d, "cost_ratio_sigma", "a number", 0.5, where),
+            feature_mean=_field(d, "feature_mean", "a list of numbers", (0.0,), where),
+            feature_noise=_field(d, "feature_noise", "a number", 0.25, where),
+            instruct_cost_median=_field(d, "instruct_cost_median", "a number", 1.0, where),
+        ))
+    shift = payload.get("shift")
     return ScenarioConfig(
-        domains=domains,
-        n=payload["n"],
-        seed=payload.get("seed", 0),
-        shift=payload.get("shift"),
-        agreement=payload.get("agreement", 0.0),
-        instruct_cost_sigma=payload.get("instruct_cost_sigma", 0.25),
+        domains=tuple(domains),
+        n=_field(payload, "n", "an integer"),
+        seed=_field(payload, "seed", "an integer", 0),
+        shift=None if shift is None else _field(payload, "shift", "an object of numbers"),
+        agreement=_field(payload, "agreement", "a number", 0.0),
+        instruct_cost_sigma=_field(payload, "instruct_cost_sigma", "a number", 0.25),
     )
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
+    """The scenario of a JSON file; ParseError naming the file unless it
+    decodes to one, ValidationError if that scenario breaks an invariant."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)  # a ValueError for bad JSON or UTF-8
         return scenario_from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: malformed scenario ({exc!r})") from None
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: not a JSON file ({exc!r})") from None
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:

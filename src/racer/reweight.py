@@ -92,7 +92,9 @@ def tilt_weights(values, tau, direction: str) -> WeightVector:
     f = np.asarray(values, dtype=np.float64)
     if f.ndim not in (1, 2) or f.size == 0:
         raise ValueError("values must be a non-empty 1-d vector or 2-d array")
-    if not np.all(np.isfinite(f)):
+    # ufunc reductions, not np.all/.mean/.max: bitwise the same, without
+    # their Python wrappers (this runs twice per training batch)
+    if not np.logical_and.reduce(np.isfinite(f), axis=None):
         raise ValueError("values contain a non-finite entry")
     if f.ndim == 1:
         if not (np.ndim(tau) == 0 and math.isfinite(tau) and tau > 0):
@@ -100,15 +102,16 @@ def tilt_weights(values, tau, direction: str) -> WeightVector:
         t = tau
     else:
         t = np.asarray(tau, dtype=np.float64)
-        if t.shape not in ((), (f.shape[0],)) or not np.all(t > 0):
+        if t.shape not in ((), (f.shape[0],)) or not np.logical_and.reduce(t > 0, axis=None):
             raise ValueError(f"tau must be positive (or inf) per row, got {tau}")
         t = t.reshape(-1, 1)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    mean = f.mean(axis=-1, keepdims=True)
+    n = f.shape[-1]
+    mean = np.add.reduce(f, axis=-1, keepdims=True) / n
     s = (mean - f) / t if direction == "worst_low" else (f - mean) / t
-    w = np.exp(s - s.max(axis=-1, keepdims=True))
-    w /= w.mean(axis=-1, keepdims=True)
+    w = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    w /= np.add.reduce(w, axis=-1, keepdims=True) / n
     return WeightVector(w, mean[..., 0])
 
 

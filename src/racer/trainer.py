@@ -80,11 +80,15 @@ class TrainConfig:
             raise ValueError("val_fraction must lie in (0, 1)")
         if self.lambda_init < 0:
             raise ValueError("lambda_init must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.policy_kind not in ("linear", "feedforward"):
             raise ValueError(f"policy_kind must be linear or feedforward, got {self.policy_kind!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be positive, got {self.hidden}")
 
     def to_dict(self) -> dict:
         def num(x):
@@ -198,15 +202,6 @@ def entropy(p: float) -> float:
     return float(-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def _entropy_from_logits(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # H(sigma(u)) = p*softplus(-u) + (1-p)*softplus(u); exact 0 at saturation
-    return p * _softplus(-u) + (1.0 - p) * _softplus(u)
-
-
 def _params(policy: PolicySpec) -> list[np.ndarray]:
     if isinstance(policy, LinearPolicy):
         return [policy.weights.copy(), np.array([policy.bias])]
@@ -249,34 +244,40 @@ def _backward(params: Sequence[np.ndarray], kind: str, acts, gu: np.ndarray):
     if kind == "linear":
         (x,) = acts
         return [(x.transpose(0, 2, 1) @ gu[..., None])[..., 0],
-                gu.sum(axis=1, keepdims=True)]
+                np.add.reduce(gu, axis=1, keepdims=True)]
     grads: list[np.ndarray | None] = [None] * len(params)
     delta = gu[..., None]  # gradient w.r.t. the final pre-activation, (R, B, 1)
     for i in range(len(params) // 2 - 1, -1, -1):
         grads[2 * i] = delta.transpose(0, 2, 1) @ acts[i]
-        grads[2 * i + 1] = delta.sum(axis=1)
+        grads[2 * i + 1] = np.add.reduce(delta, axis=1)
         if i > 0:
             delta = (delta @ params[2 * i]) * (acts[i] > 0)
     return grads
 
 
-def _expectations(correct: np.ndarray, cost: np.ndarray, p: np.ndarray):
-    """Action gaps and policy-expected reward and cost per instance."""
-    dr = correct[..., 1] - correct[..., 0]
-    dc = cost[..., 1] - cost[..., 0]
-    return dr, dc, correct[..., 0] + p * dr, cost[..., 0] + p * dc
+def _gaps(correct: np.ndarray, cost: np.ndarray):
+    """Instruct-action reward and cost, and the reasoning-minus-instruct gaps."""
+    r0, c0 = correct[..., 0], cost[..., 0]
+    return r0, correct[..., 1] - r0, c0, cost[..., 1] - c0
 
 
 def _objective(params, kind, acts, u, p, dr, dc, exp_r, exp_c, wr, wc, lam, beta):
     """Per-replica objective values (R,) and their stacked gradients.
 
     value = mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ]
+    Row means are np.add.reduce / n, which is bitwise what ndarray.mean
+    computes for float64.
     """
-    lam = lam[:, None]
-    value = np.mean(wr * exp_r - lam * wc * exp_c + beta * _entropy_from_logits(u, p),
-                    axis=1)
+    q = 1.0 - p
+    lam_wc = lam[:, None] * wc
+    # H(sigma(u)) = p*softplus(-u) + (1-p)*softplus(u), exact 0 at saturation,
+    # with softplus(+-u) = log1p(exp(-|u|)) + max(+-u, 0)
+    tail = np.log1p(np.exp(-np.abs(u)))
+    h = p * (tail + np.maximum(-u, 0.0)) + q * (tail + np.maximum(u, 0.0))
+    n = u.shape[1]
+    value = np.add.reduce(wr * exp_r - lam_wc * exp_c + beta * h, axis=1) / n
     # d value / d u_i; dH/du = -u * p * (1 - p)
-    gu = (wr * dr - lam * wc * dc - beta * u) * p * (1.0 - p) / u.shape[1]
+    gu = (wr * dr - lam_wc * dc - beta * u) * p * q / n
     return value, _backward(params, kind, acts, gu)
 
 
@@ -313,8 +314,8 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta,
         bad = int(np.argmax(~np.isfinite(u[0])))
         raise TrainingDivergenceError(f"non-finite logit at {where} index {bad}")
     p = sigmoid(u)
-    dr, dc, exp_r, exp_c = _expectations(correct[None], cost[None], p)
-    values, grads = _objective(stacked, kind, acts, u, p, dr, dc, exp_r, exp_c,
+    r0, dr, c0, dc = _gaps(correct[None], cost[None])
+    values, grads = _objective(stacked, kind, acts, u, p, dr, dc, r0 + p * dr, c0 + p * dc,
                                wr[None], wc[None], np.array([lam]), beta)
     value = float(values[0])
     if not math.isfinite(value):
@@ -326,34 +327,43 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta,
 # optimizers
 # ---------------------------------------------------------------------------
 
+def _flatten(stacked: Sequence[np.ndarray]) -> np.ndarray:
+    """Stacked arrays (R, ...) laid end to end as one (R, P) array."""
+    return np.concatenate([a.reshape(len(a), -1) for a in stacked], axis=1)
+
+
 class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adaptive-moment ascent on a flat (R, P) parameter array, in place."""
+
+    def __init__(self, flat, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        # moments m, v and two scratch rows a, b
+        self.m, self.v, self.a, self.b = (np.zeros_like(flat) for _ in range(4))
         self.t = 0
 
-    def ascend(self, params, grads):
+    def ascend(self, flat, g):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for i, g in enumerate(grads):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            params[i] += self.lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
+        m, v, a, b = self.m, self.v, self.a, self.b
+        # m = beta1*m + (1-beta1)*g and v = beta2*v + (1-beta2)*g*g
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(1.0 - self.beta2, g, out=b), g, out=b)
+        # flat += lr * (m / b1t) / (sqrt(v / b2t) + eps)
+        np.multiply(self.lr, np.divide(m, 1.0 - self.beta1**self.t, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=b), out=b), self.eps, out=b)
+        flat += np.divide(a, b, out=a)
 
     def keep(self, rows):
-        self.m = [m[rows] for m in self.m]
-        self.v = [v[rows] for v in self.v]
+        self.m, self.v, self.a, self.b = self.m[rows], self.v[rows], self.a[rows], self.b[rows]
 
 
 class _Sgd:
-    def __init__(self, params, lr):
+    def __init__(self, flat, lr):
         self.lr = lr
 
-    def ascend(self, params, grads):
-        for i, g in enumerate(grads):
-            params[i] += self.lr * g
+    def ascend(self, flat, g):
+        flat += self.lr * g
 
     def keep(self, rows):
         pass
@@ -407,9 +417,20 @@ def train(data: Dataset,
 
 
 def _tilt(f: np.ndarray, tau: np.ndarray, direction: str) -> np.ndarray:
-    if np.isinf(tau).all():
+    if np.logical_and.reduce(np.isinf(tau)):
         return uniform_weights(f.shape).weights
     return tilt_weights(f, tau, direction).weights
+
+
+def _batch_means(a: np.ndarray, size: int) -> np.ndarray:
+    """Row means of each run of `size` columns, the last run possibly shorter:
+    bitwise the means of the batches those columns held."""
+    n_rep, n = a.shape
+    full = n - n % size
+    means = [np.add.reduce(a[:, :full].reshape(n_rep, -1, size), axis=2) / size]
+    if full < n:
+        means.append(np.add.reduce(a[:, full:], axis=1, keepdims=True) / (n - full))
+    return np.concatenate(means, axis=1)
 
 
 class _Stack:
@@ -417,6 +438,9 @@ class _Stack:
 
     Axis 0 of every per-replica array is the replica. A replica that
     diverges leaves the stack with its error; the others go on unchanged.
+    The parameters of all replicas live in one (R, P) array; the per-layer
+    arrays are views of it. Each epoch gathers its shuffled rows once, and
+    its batches are slices of them.
     """
 
     def __init__(self, data: Dataset, configs: list[TrainConfig]):
@@ -456,14 +480,25 @@ class _Stack:
             self.shuffle_rngs.append(shuffle_rng)
             self.action_rngs.append(action_rng)
         self.train_idx = np.stack(train_idx)
-        self.params = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
-        self.opt = (_Adam(self.params, lead.primal_lr) if lead.optimizer == "adam"
-                    else _Sgd(self.params, lead.primal_lr))
+        stacked = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
+        self.shapes = [p.shape[1:] for p in stacked]
+        self.flat = _flatten(stacked)
+        self._bind()
+        self.opt = (_Adam(self.flat, lead.primal_lr) if lead.optimizer == "adam"
+                    else _Sgd(self.flat, lead.primal_lr))
         self.slot = np.arange(len(configs))  # position of each replica in configs
         self.lam = np.full(len(configs), lead.lambda_init)
         self.budget = np.array([cfg.budget for cfg in configs])
         self.tau_r = np.array([cfg.robust.effective_tau_reward for cfg in configs])
         self.tau_c = np.array([cfg.robust.effective_tau_cost for cfg in configs])
+
+    def _bind(self) -> None:
+        """Point the per-layer parameter arrays at their columns of self.flat."""
+        self.params, start = [], 0
+        for shape in self.shapes:
+            size = math.prod(shape)
+            self.params.append(self.flat[:, start:start + size].reshape(-1, *shape))
+            start += size
 
     def run(self) -> list[Outcome]:
         for epoch in range(self.config.epochs):
@@ -484,10 +519,10 @@ class _Stack:
             keep[k] = False
         self.slot, self.lam, self.budget = self.slot[keep], self.lam[keep], self.budget[keep]
         self.tau_r, self.tau_c = self.tau_r[keep], self.tau_c[keep]
-        self.train_idx, self.order = self.train_idx[keep], self.order[keep]
-        self.params = [p[keep] for p in self.params]
+        self.train_idx, self.flat = self.train_idx[keep], self.flat[keep]
+        self._bind()
         self.opt.keep(keep)
-        self.stats = {name: value[keep] for name, value in self.stats.items()}
+        self.rows = {name: value[keep] for name, value in self.rows.items()}
         kept = np.flatnonzero(keep)
         for name in ("val_sets", "shuffle_rngs", "action_rngs"):
             setattr(self, name, [getattr(self, name)[k] for k in kept])
@@ -495,25 +530,36 @@ class _Stack:
 
     def _epoch(self, epoch: int) -> None:
         cfg = self.config
-        n_train = self.train_idx.shape[1]
-        self.order = np.stack([idx[rng.permutation(n_train)]
-                               for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
+        n_rep, n_train = self.train_idx.shape
+        order = np.stack([idx[rng.permutation(n_train)]
+                          for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
+        correct, cost = self.correct.take(order, axis=0), self.cost.take(order, axis=0)
+        r0, dr, c0, dc = _gaps(correct, cost)
         n_batches = -(-n_train // cfg.batch_size)
-        n_rep = self.slot.size
-        self.stats = {
-            "reward_sum": np.zeros(n_rep), "cost_sum": np.zeros(n_rep),
-            "wr_lo": np.full(n_rep, math.inf), "wr_hi": np.full(n_rep, -math.inf),
-            "wc_lo": np.full(n_rep, math.inf), "wc_hi": np.full(n_rep, -math.inf),
+        # every replica's training rows in this epoch's order; each batch
+        # reads a slice and fills its slice of exp_r, exp_c, w_r and w_c,
+        # whose statistics are reduced once the epoch is done
+        self.rows = {
+            "x": self.features.take(order, axis=0), "correct": correct, "cost": cost,
+            "r0": r0, "dr": dr, "c0": c0, "dc": dc,
+            "exp_r": np.empty((n_rep, n_train)), "exp_c": np.empty((n_rep, n_train)),
+            "w_r": np.empty((n_rep, n_train)), "w_c": np.empty((n_rep, n_train)),
             "batch_costs": np.empty((n_rep, n_batches)),
         }
         for b in range(n_batches):
-            self._batch(f"epoch {epoch} batch {b}", b)
+            self._batch(epoch, b)
             if not self.slot.size:
                 return
-        st = self.stats
+        rows = self.rows
         if cfg.dual_update_per_epoch:
-            self.lam = dual_update(self.lam, cfg.dual_lr, st["batch_costs"].mean(axis=1),
+            self.lam = dual_update(self.lam, cfg.dual_lr,
+                                   np.add.reduce(rows["batch_costs"], axis=1) / n_batches,
                                    self.budget, cfg.beta)
+        # the running sum of per-batch means, in batch order
+        train_reward = np.cumsum(_batch_means(rows["exp_r"], cfg.batch_size), axis=1)[:, -1]
+        train_cost = np.cumsum(_batch_means(rows["exp_c"], cfg.batch_size), axis=1)[:, -1]
+        wr_lo, wc_lo = (np.minimum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
+        wr_hi, wc_hi = (np.maximum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
 
         for k, slot in enumerate(self.slot):
             snapshot = _rebuild(self.kind, [p[k] for p in self.params])
@@ -522,75 +568,73 @@ class _Stack:
             self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
             self.histories[slot].append(EpochRecord(
                 epoch=epoch,
-                train_reward=float(st["reward_sum"][k] / n_batches),
-                train_cost=float(st["cost_sum"][k] / n_batches),
+                train_reward=float(train_reward[k] / n_batches),
+                train_cost=float(train_cost[k] / n_batches),
                 lam=lam,
                 val_accuracy=val_metrics.accuracy,
                 val_cost=val_metrics.realized_cost,
                 reasoning_fraction=val_metrics.reasoning_fraction,
-                reward_weight_range=(float(st["wr_lo"][k]), float(st["wr_hi"][k])),
-                cost_weight_range=(float(st["wc_lo"][k]), float(st["wc_hi"][k])),
+                reward_weight_range=(float(wr_lo[k]), float(wr_hi[k])),
+                cost_weight_range=(float(wc_lo[k]), float(wc_hi[k])),
             ))
 
-    def _batch(self, where: str, b: int) -> None:
+    def _batch(self, epoch: int, b: int) -> None:
         cfg = self.config
-        idx = self.order[:, b * cfg.batch_size: (b + 1) * cfg.batch_size]
+        cut = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
 
         # step 1: per-instance reward/cost summaries under the current policy
-        u, acts = _forward(self.params, self.kind, self.features[idx])
-        finite = np.isfinite(u).all(axis=1)
-        if not finite.all():
-            keep = self._drop({k: f"non-finite logit in {where}"
+        u, acts = _forward(self.params, self.kind, self.rows["x"][:, cut])
+        finite = np.logical_and.reduce(np.isfinite(u), axis=1)
+        if not np.logical_and.reduce(finite):
+            keep = self._drop({k: f"non-finite logit in epoch {epoch} batch {b}"
                                for k in np.flatnonzero(~finite)})
             if not self.slot.size:
                 return
-            idx, u, acts = idx[keep], u[keep], tuple(a[keep] for a in acts)
-        x, r, c = acts[0], self.correct[idx], self.cost[idx]
+            u, acts = u[keep], tuple(a[keep] for a in acts)
+        rows = self.rows
+        dr, c0, dc = rows["dr"][:, cut], rows["c0"][:, cut], rows["dc"][:, cut]
         p = sigmoid(u)
-        dr, dc, exp_r, exp_c = _expectations(r, c, p)
+        exp_r = np.add(rows["r0"][:, cut], p * dr, out=rows["exp_r"][:, cut])
+        exp_c = np.add(c0, p * dc, out=rows["exp_c"][:, cut])
         if cfg.sample_weight_inputs:
-            draws = np.stack([rng.random(idx.shape[1]) for rng in self.action_rngs])
+            draws = np.stack([rng.random(u.shape[1]) for rng in self.action_rngs])
             act = draws < p
+            r, c = rows["correct"][:, cut], rows["cost"][:, cut]
             f_r = np.where(act, r[..., 1], r[..., 0])
             f_c = np.where(act, c[..., 1], c[..., 0])
         else:
             f_r, f_c = exp_r, exp_c
 
         # step 2: adversarial tilts (uniform where tau = inf)
-        w_r = _tilt(f_r, self.tau_r, "worst_low")
-        w_c = _tilt(f_c, self.tau_c, "worst_high")
-        st = self.stats
-        st["wr_lo"] = np.minimum(st["wr_lo"], w_r.min(axis=1))
-        st["wr_hi"] = np.maximum(st["wr_hi"], w_r.max(axis=1))
-        st["wc_lo"] = np.minimum(st["wc_lo"], w_c.min(axis=1))
-        st["wc_hi"] = np.maximum(st["wc_hi"], w_c.max(axis=1))
+        w_r = rows["w_r"][:, cut] = _tilt(f_r, self.tau_r, "worst_low")
+        w_c = rows["w_c"][:, cut] = _tilt(f_c, self.tau_c, "worst_high")
 
         # step 3: one ascent step on the reweighted objective; the parameters
         # are those of step 1, so its logits and probabilities are reused
         value, grads = _objective(self.params, self.kind, acts, u, p, dr, dc,
                                   exp_r, exp_c, w_r, w_c, self.lam, cfg.beta)
-        self.opt.ascend(self.params, grads)
+        self.opt.ascend(self.flat, _flatten(grads))
 
         # step 4: projected dual step on the tilt-weighted cost of the
         # updated policy
-        u_new, _ = _forward(self.params, self.kind, x)
+        u_new, _ = _forward(self.params, self.kind, acts[0])
         p_new = sigmoid(u_new)
-        weighted_cost = np.mean(w_c * (c[..., 0] + p_new * dc), axis=1)
+        weighted_cost = np.add.reduce(w_c * (c0 + p_new * dc), axis=1) / u.shape[1]
         if cfg.dual_update_per_epoch:
-            st["batch_costs"][:, b] = weighted_cost
+            rows["batch_costs"][:, b] = weighted_cost
         else:
             self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
-        st["reward_sum"] += exp_r.mean(axis=1)
-        st["cost_sum"] += exp_c.mean(axis=1)
 
         # checked last: a failed replica leaves the stack here and what it
         # computed after its failure goes with it, so its outcome is the
         # error its solo run raises at this point
-        value_ok, logit_ok = np.isfinite(value), np.isfinite(u_new).all(axis=1)
-        if not (value_ok.all() and logit_ok.all()):
-            self._drop({k: (f"non-finite objective value in {where}" if not value_ok[k]
+        ok = np.isfinite(value) & np.logical_and.reduce(np.isfinite(u_new), axis=1)
+        if not np.logical_and.reduce(ok):
+            where = f"epoch {epoch} batch {b}"
+            self._drop({k: (f"non-finite objective value in {where}"
+                            if not math.isfinite(value[k])
                             else f"non-finite logit after update in {where}")
-                        for k in np.flatnonzero(~(value_ok & logit_ok))})
+                        for k in np.flatnonzero(~ok)})
 
 
 def select_checkpoint(checkpoints: Sequence[Checkpoint], budget: float) -> Checkpoint:

@@ -13,7 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from racer.core import ParseError, ValidationError
+from racer.core import ParseError, ValidationError, evaluate_policy, sigmoid
+from racer.saddle import dual_update
+from racer.trainer import (
+    Checkpoint,
+    EpochRecord,
+    TrainingDivergenceError,
+    TrainResult,
+    _params,
+    _rebuild,
+    init_policy,
+    select_checkpoint,
+)
 
 
 def _kl_rows(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -405,3 +416,254 @@ def row_save(instances, path, format) -> None:
                    repr(inst.cost_raw[0]), repr(inst.cost_raw[1]),
                    inst.tag or ""]
             )
+
+
+# Reference trainer step: the stacked primal-dual trainer as it ran with a
+# fancy-index gather per batch (features[idx], correct[idx], cost[idx]), one
+# Adam update per parameter array, numpy's mean/max/all wrappers and running
+# per-batch sums of the epoch statistics. Tests hold `racer.trainer.train`
+# bitwise equal to `stack_train` on every config group.
+
+def row_tilt_weights(values, tau, direction):
+    """Batch-mean tilt of a vector (finite tau) or of each row of a 2-d
+    array (tau per row or one for all); returns (weights, anchors)."""
+    f = np.asarray(values, dtype=np.float64)
+    t = tau if f.ndim == 1 else np.asarray(tau, dtype=np.float64).reshape(-1, 1)
+    mean = f.mean(axis=-1, keepdims=True)
+    s = (mean - f) / t if direction == "worst_low" else (f - mean) / t
+    w = np.exp(s - s.max(axis=-1, keepdims=True))
+    w /= w.mean(axis=-1, keepdims=True)
+    return w, mean[..., 0]
+
+
+def _ref_softplus(x):
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+
+def _ref_forward(params, kind, x):
+    if kind == "linear":
+        return (x @ params[0][:, :, None])[..., 0] + params[1], (x,)
+    acts = [x]
+    h = x
+    for w, b in zip(params[0:-2:2], params[1:-2:2]):
+        h = np.maximum(h @ w.transpose(0, 2, 1) + b[:, None, :], 0.0)
+        acts.append(h)
+    u = (h @ params[-2].transpose(0, 2, 1) + params[-1][:, None, :])[..., 0]
+    return u, tuple(acts)
+
+
+def _ref_backward(params, kind, acts, gu):
+    if kind == "linear":
+        (x,) = acts
+        return [(x.transpose(0, 2, 1) @ gu[..., None])[..., 0],
+                gu.sum(axis=1, keepdims=True)]
+    grads = [None] * len(params)
+    delta = gu[..., None]
+    for i in range(len(params) // 2 - 1, -1, -1):
+        grads[2 * i] = delta.transpose(0, 2, 1) @ acts[i]
+        grads[2 * i + 1] = delta.sum(axis=1)
+        if i > 0:
+            delta = (delta @ params[2 * i]) * (acts[i] > 0)
+    return grads
+
+
+def _ref_objective(params, kind, acts, u, p, dr, dc, exp_r, exp_c, wr, wc, lam, beta):
+    lam = lam[:, None]
+    entropy = p * _ref_softplus(-u) + (1.0 - p) * _ref_softplus(u)
+    value = np.mean(wr * exp_r - lam * wc * exp_c + beta * entropy, axis=1)
+    gu = (wr * dr - lam * wc * dc - beta * u) * p * (1.0 - p) / u.shape[1]
+    return value, _ref_backward(params, kind, acts, gu)
+
+
+class _RefAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def ascend(self, params, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for i, g in enumerate(grads):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            params[i] += self.lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
+
+    def keep(self, rows):
+        self.m = [m[rows] for m in self.m]
+        self.v = [v[rows] for v in self.v]
+
+
+class _RefSgd:
+    def __init__(self, params, lr):
+        self.lr = lr
+
+    def ascend(self, params, grads):
+        for i, g in enumerate(grads):
+            params[i] += self.lr * g
+
+    def keep(self, rows):
+        pass
+
+
+def _ref_tilt(f, tau, direction):
+    if np.isinf(tau).all():
+        return np.ones(f.shape)
+    return row_tilt_weights(f, tau, direction)[0]
+
+
+def stack_train(data, configs):
+    """One outcome per config, in order: its TrainResult or the
+    TrainingDivergenceError it raises; configs differ only in budget, seed
+    and robust."""
+    return _RefStack(data, list(configs)).run()
+
+
+class _RefStack:
+    def __init__(self, data, configs):
+        lead = configs[0]
+        n = len(data)
+        n_val = int(round(lead.val_fraction * n))
+        self.config, self.kind = lead, lead.policy_kind
+        self.features, self.correct, self.cost = data.features, data.correct, data.cost
+        self.outcomes = [None] * len(configs)
+        self.histories = [[] for _ in configs]
+        self.checkpoints = [[] for _ in configs]
+        self.configs = configs
+        train_idx, self.val_sets, policies = [], [], []
+        self.shuffle_rngs, self.action_rngs = [], []
+        for cfg in configs:
+            split_rng, init_rng, shuffle_rng, action_rng = (
+                np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
+            )
+            perm = split_rng.permutation(n)
+            train_idx.append(perm[: n - n_val])
+            self.val_sets.append(data.subset(perm[n - n_val:]))
+            policies.append(init_policy(lead.policy_kind, data.n_features, lead.hidden,
+                                        init_rng, bias=lead.init_bias))
+            self.shuffle_rngs.append(shuffle_rng)
+            self.action_rngs.append(action_rng)
+        self.train_idx = np.stack(train_idx)
+        self.params = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
+        self.opt = (_RefAdam(self.params, lead.primal_lr) if lead.optimizer == "adam"
+                    else _RefSgd(self.params, lead.primal_lr))
+        self.slot = np.arange(len(configs))
+        self.lam = np.full(len(configs), lead.lambda_init)
+        self.budget = np.array([cfg.budget for cfg in configs])
+        self.tau_r = np.array([cfg.robust.effective_tau_reward for cfg in configs])
+        self.tau_c = np.array([cfg.robust.effective_tau_cost for cfg in configs])
+
+    def run(self):
+        for epoch in range(self.config.epochs):
+            if not self.slot.size:
+                break
+            self._epoch(epoch)
+        for slot in self.slot:
+            best = select_checkpoint(self.checkpoints[slot], self.configs[slot].budget)
+            self.outcomes[slot] = TrainResult(best, tuple(self.histories[slot]),
+                                              tuple(self.checkpoints[slot]))
+        return self.outcomes
+
+    def _drop(self, failed):
+        keep = np.ones(self.slot.size, dtype=bool)
+        for k, message in failed.items():
+            self.outcomes[self.slot[k]] = TrainingDivergenceError(message)
+            keep[k] = False
+        self.slot, self.lam, self.budget = self.slot[keep], self.lam[keep], self.budget[keep]
+        self.tau_r, self.tau_c = self.tau_r[keep], self.tau_c[keep]
+        self.train_idx, self.order = self.train_idx[keep], self.order[keep]
+        self.params = [p[keep] for p in self.params]
+        self.opt.keep(keep)
+        self.stats = {name: value[keep] for name, value in self.stats.items()}
+        kept = np.flatnonzero(keep)
+        for name in ("val_sets", "shuffle_rngs", "action_rngs"):
+            setattr(self, name, [getattr(self, name)[k] for k in kept])
+        return keep
+
+    def _epoch(self, epoch):
+        cfg = self.config
+        n_train = self.train_idx.shape[1]
+        self.order = np.stack([idx[rng.permutation(n_train)]
+                               for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
+        n_batches = -(-n_train // cfg.batch_size)
+        n_rep = self.slot.size
+        self.stats = {
+            "reward_sum": np.zeros(n_rep), "cost_sum": np.zeros(n_rep),
+            "wr_lo": np.full(n_rep, math.inf), "wr_hi": np.full(n_rep, -math.inf),
+            "wc_lo": np.full(n_rep, math.inf), "wc_hi": np.full(n_rep, -math.inf),
+            "batch_costs": np.empty((n_rep, n_batches)),
+        }
+        for b in range(n_batches):
+            self._batch(f"epoch {epoch} batch {b}", b)
+            if not self.slot.size:
+                return
+        st = self.stats
+        if cfg.dual_update_per_epoch:
+            self.lam = dual_update(self.lam, cfg.dual_lr, st["batch_costs"].mean(axis=1),
+                                   self.budget, cfg.beta)
+        for k, slot in enumerate(self.slot):
+            snapshot = _rebuild(self.kind, [p[k] for p in self.params])
+            val_metrics = evaluate_policy(snapshot, self.val_sets[k], mode="expected")
+            lam = float(self.lam[k])
+            self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
+            self.histories[slot].append(EpochRecord(
+                epoch=epoch,
+                train_reward=float(st["reward_sum"][k] / n_batches),
+                train_cost=float(st["cost_sum"][k] / n_batches),
+                lam=lam,
+                val_accuracy=val_metrics.accuracy,
+                val_cost=val_metrics.realized_cost,
+                reasoning_fraction=val_metrics.reasoning_fraction,
+                reward_weight_range=(float(st["wr_lo"][k]), float(st["wr_hi"][k])),
+                cost_weight_range=(float(st["wc_lo"][k]), float(st["wc_hi"][k])),
+            ))
+
+    def _batch(self, where, b):
+        cfg = self.config
+        idx = self.order[:, b * cfg.batch_size: (b + 1) * cfg.batch_size]
+        u, acts = _ref_forward(self.params, self.kind, self.features[idx])
+        finite = np.isfinite(u).all(axis=1)
+        if not finite.all():
+            keep = self._drop({k: f"non-finite logit in {where}"
+                               for k in np.flatnonzero(~finite)})
+            if not self.slot.size:
+                return
+            idx, u, acts = idx[keep], u[keep], tuple(a[keep] for a in acts)
+        x, r, c = acts[0], self.correct[idx], self.cost[idx]
+        p = sigmoid(u)
+        dr = r[..., 1] - r[..., 0]
+        dc = c[..., 1] - c[..., 0]
+        exp_r, exp_c = r[..., 0] + p * dr, c[..., 0] + p * dc
+        if cfg.sample_weight_inputs:
+            draws = np.stack([rng.random(idx.shape[1]) for rng in self.action_rngs])
+            act = draws < p
+            f_r = np.where(act, r[..., 1], r[..., 0])
+            f_c = np.where(act, c[..., 1], c[..., 0])
+        else:
+            f_r, f_c = exp_r, exp_c
+        w_r = _ref_tilt(f_r, self.tau_r, "worst_low")
+        w_c = _ref_tilt(f_c, self.tau_c, "worst_high")
+        st = self.stats
+        st["wr_lo"] = np.minimum(st["wr_lo"], w_r.min(axis=1))
+        st["wr_hi"] = np.maximum(st["wr_hi"], w_r.max(axis=1))
+        st["wc_lo"] = np.minimum(st["wc_lo"], w_c.min(axis=1))
+        st["wc_hi"] = np.maximum(st["wc_hi"], w_c.max(axis=1))
+        value, grads = _ref_objective(self.params, self.kind, acts, u, p, dr, dc,
+                                      exp_r, exp_c, w_r, w_c, self.lam, cfg.beta)
+        self.opt.ascend(self.params, grads)
+        u_new, _ = _ref_forward(self.params, self.kind, x)
+        p_new = sigmoid(u_new)
+        weighted_cost = np.mean(w_c * (c[..., 0] + p_new * dc), axis=1)
+        if cfg.dual_update_per_epoch:
+            st["batch_costs"][:, b] = weighted_cost
+        else:
+            self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
+        st["reward_sum"] += exp_r.mean(axis=1)
+        st["cost_sum"] += exp_c.mean(axis=1)
+        value_ok, logit_ok = np.isfinite(value), np.isfinite(u_new).all(axis=1)
+        if not (value_ok.all() and logit_ok.all()):
+            self._drop({k: (f"non-finite objective value in {where}" if not value_ok[k]
+                            else f"non-finite logit after update in {where}")
+                        for k in np.flatnonzero(~(value_ok & logit_ok))})

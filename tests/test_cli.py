@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from racer.cli import main
 from racer.core import LinearPolicy, evaluate_policy, load_dataset, save_dataset
 from racer.evalbench import PRESET_SCENARIOS, shift_scenarios
+from racer.reweight import tilt_weights
 from racer.saddle import random_problem
 from racer.trainer import save_model
 
@@ -155,6 +158,76 @@ def model_texts(draw):
     return data
 
 
+CONFIG = {"budget": 2.0, "epochs": 2, "batch_size": 16, "lr": 1e-2, "dual_lr": 0.05,
+          "seed": 1, "tau_r": 1.0, "tau_c": "inf", "mode": "racer", "beta": 0.005,
+          "val_fraction": 0.2, "policy": "feedforward", "hidden": [4],
+          "optimizer": "adam", "lambda_init": 0.0, "init_bias": 0.0}
+
+# junk that keeps a run small: no large epoch counts or hidden widths
+_small_junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400), 0.5, 1e-320, 1e300, -1.0]),
+    st.floats(-4.0, 4.0), st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.lists(st.integers(-2, 4), max_size=2), st.lists(st.floats(-2.0, 2.0), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _junk_text(draw, payload):
+    """json text of payload, sometimes wrapped in a list, truncated or
+    followed by bytes that are not UTF-8."""
+    if draw(st.integers(0, 9)) == 0:
+        payload = [payload]
+    data = json.dumps(payload).encode()
+    if draw(st.integers(0, 6)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    if draw(st.integers(0, 9)) == 0:
+        data += b"\xff\xfe"
+    return data
+
+
+@st.composite
+def config_texts(draw):
+    """Bytes of a config file: a small valid config with some keys dropped
+    or given junk values."""
+    payload = dict(CONFIG)
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del payload[key]
+        else:
+            payload[key] = draw(_small_junk)
+    return _junk_text(draw, payload)
+
+
+SCENARIO = json.loads((SCENARIOS / "shift_up.json").read_text())
+SCENARIO["shift"] = {"light": 0.3, "heavy": 0.7}
+DOMAIN_FIELDS = sorted(SCENARIO["domains"][0])
+
+
+@st.composite
+def scenario_texts(draw):
+    """Bytes of a scenario file: a valid two-domain scenario with some
+    fields of the scenario or its domains dropped or given junk values."""
+    payload = json.loads(json.dumps(SCENARIO))
+    targets = [(payload, key) for key in sorted(SCENARIO)]
+    targets += [(d, key) for d in payload["domains"] for key in DOMAIN_FIELDS]
+    for i in draw(st.lists(st.integers(0, len(targets) - 1), max_size=3, unique=True)):
+        record, key = targets[i]
+        if draw(st.booleans()):
+            record.pop(key, None)
+        else:
+            record[key] = draw(_small_junk)
+    return _junk_text(draw, payload)
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "data.jsonl"
+    assert run("gen-synth", "--regime", "separable3", "--n", 60, "--seed", 2,
+               "--out", path) == 0
+    return path
+
+
 @pytest.fixture()
 def data_file(tmp_path):
     path = tmp_path / "data.jsonl"
@@ -182,6 +255,49 @@ class TestGenSynth:
 
     def test_unknown_regime(self, tmp_path):
         assert run("gen-synth", "--regime", "nope", "--out", tmp_path / "x") == 1
+
+    @pytest.mark.parametrize("flag", ["--n=0", "--seed=-1"])
+    def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, flag):
+        assert run("gen-synth", "--regime", "separable3", flag, "--out", tmp_path / "x") == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff\xfe{}", "not a JSON file"),
+        (b"[1]", "expected a JSON object, got list"),
+        (b"{bad", "not a JSON file"),
+        (json.dumps({**SCENARIO, "n": "x"}).encode(), "field 'n' is not an integer"),
+        (json.dumps({**SCENARIO, "seed": -1}).encode(), "seed must be non-negative"),
+        (json.dumps({**SCENARIO, "domains": 3}).encode(), "field 'domains' is not a list"),
+        (json.dumps({**SCENARIO, "domains": [
+            {**SCENARIO["domains"][0], "feature_mean": "ab"}, SCENARIO["domains"][1]]}).encode(),
+         "domain 0: field 'feature_mean' is not a list of numbers"),
+        (json.dumps({**SCENARIO, "domains": [
+            {**SCENARIO["domains"][0], "weight": None}, SCENARIO["domains"][1]]}).encode(),
+         "domain 0: field 'weight' is not a number"),
+        (json.dumps({**SCENARIO, "domains": [SCENARIO["domains"][0]]}).encode(),
+         "must sum to 1"),
+        (json.dumps({**SCENARIO, "shift": {"light": 1.0}}).encode(),
+         "shift gives no weight for domain 'heavy'"),
+    ], ids=["not-utf8", "list", "truncated", "text-n", "negative-seed", "domains-number",
+            "text-feature-mean", "null-weight", "weights-sum", "partial-shift"])
+    def test_bad_scenario_file_is_data_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "s.json"
+        path.write_bytes(text)
+        assert run("gen-synth", "--scenario", path, "--n", 20, "--out", tmp_path / "d") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=scenario_texts(), apply_shift=st.booleans())
+    def test_fuzzed_scenario_file_never_escapes(self, text, apply_shift):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            path.write_bytes(text)
+            argv = ["gen-synth", "--scenario", path, "--n", 30, "--out", Path(tmp) / "d.jsonl"]
+            code, err = run_quietly(*argv, *(["--apply-shift"] if apply_shift else []))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
 
 
 class TestTrain:
@@ -252,6 +368,52 @@ class TestTrain:
         assert run("train", "--data", data_file, "--budget", 2, "--epochs", 3,
                    "--seed", 9, "--out", out2) == 0
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
+
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("text, message", [
+        ('{"beta": "x"}', "field 'beta': could not convert string to float"),
+        ('{"hidden": 5}', "field 'hidden'"),
+        ('{"hidden": [0]}', "field 'hidden': hidden widths must be positive"),
+        ('{"seed": -1}', "field 'seed': seed must be non-negative"),
+        ('{"tau_r": null}', "field 'tau_r'"),
+        ('{"epochs": 1e400}', "field 'epochs'"),
+        ('{"mode": "robust"}', "field 'mode': mode must be one of"),
+        ('[1]', "expected a JSON object, got list"),
+        ('{bad', "not a JSON file"),
+        ('\udcff', "not a JSON file"),
+    ], ids=["text-beta", "number-hidden", "zero-hidden", "negative-seed", "null-tau",
+            "infinite-epochs", "unknown-mode", "list", "truncated", "not-utf8"])
+    def test_bad_config_file_is_data_error(self, data_file, tmp_path, capsys, command,
+                                           text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
+        source = (["--data", data_file, "--budget", 2] if command == "train"
+                  else ["--train-data", data_file, "--budgets", 2, "--repeats", 1])
+        assert run(command, *source, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--budget=-1", "--epochs=0", "--seed=-1",
+                                      "--hidden=3,x", "--val-fraction=1"])
+    def test_bad_flag_is_usage_error(self, data_file, tmp_path, capsys, flag):
+        argv = ["train", "--data", data_file, "--budget", 2, "--policy", "feedforward"]
+        assert run(*argv, flag, "--out", tmp_path / "o") == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=config_texts())
+    def test_fuzzed_config_file_never_escapes(self, small_data, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_bytes(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code, err = run_quietly("train", "--data", small_data, "--config", cfg,
+                                        "--out", Path(tmp) / "o")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
 
 
 class TestEval:
@@ -610,3 +772,19 @@ class TestInspectWeights:
         w = np.array([float(r[2]) for r in rows])
         assert w[np.argmin(f)] >= w[np.argmax(f)]
         assert np.mean(w) == pytest.approx(1.0, abs=1e-12)
+
+    def test_model_cost_scale(self, data_file, tmp_path):
+        # a model trained on a split whose mean instruct cost is twice this file's
+        data = load_dataset(data_file)
+        policy = LinearPolicy(np.zeros(data.n_features), 0.0)
+        save_model(tmp_path / "model.json", policy, 2 * data.instruct_cost_mean)
+        out = tmp_path / "w.csv"
+        assert run("inspect-weights", "--data", data_file, "--model", tmp_path / "model.json",
+                   "--tau", 1, "--target", "cost", "--out", out) == 0
+        row = out.read_text().splitlines()[4].split(",")
+        scaled = data.with_cost_scale(2 * data.instruct_cost_mean)
+        f = scaled.cost[:, 0] + 0.5 * (scaled.cost[:, 1] - scaled.cost[:, 0])
+        assert (float(row[1]), float(row[2])) == (
+            f[0], tilt_weights(f, 1.0, "worst_high").weights[0])
+        own = data.cost[0, 0] + 0.5 * (data.cost[0, 1] - data.cost[0, 0])
+        assert float(row[1]) != own

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import binary_tilt_oracle, grid_worst_case
+from oracles import binary_tilt_oracle, grid_worst_case, row_tilt_weights
 
 from racer.reweight import (
     RobustConfig,
@@ -99,6 +102,26 @@ class TestTiltWeights:
             tilt_weights(np.array([[0.0, math.inf]]), 1.0, "worst_high")
         with pytest.raises(ValueError, match="non-empty"):
             tilt_weights(np.ones((2, 2, 2)), 1.0, "worst_high")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 5), n=st.integers(1, 300),
+           direction=st.sampled_from(["worst_low", "worst_high"]))
+    def test_bitwise_equal_to_wrapper_formula(self, data, rows, n, direction):
+        # rows = 0 draws a vector; values span many magnitudes and repeats
+        shape = (n,) if rows == 0 else (rows, n)
+        f = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e300]))))
+        taus = st.sampled_from([1e-300, 1e-3, 0.3, 1.0, 7.0, 1e300])
+        if rows == 0:
+            tau = data.draw(taus)
+        else:
+            tau = np.array(data.draw(st.lists(st.one_of(taus, st.just(math.inf)),
+                                              min_size=rows, max_size=rows)))
+        with np.errstate(all="ignore"):
+            got = tilt_weights(f, tau, direction)
+            weights, anchors = row_tilt_weights(f, tau, direction)
+        assert got.weights.tobytes() == weights.tobytes()
+        assert np.asarray(got.baseline).tobytes() == anchors.tobytes()
 
     def test_uniform_weights_take_a_shape(self):
         assert np.array_equal(uniform_weights((2, 3)).weights, np.ones((2, 3)))

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, stack_train
 
 from racer.core import Dataset, LinearPolicy, Metrics, ValidationError, evaluate_policy
 from racer.reweight import MODES, RobustConfig, uniform_weights
@@ -271,6 +271,31 @@ replica_draws = st.tuples(
 )
 
 
+def diverging_group(cause):
+    """A config group in which some replicas diverge and the others do not."""
+    if cause == "objective":
+        # a vanishing temperature turns the reward tilt into NaN weights
+        data = routing_dataset(seed=3, n=120)
+        base = TrainConfig(budget=2.0, epochs=3, batch_size=32, primal_lr=1e-2,
+                           dual_lr=0.05, robust=RobustConfig(tau_reward=1.0))
+        return data, [replace(base, seed=1),
+                      replace(base, seed=2, robust=RobustConfig(tau_reward=1e-320)),
+                      replace(base, seed=3, robust=RobustConfig(mode="acer"))]
+    # one huge feature overflows the logit of every replica that trains on
+    # it; the others hold it out for validation
+    data = Dataset([*routing_dataset(seed=4, n=99).instances,
+                    make_instance(99, [1e308, 0.0, 0.0], (1, 0), (100.0, 300.0))])
+    base = TrainConfig(budget=2.0, epochs=3, batch_size=16, primal_lr=10.0,
+                       dual_lr=0.05, val_fraction=0.5)
+    return data, [replace(base, seed=s) for s in range(8)]
+
+
+def outcome_bits(outcome):
+    if isinstance(outcome, TrainingDivergenceError):
+        return type(outcome), str(outcome)
+    return result_bits(outcome)
+
+
 class TestReplicaStack:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -295,22 +320,7 @@ class TestReplicaStack:
 
     @pytest.mark.parametrize("cause", ["objective", "logit"])
     def test_diverging_replica_fails_alone(self, cause):
-        if cause == "objective":
-            # a vanishing temperature turns the reward tilt into NaN weights
-            data = routing_dataset(seed=3, n=120)
-            base = TrainConfig(budget=2.0, epochs=3, batch_size=32, primal_lr=1e-2,
-                               dual_lr=0.05, robust=RobustConfig(tau_reward=1.0))
-            configs = [replace(base, seed=1),
-                       replace(base, seed=2, robust=RobustConfig(tau_reward=1e-320)),
-                       replace(base, seed=3, robust=RobustConfig(mode="acer"))]
-        else:
-            # one huge feature overflows the logit of every replica that
-            # trains on it; the others hold it out for validation
-            data = Dataset([*routing_dataset(seed=4, n=99).instances,
-                            make_instance(99, [1e308, 0.0, 0.0], (1, 0), (100.0, 300.0))])
-            base = TrainConfig(budget=2.0, epochs=3, batch_size=16, primal_lr=10.0,
-                               dual_lr=0.05, val_fraction=0.5)
-            configs = [replace(base, seed=s) for s in range(8)]
+        data, configs = diverging_group(cause)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             alone = [solo(data, c) for c in configs]
@@ -343,6 +353,43 @@ class TestReplicaStack:
             train(data, [])
         with pytest.raises(ValidationError, match="batch_size"):
             train(data, [replace(base, batch_size=200), replace(base, batch_size=200, seed=1)])
+
+
+class TestLeanStep:
+    """The stack gathers once per epoch, updates one flat parameter array
+    and reduces its statistics at epoch end; the reference gathers per
+    batch, updates each parameter array and keeps running sums."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(replicas=st.lists(replica_draws, min_size=1, max_size=5),
+           kind=st.sampled_from(["linear", "feedforward"]),
+           sampled=st.booleans(), per_epoch=st.booleans(),
+           optimizer=st.sampled_from(["adam", "sgd"]),
+           batch_size=st.sampled_from([8, 22, 24, 50]))
+    def test_bitwise_equal_to_reference(self, replicas, kind, sampled, per_epoch,
+                                        optimizer, batch_size):
+        # 88 training rows: batch sizes 8 and 22 divide them, 24 and 50 leave a tail
+        base = TrainConfig(budget=2.0, epochs=2, batch_size=batch_size, primal_lr=2e-2,
+                           dual_lr=0.1, policy_kind=kind, hidden=(5, 3),
+                           optimizer=optimizer, sample_weight_inputs=sampled,
+                           dual_update_per_epoch=per_epoch, val_fraction=0.2)
+        configs = [replace(base, budget=b, seed=s,
+                           robust=RobustConfig(tau_reward=tr, tau_cost=tc, mode=m))
+                   for b, s, m, tr, tc in replicas]
+        outcomes = train(STACK_DATA, configs)
+        expected = stack_train(STACK_DATA, configs)
+        assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
+
+    @pytest.mark.parametrize("cause", ["objective", "logit"])
+    def test_divergence_equal_to_reference(self, cause):
+        data, configs = diverging_group(cause)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            outcomes = train(data, configs)
+            expected = stack_train(data, configs)
+        assert any(isinstance(o, TrainingDivergenceError) for o in expected)
+        assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
 
 
 class TestSelectCheckpoint:
