@@ -54,7 +54,6 @@ from .trainer import (
     TrainConfig,
     TrainingDivergenceError,
     batch_objective,
-    entropy,
     load_model,
     save_model,
     select_checkpoint,

@@ -15,8 +15,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +32,17 @@ from .core import (
     save_dataset,
 )
 from .evalbench import (
-    CONSTANT_METHODS,
     DEFAULT_BUDGETS,
-    LEARNABLE_METHODS,
     PRESET_SCENARIOS,
     SweepCell,
     SweepFailure,
     SweepResult,
-    _run_sweep_cell,
+    _run_sweep_cell,  # noqa: F401  (bench/spans.py traces this name)
     baseline_policy,
     gen_synthetic,
     load_scenario,
-    split_units,
+    run_units,
+    sweep_units,
 )
 from .reweight import tilt_weights, uniform_weights
 from .saddle import (
@@ -95,12 +93,8 @@ def _write_manifest(path, command: str, config: dict, inputs, outputs, seed,
         "seed": seed,
         "duration_s": time.time() - started,
     }
-    _write_atomic(path, json.dumps(manifest, indent=1) + "\n")
-
-
-def _write_atomic(path, text: str) -> None:
     with atomic_open(path) as fh:
-        fh.write(text)
+        fh.write(json.dumps(manifest, indent=1) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -261,7 +255,8 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.json"
-    _write_atomic(metrics_path, json.dumps(metrics.to_dict(), indent=1) + "\n")
+    with atomic_open(metrics_path) as fh:
+        fh.write(json.dumps(metrics.to_dict(), indent=1) + "\n")
     config = {"model": args.model, "baseline": args.baseline, "data": args.data,
               "mode": args.mode, "seed": args.seed}
     _write_manifest(out / "manifest.json", "eval", config, inputs,
@@ -333,12 +328,14 @@ def cmd_sweep(args) -> int:
     budgets = _parse_floats(args.budgets) if args.budgets else DEFAULT_BUDGETS
     methods = tuple(m for m in (args.methods or "").split(",") if m) or (
         "racer", "all-instruct", "all-reasoning", "random")
-    for method in methods:
-        if method not in LEARNABLE_METHODS + CONSTANT_METHODS:
-            raise UsageError(f"unknown method {method!r}")
+    try:
+        units = sweep_units(budgets, methods, args.repeats, args.base_seed)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
     train_data, tests, inputs = _sweep_splits(args)
-    splits = {"train": train_data, **tests}
     out = Path(args.out)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
@@ -348,30 +345,17 @@ def cmd_sweep(args) -> int:
         {"template": template.to_dict(), "methods": list(methods),
          "inputs": input_digests}, sort_keys=True)
 
-    def unit_digest(budget, seed) -> str:
-        return hashlib.sha256(f"{base_blob}|{budget!r}|{seed}".encode()).hexdigest()
+    def cell_path(unit) -> tuple[Path, str]:
+        budget, seed = unit
+        digest = hashlib.sha256(f"{base_blob}|{budget!r}|{seed}".encode()).hexdigest()
+        return cells_dir / f"{digest}.json", digest
 
-    units = [(float(b), args.base_seed + r) for b in budgets for r in range(args.repeats)]
-    pending, done = [], []
-    for budget, seed in units:
-        digest = unit_digest(budget, seed)
-        cached = _read_cell(cells_dir / f"{digest}.json", digest) if args.resume else None
-        if cached is None:
-            pending.append((budget, seed))
-        else:
-            done.append(cached)
-
-    work = [(train_data, splits, group, methods, template)
-            for group in split_units(pending, args.workers)]
-    if len(work) > 1:
-        with ProcessPoolExecutor(max_workers=len(work)) as pool:
-            results = list(pool.map(_run_sweep_cell, work))
-    else:
-        results = [_run_sweep_cell(w) for w in work]
-
-    for (budget, seed), (got_cells, got_failures) in zip(
-            pending, (unit for group in results for unit in group)):
-        digest = unit_digest(budget, seed)
+    cached = [_read_cell(*cell_path(unit)) if args.resume else None for unit in units]
+    pending = [unit for unit, got in zip(units, cached) if got is None]
+    fresh = run_units(train_data, {"train": train_data, **tests}, pending, methods,
+                      template, args.workers)
+    for unit, (got_cells, got_failures) in zip(pending, fresh):
+        path, digest = cell_path(unit)
         payload = {
             "digest": digest,
             "cells": [
@@ -379,19 +363,12 @@ def cmd_sweep(args) -> int:
                  "split": c.split, **c.metrics.to_dict()}
                 for c in got_cells
             ],
-            "failures": [
-                {"method": f.method, "budget": f.budget, "seed": f.seed, "error": f.error}
-                for f in got_failures
-            ],
+            "failures": [asdict(f) for f in got_failures],
         }
-        _write_atomic(cells_dir / f"{digest}.json", json.dumps(payload, indent=1) + "\n")
-        done.append((got_cells, got_failures))
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(payload, indent=1) + "\n")
 
-    all_cells = [c for got_cells, _ in done for c in got_cells]
-    all_failures = [f for _, got_failures in done for f in got_failures]
-    all_cells.sort(key=lambda c: (c.method, c.budget, c.seed, c.split))
-    all_failures.sort(key=lambda f: (f.method, f.budget, f.seed))
-    result = SweepResult(tuple(all_cells), tuple(all_failures))
+    result = SweepResult.of_units([got for got in cached if got is not None] + fresh)
     raw_path = out / "sweep.csv"
     agg_path = out / "sweep_agg.csv"
     result.to_csv(raw_path)
@@ -465,9 +442,10 @@ def cmd_saddle_demo(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    _write_atomic(trace_path, "t,lambda_t,kl_to_star,bound_t\n" + "".join(
-        f"{t},{lam!r},{kl!r},{b!r}\n" for t, (lam, kl, b) in enumerate(
-            zip(trace.lambdas.tolist(), trace.kl_to_star.tolist(), bound.tolist()))))
+    with atomic_open(trace_path) as fh:
+        fh.write("t,lambda_t,kl_to_star,bound_t\n")
+        fh.writelines(f"{t},{lam!r},{kl!r},{b!r}\n" for t, (lam, kl, b) in enumerate(
+            zip(trace.lambdas.tolist(), trace.kl_to_star.tolist(), bound.tolist())))
     config = {"contexts": args.contexts, "seed": args.seed, "beta": args.beta,
               "budget": args.budget, "problem": args.problem,
               "lambda0": args.lambda0, "iters": args.iters}
@@ -590,8 +568,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="sweep")
     p.add_argument("--resume", action="store_true",
                    help="reuse per-cell outputs whose digests match")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("RACER_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=os.environ.get("RACER_WORKERS", "1"))
     p.add_argument("--budget", type=float, help=argparse.SUPPRESS)
     _add_train_flags(p)
     p.set_defaults(handler=cmd_sweep)

@@ -411,6 +411,15 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
     failures: tuple[SweepFailure, ...]
 
+    @classmethod
+    def of_units(cls, units) -> "SweepResult":
+        """The sorted cells and failures of (cells, failures) unit results."""
+        cells = sorted((c for got, _ in units for c in got),
+                       key=lambda c: (c.method, c.budget, c.seed, c.split))
+        failures = sorted((f for _, got in units for f in got),
+                          key=lambda f: (f.method, f.budget, f.seed))
+        return cls(tuple(cells), tuple(failures))
+
     def aggregate(self) -> list[AggregateRow]:
         groups: dict[tuple[str, float, str], list[Metrics]] = {}
         for cell in self.cells:
@@ -446,6 +455,25 @@ class SweepResult:
                          f"{r.accuracy_mean!r},{r.accuracy_std!r},"
                          f"{r.cost_mean!r},{r.cost_std!r},"
                          f"{r.reasoning_mean!r},{r.reasoning_std!r}\n")
+
+
+def sweep_units(budgets: Sequence[float], methods: Sequence[str], repeats: int,
+                base_seed: int) -> list[tuple[float, int]]:
+    """The (budget, seed) units of a sweep, budget-major: ``repeats`` seeds
+    from ``base_seed`` at each budget. ValidationError for an empty, unknown
+    or out-of-range argument, which would leave no unit able to run."""
+    if not budgets or not methods:
+        raise ValidationError("budgets and methods must be non-empty")
+    for method in methods:
+        if method not in LEARNABLE_METHODS + CONSTANT_METHODS:
+            raise ValidationError(f"unknown method {method!r}")
+    if not all(budget > 0 for budget in budgets):
+        raise ValidationError(f"budgets must be positive, got {list(budgets)}")
+    if repeats < 1:
+        raise ValidationError(f"repeats must be at least 1, got {repeats}")
+    if base_seed < 0:
+        raise ValidationError(f"base seed must be non-negative, got {base_seed}")
+    return [(float(budget), base_seed + rep) for budget in budgets for rep in range(repeats)]
 
 
 def split_units(units: Sequence, workers: int) -> list[list]:
@@ -503,29 +531,40 @@ def _run_sweep_cell(args):
 def _score_unit(splits, budget, seed, methods, trained, failures):
     cells: list[SweepCell] = []
     for method in methods:
-        if method in LEARNABLE_METHODS:
-            if method not in trained:
-                continue
-            policy = trained[method]
-            for split_name, split in splits.items():
-                cells.append(SweepCell(method, budget, seed, split_name,
-                                       evaluate_policy(policy, split, mode="expected")))
-        elif method == "random":
-            if "racer" not in trained:
-                failures.append(SweepFailure(method, budget, seed,
-                                             "random baseline needs a paired racer run"))
-                continue
-            for split_name, split in splits.items():
+        if method in LEARNABLE_METHODS and method not in trained:
+            continue  # its training failure is recorded
+        if method == "random" and "racer" not in trained:
+            failures.append(SweepFailure(method, budget, seed,
+                                         "random baseline needs a paired racer run"))
+            continue
+        for split_name, split in splits.items():
+            if method in LEARNABLE_METHODS:
+                policy = trained[method]
+            elif method == "random":
                 rate = evaluate_policy(trained["racer"], split, mode="expected").reasoning_fraction
                 policy = baseline_policy("random", rate)
-                cells.append(SweepCell(method, budget, seed, split_name,
-                                       evaluate_policy(policy, split, mode="expected")))
-        else:
-            policy = baseline_policy(method)
-            for split_name, split in splits.items():
-                cells.append(SweepCell(method, budget, seed, split_name,
-                                       evaluate_policy(policy, split, mode="expected")))
+            else:
+                policy = baseline_policy(method)
+            cells.append(SweepCell(method, budget, seed, split_name,
+                                   evaluate_policy(policy, split, mode="expected")))
     return cells, failures
+
+
+def run_units(train_data: Dataset, splits: Mapping[str, Dataset], units: Sequence,
+              methods: Sequence[str], template: TrainConfig, workers: int) -> list:
+    """One (cells, failures) pair per (budget, seed) unit, in order.
+
+    The units are split into ``workers`` contiguous groups, each trained as
+    one stack, in its own process when there are several.
+    """
+    work = [(train_data, splits, group, tuple(methods), template)
+            for group in split_units(units, workers)]
+    if len(work) > 1:
+        with ProcessPoolExecutor(max_workers=len(work)) as pool:
+            results = list(pool.map(_run_sweep_cell, work))
+    else:
+        results = [_run_sweep_cell(w) for w in work]
+    return [unit for group in results for unit in group]
 
 
 def run_sweep(train_data: Dataset, tests: Mapping[str, Dataset],
@@ -538,32 +577,12 @@ def run_sweep(train_data: Dataset, tests: Mapping[str, Dataset],
     ablation mode; each random-baseline evaluation is paired to the racer
     run of the same (budget, seed) via its per-split reasoning rate.
     Cells are independent; failures are recorded and the sweep continues.
-    The units are split into ``workers`` contiguous groups, each trained as
-    one stack (in its own process when there are several).
+    ``workers`` is as in ``run_units``.
     """
-    if not budgets or not methods:
-        raise ValidationError("budgets and methods must be non-empty")
-    for method in methods:
-        if method not in LEARNABLE_METHODS + CONSTANT_METHODS:
-            raise ValidationError(f"unknown method {method!r}")
+    units = sweep_units(budgets, methods, repeats, base_seed)
     if template is None:
         template = TrainConfig(budget=float(budgets[0]),
                                robust=RobustConfig(tau_reward=1.0, mode="racer"))
     splits = {"train": train_data, **dict(tests)}
-    units = [(float(budget), base_seed + rep) for budget in budgets for rep in range(repeats)]
-    cells: list[SweepCell] = []
-    failures: list[SweepFailure] = []
-    work = [(train_data, splits, group, tuple(methods), template)
-            for group in split_units(units, workers)]
-    if len(work) > 1:
-        with ProcessPoolExecutor(max_workers=len(work)) as pool:
-            results = list(pool.map(_run_sweep_cell, work))
-    else:
-        results = [_run_sweep_cell(w) for w in work]
-    for group in results:
-        for got_cells, got_failures in group:
-            cells.extend(got_cells)
-            failures.extend(got_failures)
-    cells.sort(key=lambda c: (c.method, c.budget, c.seed, c.split))
-    failures.sort(key=lambda f: (f.method, f.budget, f.seed))
-    return SweepResult(tuple(cells), tuple(failures))
+    return SweepResult.of_units(run_units(train_data, splits, units, methods, template,
+                                          workers))

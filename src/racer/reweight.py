@@ -30,7 +30,6 @@ class RobustConfig:
 
     tau_reward: float = math.inf
     tau_cost: float = math.inf
-    delta: float | None = None
     mode: str = "racer"
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class RobustConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive (or inf), got {value}")
-        if self.delta is not None and not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
 
     @property
     def effective_tau_reward(self) -> float:

@@ -141,12 +141,6 @@ def closed_form_policy(problem: TabularProblem, lam: float) -> TabularPolicy:
     return _tabular_policy(policy_matrix(problem, lam))
 
 
-def partition_values(problem: TabularProblem, lam: float) -> np.ndarray:
-    """Per-context partition function Q(z, lambda) of the closed-form softmax."""
-    _, _, m, z = _softmax_columns(problem, lam)
-    return np.exp(m) * z
-
-
 def dual_function(problem: TabularProblem, lam: float) -> tuple[float, float, float]:
     """d(lambda) together with its first and second derivatives, analytically.
 
@@ -212,7 +206,6 @@ class SaddleSolution:
     lambda_star: float
     pi_star: TabularPolicy
     dual_value: float
-    partition: np.ndarray
     pi_matrix: np.ndarray
 
 
@@ -244,8 +237,7 @@ def solve_saddle(problem: TabularProblem, tol: float = 1e-10,
             lam = step if lo < step < hi else 0.5 * (lo + hi)
     pi = policy_matrix(problem, lam)
     return SaddleSolution(lambda_star=lam, pi_star=_tabular_policy(pi),
-                          dual_value=dual_function(problem, lam)[0],
-                          partition=partition_values(problem, lam), pi_matrix=pi)
+                          dual_value=dual_function(problem, lam)[0], pi_matrix=pi)
 
 
 @dataclass(frozen=True)

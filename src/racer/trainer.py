@@ -64,8 +64,6 @@ class TrainConfig:
     policy_kind: str = "linear"
     hidden: tuple[int, ...] = (256, 128, 64)
     optimizer: str = "adam"
-    sample_weight_inputs: bool = False
-    dual_update_per_epoch: bool = False
 
     def __post_init__(self):
         if not self.budget > 0:
@@ -100,7 +98,6 @@ class TrainConfig:
             "robust": {
                 "tau_reward": num(self.robust.tau_reward),
                 "tau_cost": num(self.robust.tau_cost),
-                "delta": self.robust.delta,
                 "mode": self.robust.mode,
             },
             "epochs": self.epochs,
@@ -114,43 +111,11 @@ class TrainConfig:
             "policy_kind": self.policy_kind,
             "hidden": list(self.hidden),
             "optimizer": self.optimizer,
-            "sample_weight_inputs": self.sample_weight_inputs,
-            "dual_update_per_epoch": self.dual_update_per_epoch,
         }
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def config_from_dict(payload: dict) -> TrainConfig:
-    def num(x):
-        return math.inf if x == "inf" else x
-
-    robust = payload.get("robust", {})
-    return TrainConfig(
-        budget=payload["budget"],
-        beta=payload.get("beta", 0.005),
-        robust=RobustConfig(
-            tau_reward=num(robust.get("tau_reward", math.inf)),
-            tau_cost=num(robust.get("tau_cost", math.inf)),
-            delta=robust.get("delta"),
-            mode=robust.get("mode", "racer"),
-        ),
-        epochs=payload.get("epochs", 60),
-        batch_size=payload.get("batch_size", 64),
-        primal_lr=payload.get("primal_lr", 1e-4),
-        dual_lr=payload.get("dual_lr", 1e-3),
-        seed=payload.get("seed", 0),
-        val_fraction=payload.get("val_fraction", 0.1),
-        lambda_init=payload.get("lambda_init", 0.0),
-        init_bias=payload.get("init_bias", 0.0),
-        policy_kind=payload.get("policy_kind", "linear"),
-        hidden=tuple(payload.get("hidden", (256, 128, 64))),
-        optimizer=payload.get("optimizer", "adam"),
-        sample_weight_inputs=payload.get("sample_weight_inputs", False),
-        dual_update_per_epoch=payload.get("dual_update_per_epoch", False),
-    )
 
 
 @dataclass
@@ -190,17 +155,8 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# entropy and the objective
+# the objective
 # ---------------------------------------------------------------------------
-
-def entropy(p: float) -> float:
-    """Binary entropy -p log p - (1-p) log(1-p) in nats, 0 at the boundary."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
-
 
 def _params(policy: PolicySpec) -> list[np.ndarray]:
     if isinstance(policy, LinearPolicy):
@@ -399,8 +355,8 @@ def train(data: Dataset,
           config: TrainConfig | Sequence[TrainConfig]) -> TrainResult | list[Outcome]:
     """Run the full primal-dual loop and return the best checkpoint.
 
-    Deterministic in (data, config): splitting, initialization, shuffling
-    and optional action sampling all derive from config.seed.
+    Deterministic in (data, config): splitting, initialization and
+    shuffling all derive from config.seed.
 
     A sequence of configs that differ only in budget, seed and robust
     trains as one stack, each numpy call advancing every replica, and
@@ -466,11 +422,10 @@ class _Stack:
         self.checkpoints: list[list[Checkpoint]] = [[] for _ in configs]
         self.configs = configs
 
-        train_idx, self.val_sets, policies = [], [], []
-        self.shuffle_rngs, self.action_rngs = [], []
+        train_idx, self.val_sets, policies, self.shuffle_rngs = [], [], [], []
         for cfg in configs:
-            split_rng, init_rng, shuffle_rng, action_rng = (
-                np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
+            split_rng, init_rng, shuffle_rng = (
+                np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
             )
             perm = split_rng.permutation(n)
             train_idx.append(perm[: n - n_val])
@@ -478,7 +433,6 @@ class _Stack:
             policies.append(init_policy(lead.policy_kind, data.n_features, lead.hidden,
                                         init_rng, bias=lead.init_bias))
             self.shuffle_rngs.append(shuffle_rng)
-            self.action_rngs.append(action_rng)
         self.train_idx = np.stack(train_idx)
         stacked = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
         self.shapes = [p.shape[1:] for p in stacked]
@@ -524,8 +478,8 @@ class _Stack:
         self.opt.keep(keep)
         self.rows = {name: value[keep] for name, value in self.rows.items()}
         kept = np.flatnonzero(keep)
-        for name in ("val_sets", "shuffle_rngs", "action_rngs"):
-            setattr(self, name, [getattr(self, name)[k] for k in kept])
+        self.val_sets = [self.val_sets[k] for k in kept]
+        self.shuffle_rngs = [self.shuffle_rngs[k] for k in kept]
         return keep
 
     def _epoch(self, epoch: int) -> None:
@@ -533,28 +487,22 @@ class _Stack:
         n_rep, n_train = self.train_idx.shape
         order = np.stack([idx[rng.permutation(n_train)]
                           for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
-        correct, cost = self.correct.take(order, axis=0), self.cost.take(order, axis=0)
-        r0, dr, c0, dc = _gaps(correct, cost)
+        r0, dr, c0, dc = _gaps(self.correct.take(order, axis=0),
+                               self.cost.take(order, axis=0))
         n_batches = -(-n_train // cfg.batch_size)
         # every replica's training rows in this epoch's order; each batch
         # reads a slice and fills its slice of exp_r, exp_c, w_r and w_c,
         # whose statistics are reduced once the epoch is done
         self.rows = {
-            "x": self.features.take(order, axis=0), "correct": correct, "cost": cost,
-            "r0": r0, "dr": dr, "c0": c0, "dc": dc,
+            "x": self.features.take(order, axis=0), "r0": r0, "dr": dr, "c0": c0, "dc": dc,
             "exp_r": np.empty((n_rep, n_train)), "exp_c": np.empty((n_rep, n_train)),
             "w_r": np.empty((n_rep, n_train)), "w_c": np.empty((n_rep, n_train)),
-            "batch_costs": np.empty((n_rep, n_batches)),
         }
         for b in range(n_batches):
             self._batch(epoch, b)
             if not self.slot.size:
                 return
         rows = self.rows
-        if cfg.dual_update_per_epoch:
-            self.lam = dual_update(self.lam, cfg.dual_lr,
-                                   np.add.reduce(rows["batch_costs"], axis=1) / n_batches,
-                                   self.budget, cfg.beta)
         # the running sum of per-batch means, in batch order
         train_reward = np.cumsum(_batch_means(rows["exp_r"], cfg.batch_size), axis=1)[:, -1]
         train_cost = np.cumsum(_batch_means(rows["exp_c"], cfg.batch_size), axis=1)[:, -1]
@@ -596,18 +544,10 @@ class _Stack:
         p = sigmoid(u)
         exp_r = np.add(rows["r0"][:, cut], p * dr, out=rows["exp_r"][:, cut])
         exp_c = np.add(c0, p * dc, out=rows["exp_c"][:, cut])
-        if cfg.sample_weight_inputs:
-            draws = np.stack([rng.random(u.shape[1]) for rng in self.action_rngs])
-            act = draws < p
-            r, c = rows["correct"][:, cut], rows["cost"][:, cut]
-            f_r = np.where(act, r[..., 1], r[..., 0])
-            f_c = np.where(act, c[..., 1], c[..., 0])
-        else:
-            f_r, f_c = exp_r, exp_c
 
         # step 2: adversarial tilts (uniform where tau = inf)
-        w_r = rows["w_r"][:, cut] = _tilt(f_r, self.tau_r, "worst_low")
-        w_c = rows["w_c"][:, cut] = _tilt(f_c, self.tau_c, "worst_high")
+        w_r = rows["w_r"][:, cut] = _tilt(exp_r, self.tau_r, "worst_low")
+        w_c = rows["w_c"][:, cut] = _tilt(exp_c, self.tau_c, "worst_high")
 
         # step 3: one ascent step on the reweighted objective; the parameters
         # are those of step 1, so its logits and probabilities are reused
@@ -620,10 +560,7 @@ class _Stack:
         u_new, _ = _forward(self.params, self.kind, acts[0])
         p_new = sigmoid(u_new)
         weighted_cost = np.add.reduce(w_c * (c0 + p_new * dc), axis=1) / u.shape[1]
-        if cfg.dual_update_per_epoch:
-            rows["batch_costs"][:, b] = weighted_cost
-        else:
-            self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
+        self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
 
         # checked last: a failed replica leaves the stack here and what it
         # computed after its failure goes with it, so its outcome is the

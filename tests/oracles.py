@@ -162,12 +162,6 @@ def saddle_policy_matrix(problem, lam):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def saddle_partition_values(problem, lam):
-    logits = _saddle_logits(problem, lam)
-    m = logits.max(axis=1)
-    return np.exp(m) * np.exp(logits - m[:, None]).sum(axis=1)
-
-
 def saddle_dual_function(problem, lam):
     logits = _saddle_logits(problem, lam)
     m = logits.max(axis=1)
@@ -533,9 +527,11 @@ class _RefStack:
         self.checkpoints = [[] for _ in configs]
         self.configs = configs
         train_idx, self.val_sets, policies = [], [], []
-        self.shuffle_rngs, self.action_rngs = [], []
+        self.shuffle_rngs = []
         for cfg in configs:
-            split_rng, init_rng, shuffle_rng, action_rng = (
+            # four children, of which the library spawns the first three:
+            # spawn(3) must hand out bitwise these generators
+            split_rng, init_rng, shuffle_rng, _ = (
                 np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
             )
             perm = split_rng.permutation(n)
@@ -544,7 +540,6 @@ class _RefStack:
             policies.append(init_policy(lead.policy_kind, data.n_features, lead.hidden,
                                         init_rng, bias=lead.init_bias))
             self.shuffle_rngs.append(shuffle_rng)
-            self.action_rngs.append(action_rng)
         self.train_idx = np.stack(train_idx)
         self.params = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
         self.opt = (_RefAdam(self.params, lead.primal_lr) if lead.optimizer == "adam"
@@ -578,7 +573,7 @@ class _RefStack:
         self.opt.keep(keep)
         self.stats = {name: value[keep] for name, value in self.stats.items()}
         kept = np.flatnonzero(keep)
-        for name in ("val_sets", "shuffle_rngs", "action_rngs"):
+        for name in ("val_sets", "shuffle_rngs"):
             setattr(self, name, [getattr(self, name)[k] for k in kept])
         return keep
 
@@ -593,16 +588,12 @@ class _RefStack:
             "reward_sum": np.zeros(n_rep), "cost_sum": np.zeros(n_rep),
             "wr_lo": np.full(n_rep, math.inf), "wr_hi": np.full(n_rep, -math.inf),
             "wc_lo": np.full(n_rep, math.inf), "wc_hi": np.full(n_rep, -math.inf),
-            "batch_costs": np.empty((n_rep, n_batches)),
         }
         for b in range(n_batches):
             self._batch(f"epoch {epoch} batch {b}", b)
             if not self.slot.size:
                 return
         st = self.stats
-        if cfg.dual_update_per_epoch:
-            self.lam = dual_update(self.lam, cfg.dual_lr, st["batch_costs"].mean(axis=1),
-                                   self.budget, cfg.beta)
         for k, slot in enumerate(self.slot):
             snapshot = _rebuild(self.kind, [p[k] for p in self.params])
             val_metrics = evaluate_policy(snapshot, self.val_sets[k], mode="expected")
@@ -636,15 +627,8 @@ class _RefStack:
         dr = r[..., 1] - r[..., 0]
         dc = c[..., 1] - c[..., 0]
         exp_r, exp_c = r[..., 0] + p * dr, c[..., 0] + p * dc
-        if cfg.sample_weight_inputs:
-            draws = np.stack([rng.random(idx.shape[1]) for rng in self.action_rngs])
-            act = draws < p
-            f_r = np.where(act, r[..., 1], r[..., 0])
-            f_c = np.where(act, c[..., 1], c[..., 0])
-        else:
-            f_r, f_c = exp_r, exp_c
-        w_r = _ref_tilt(f_r, self.tau_r, "worst_low")
-        w_c = _ref_tilt(f_c, self.tau_c, "worst_high")
+        w_r = _ref_tilt(exp_r, self.tau_r, "worst_low")
+        w_c = _ref_tilt(exp_c, self.tau_c, "worst_high")
         st = self.stats
         st["wr_lo"] = np.minimum(st["wr_lo"], w_r.min(axis=1))
         st["wr_hi"] = np.maximum(st["wr_hi"], w_r.max(axis=1))
@@ -656,10 +640,7 @@ class _RefStack:
         u_new, _ = _ref_forward(self.params, self.kind, x)
         p_new = sigmoid(u_new)
         weighted_cost = np.mean(w_c * (c[..., 0] + p_new * dc), axis=1)
-        if cfg.dual_update_per_epoch:
-            st["batch_costs"][:, b] = weighted_cost
-        else:
-            self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
+        self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
         st["reward_sum"] += exp_r.mean(axis=1)
         st["cost_sum"] += exp_c.mean(axis=1)
         value_ok, logit_ok = np.isfinite(value), np.isfinite(u_new).all(axis=1)

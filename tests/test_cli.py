@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from racer.cli import main
 from racer.core import LinearPolicy, evaluate_policy, load_dataset, save_dataset
-from racer.evalbench import PRESET_SCENARIOS, shift_scenarios
-from racer.reweight import tilt_weights
+from racer.evalbench import (CONSTANT_METHODS, LEARNABLE_METHODS, PRESET_SCENARIOS,
+                             gen_synthetic, load_scenario, run_sweep, shift_scenarios)
+from racer.reweight import RobustConfig, tilt_weights
 from racer.saddle import random_problem
-from racer.trainer import save_model
+from racer.trainer import TrainConfig, load_model, save_model
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -96,6 +97,19 @@ def model_text(instruct_cost_mean=2.0, **policy) -> str:
 
 
 MODEL_TEXT = model_text()
+
+# The config of `train --budget 2 --epochs 2` as model files recorded it
+# before RobustConfig.delta, TrainConfig.sample_weight_inputs and
+# TrainConfig.dual_update_per_epoch were removed.
+OLD_CONFIG = {
+    "budget": 2.0, "beta": 0.005,
+    "robust": {"tau_reward": 1.0, "tau_cost": "inf", "delta": None, "mode": "racer"},
+    "epochs": 2, "batch_size": 64, "primal_lr": 0.0001, "dual_lr": 0.001, "seed": 0,
+    "val_fraction": 0.1, "lambda_init": 0.0, "init_bias": 0.0, "policy_kind": "linear",
+    "hidden": [256, 128, 64], "optimizer": "adam",
+    "sample_weight_inputs": False, "dual_update_per_epoch": False,
+}
+OLD_CONFIG_DIGEST = "1022a1acc1a8b5af834fd31cfcf00076958a1d5a67c51d06db2ebfcf76ae3f0c"
 
 
 @st.composite
@@ -455,6 +469,25 @@ class TestEval:
     def test_model_or_baseline_required(self, data_file, tmp_path):
         assert run("eval", "--data", data_file, "--out", tmp_path / "z") == 1
 
+    def test_model_file_with_removed_config_fields_scores_the_same(self, data_file, tmp_path):
+        run_dir = tmp_path / "run"
+        assert run("train", "--data", data_file, "--budget", 2, "--epochs", 2,
+                   "--out", run_dir) == 0
+        model = json.loads((run_dir / "model.json").read_text())
+        old = tmp_path / "old_model.json"
+        old.write_text(json.dumps({**model, "config": OLD_CONFIG,
+                                   "config_digest": OLD_CONFIG_DIGEST}, indent=1))
+        policy, cost_mean, payload = load_model(old)
+        assert payload["config"] == OLD_CONFIG
+        new_policy, new_cost_mean, _ = load_model(run_dir / "model.json")
+        assert cost_mean == new_cost_mean
+        assert policy.weights.tobytes() == new_policy.weights.tobytes()
+        for name, path in (("ev_old", old), ("ev_new", run_dir / "model.json")):
+            assert run("eval", "--model", path, "--data", data_file,
+                       "--out", tmp_path / name) == 0
+        assert (tmp_path / "ev_old" / "metrics.json").read_bytes() == \
+            (tmp_path / "ev_new" / "metrics.json").read_bytes()
+
     def test_model_eval_uses_the_model_cost_scale(self, tmp_path):
         base = replace(PRESET_SCENARIOS["shift-up"], n=400)
         train_split, _, ood_high = shift_scenarios(base, n_test=300)
@@ -604,6 +637,72 @@ class TestSweep:
         assert lines[0] == "method,budget,seed,split,accuracy,cost,reasoning_frac"
         assert len(lines) == 3  # two methods on the train split
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--base-seed=-1", "base seed must be non-negative"),
+        ("--budgets=-1", "budgets must be positive"),
+        ("--budgets=nan", "budgets must be positive"),
+        ("--budgets=,", "must be non-empty"),
+        ("--repeats=0", "repeats must be at least 1"),
+        ("--workers=0", "--workers must be at least 1"),
+    ])
+    def test_bad_sweep_flag_is_usage_error(self, data_file, tmp_path, capsys, flag, message):
+        out = tmp_path / "sw"
+        assert run("sweep", "--train-data", data_file, "--methods", "racer,random",
+                   "--repeats", "1", "--epochs", "2", flag, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_workers_variable_is_usage_error_of_sweep_only(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.setenv("RACER_WORKERS", "x")
+        data = tmp_path / "d.jsonl"
+        assert run("gen-synth", "--regime", "offsetbias", "--n", 80, "--out", data) == 0
+        assert run("sweep", "--train-data", data, "--out", tmp_path / "sw") == 1
+        err = capsys.readouterr().err
+        assert "--workers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cli_sweep_writes_the_library_sweep(self, tmp_path, workers):
+        scenario = json.loads((SCENARIOS / "separable3.json").read_text())
+        scenario["n"] = 300
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        methods = ",".join(LEARNABLE_METHODS + CONSTANT_METHODS)
+        out = tmp_path / "sw"
+        assert run("sweep", "--scenario", path, "--budgets", "2,3", "--repeats", "2",
+                   "--base-seed", "4", "--methods", methods, "--epochs", "2",
+                   "--lr", "1e-2", "--workers", workers, "--out", out) == 0
+
+        config = load_scenario(path)
+        train_data = gen_synthetic(config)
+        tests = {"id_test": gen_synthetic(replace(config, seed=config.seed + 1))
+                 .with_cost_scale(train_data.instruct_cost_mean)}
+        template = TrainConfig(budget=1.0, epochs=2, primal_lr=1e-2,
+                               robust=RobustConfig(tau_reward=1.0))
+        result = run_sweep(train_data, tests, [2.0, 3.0], methods.split(","), repeats=2,
+                           base_seed=4, template=template, workers=workers)
+        result.to_csv(tmp_path / "library.csv")
+        result.aggregate_csv(tmp_path / "library_agg.csv")
+        assert (out / "sweep.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+        assert (out / "sweep_agg.csv").read_bytes() == \
+            (tmp_path / "library_agg.csv").read_bytes()
+
+    def test_resume_after_a_deleted_cell_equals_a_fresh_run(self, data_file, tmp_path):
+        args = ["sweep", "--train-data", data_file, "--budgets", "2.0,3.0", "--repeats", "2",
+                "--methods", "racer,random,all-reasoning", "--epochs", "2"]
+        assert run(*args, "--out", tmp_path / "fresh") == 0
+        assert run(*args, "--out", tmp_path / "resumed") == 0
+        cells = sorted((tmp_path / "resumed" / "cells").glob("*.json"))
+        cells[1].unlink()
+        assert run(*args, "--resume", "--out", tmp_path / "resumed") == 0
+        assert cells[1].is_file()
+        for name in ("sweep.csv", "sweep_agg.csv"):
+            assert (tmp_path / "resumed" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+
     def test_all_cells_failing_gives_nonzero_exit(self, data_file, tmp_path):
         # random without a paired racer run fails in every cell
         assert run("sweep", "--train-data", data_file, "--budgets", "2.0",
@@ -661,6 +760,13 @@ class TestSaddleDemo:
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, flag):
         assert run("saddle-demo", flag, "--out", tmp_path / "sd") == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_small_beta_writes_nothing_to_stderr(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run("saddle-demo", "--beta", 1e-4, "--out", tmp_path / "sd")
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     def test_numeric_overflow_is_numeric_failure(self, tmp_path, capsys):
         # (M K / beta)^2 of the convergence envelope overflows a float

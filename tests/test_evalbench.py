@@ -247,6 +247,18 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match="unknown method"):
             run_sweep(train, {}, budgets=[2.0], methods=["oracle"], repeats=1, base_seed=0)
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(base_seed=-1), "base seed must be non-negative"),
+        (dict(budgets=[2.0, -1.0]), "budgets must be positive"),
+        (dict(budgets=[float("nan")]), "budgets must be positive"),
+        (dict(repeats=0), "repeats must be at least 1"),
+    ])
+    def test_bad_arguments_rejected(self, bad, message):
+        train = gen_synthetic(two_domain(seed=12, n=200))
+        kw = dict(budgets=[2.0], methods=["racer", "random"], repeats=1, base_seed=0)
+        with pytest.raises(ValidationError, match=message):
+            run_sweep(train, {}, **{**kw, **bad})
+
     def test_default_budget_grid(self):
         assert DEFAULT_BUDGETS == (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0, 7.0, 10.0)
 

@@ -37,8 +37,6 @@ class TestRobustConfig:
         with pytest.raises(ValueError):
             RobustConfig(tau_reward=0.0)
         with pytest.raises(ValueError):
-            RobustConfig(delta=-1.0)
-        with pytest.raises(ValueError):
             RobustConfig(mode="bogus")
 
 

@@ -10,7 +10,6 @@ from oracles import (
     central_difference,
     saddle_dual_function,
     saddle_iterate,
-    saddle_partition_values,
     saddle_policy_matrix,
 )
 
@@ -23,7 +22,6 @@ from racer.saddle import (
     dual_function,
     dual_update,
     lagrangian,
-    partition_values,
     policy_matrix,
     primal_dual_iterate,
     random_problem,
@@ -97,13 +95,10 @@ class TestColumnKernels:
         with np.errstate(over="ignore"):
             for lam in lams:
                 assert _bits(policy_matrix(prob, lam)) == _bits(saddle_policy_matrix(prob, lam))
-                assert _bits(partition_values(prob, lam)) == \
-                    _bits(saddle_partition_values(prob, lam))
                 assert _bits(dual_function(prob, lam)) == _bits(saddle_dual_function(prob, lam))
             sol = solve_saddle(prob, tol=1e-12)
             lam = sol.lambda_star
             assert _bits(sol.pi_matrix) == _bits(saddle_policy_matrix(prob, lam))
-            assert _bits(sol.partition) == _bits(saddle_partition_values(prob, lam))
             assert _bits(sol.dual_value) == _bits(saddle_dual_function(prob, lam)[0])
         table = sol.pi_star.table
         assert list(table) == [str(i) for i in range(n)]
@@ -231,10 +226,9 @@ class TestSolveSaddle:
         for lam in np.linspace(0.0, 2.0 * sol.lambda_star + 1.0, 50):
             assert lagrangian(prob, sol.pi_matrix, float(lam)) >= center - 1e-9
 
-    def test_partition_positive(self):
+    def test_pi_star_is_a_positive_distribution(self):
         prob = random_problem(6, n_contexts=4, beta=0.3)
         sol = solve_saddle(prob)
-        assert np.all(sol.partition > 0)
         assert np.allclose(sol.pi_matrix.sum(axis=1), 1.0)
         assert np.all(sol.pi_matrix > 0)
 

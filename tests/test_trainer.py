@@ -18,8 +18,6 @@ from racer.trainer import (
     TrainConfig,
     TrainingDivergenceError,
     batch_objective,
-    config_from_dict,
-    entropy,
     init_policy,
     load_model,
     save_model,
@@ -48,21 +46,30 @@ def routing_dataset(seed=0, n=300, ratio=4.0, p_gain=0.9, p_helps=0.5):
     return Dataset(instances)
 
 
+def objective_entropy(logit):
+    """The batch objective with beta = 1, lambda = 0 and no reward: the
+    binary entropy H(sigma(logit)) in nats."""
+    data = Dataset([make_instance(0, [1.0], (0, 0), (10.0, 20.0))])
+    value, _ = batch_objective(LinearPolicy(np.array([logit]), 0.0), data,
+                               uniform_weights(1), uniform_weights(1),
+                               DualState(lam=0.0, beta=1.0))
+    return value
+
+
 class TestEntropy:
+    """The entropy term of the training objective."""
+
     def test_uniform_maximum(self):
-        assert entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert objective_entropy(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_boundaries_are_zero(self):
-        assert entropy(0.0) == 0.0
-        assert entropy(1.0) == 0.0
+        # a saturated sigmoid gives exactly 0, not 0 * log 0 = nan
+        assert objective_entropy(800.0) == 0.0
+        assert objective_entropy(-800.0) == 0.0
 
     def test_hand_values(self):
-        assert entropy(0.9) == pytest.approx(0.32508, abs=1e-5)
-        assert entropy(0.73106) == pytest.approx(0.58220, abs=1e-5)
-
-    def test_domain_checked(self):
-        with pytest.raises(ValueError):
-            entropy(1.2)
+        assert objective_entropy(math.log(9.0)) == pytest.approx(0.32508, abs=1e-5)  # p = 0.9
+        assert objective_entropy(-math.log(9.0)) == pytest.approx(0.32508, abs=1e-5)
 
 
 class TestBatchObjective:
@@ -225,22 +232,6 @@ class TestTrain:
         with pytest.raises(ValidationError, match="batch_size"):
             train(data, TrainConfig(budget=2.0, batch_size=64))
 
-    def test_sampled_weight_inputs_flag(self):
-        data = routing_dataset(seed=10, n=150)
-        base = dict(budget=2.0, epochs=3, batch_size=32, primal_lr=1e-2,
-                    dual_lr=0.05, seed=4, robust=RobustConfig(tau_reward=0.7))
-        expected = train(data, TrainConfig(**base))
-        sampled = train(data, TrainConfig(sample_weight_inputs=True, **base))
-        assert expected.history != sampled.history  # different weight inputs
-
-    def test_per_epoch_dual_flag(self):
-        data = routing_dataset(seed=11, n=150)
-        base = dict(budget=2.0, epochs=3, batch_size=32, primal_lr=1e-2,
-                    dual_lr=0.05, seed=4)
-        per_batch = train(data, TrainConfig(**base))
-        per_epoch = train(data, TrainConfig(dual_update_per_epoch=True, **base))
-        assert per_batch.history != per_epoch.history
-
 
 def result_bits(result):
     """Every number a TrainResult holds, as exact bytes or reprs."""
@@ -301,14 +292,11 @@ class TestReplicaStack:
               suppress_health_check=[HealthCheck.too_slow])
     @given(replicas=st.lists(replica_draws, min_size=1, max_size=5),
            kind=st.sampled_from(["linear", "feedforward"]),
-           sampled=st.booleans(), per_epoch=st.booleans(),
            optimizer=st.sampled_from(["adam", "sgd"]))
-    def test_every_replica_equals_its_solo_run(self, replicas, kind, sampled,
-                                               per_epoch, optimizer):
+    def test_every_replica_equals_its_solo_run(self, replicas, kind, optimizer):
         base = TrainConfig(budget=2.0, epochs=2, batch_size=24, primal_lr=2e-2,
                            dual_lr=0.1, policy_kind=kind, hidden=(5, 3),
-                           optimizer=optimizer, sample_weight_inputs=sampled,
-                           dual_update_per_epoch=per_epoch, val_fraction=0.2)
+                           optimizer=optimizer, val_fraction=0.2)
         configs = [replace(base, budget=b, seed=s,
                            robust=RobustConfig(tau_reward=tr, tau_cost=tc, mode=m))
                    for b, s, m, tr, tc in replicas]
@@ -364,16 +352,13 @@ class TestLeanStep:
               suppress_health_check=[HealthCheck.too_slow])
     @given(replicas=st.lists(replica_draws, min_size=1, max_size=5),
            kind=st.sampled_from(["linear", "feedforward"]),
-           sampled=st.booleans(), per_epoch=st.booleans(),
            optimizer=st.sampled_from(["adam", "sgd"]),
            batch_size=st.sampled_from([8, 22, 24, 50]))
-    def test_bitwise_equal_to_reference(self, replicas, kind, sampled, per_epoch,
-                                        optimizer, batch_size):
+    def test_bitwise_equal_to_reference(self, replicas, kind, optimizer, batch_size):
         # 88 training rows: batch sizes 8 and 22 divide them, 24 and 50 leave a tail
         base = TrainConfig(budget=2.0, epochs=2, batch_size=batch_size, primal_lr=2e-2,
                            dual_lr=0.1, policy_kind=kind, hidden=(5, 3),
-                           optimizer=optimizer, sample_weight_inputs=sampled,
-                           dual_update_per_epoch=per_epoch, val_fraction=0.2)
+                           optimizer=optimizer, val_fraction=0.2)
         configs = [replace(base, budget=b, seed=s,
                            robust=RobustConfig(tau_reward=tr, tau_cost=tc, mode=m))
                    for b, s, m, tr, tc in replicas]
@@ -431,9 +416,14 @@ class TestModelRoundTrip:
         after = evaluate_policy(policy, data)
         assert before == after
 
-    def test_config_round_trip(self):
+    def test_config_round_trip(self, tmp_path):
+        # a model file records its config as strict JSON ("inf" for an
+        # infinite temperature) with the digest of that record
         config = TrainConfig(budget=3.0, robust=RobustConfig(tau_reward=1.0, mode="racer-r"),
                              hidden=(16, 8), optimizer="sgd")
-        again = config_from_dict(config.to_dict())
-        assert again == config
-        assert again.digest() == config.digest()
+        path = tmp_path / "model.json"
+        save_model(path, LinearPolicy(np.zeros(2), 0.0), 1.0, config)
+        _, _, payload = load_model(path)
+        assert payload["config"] == config.to_dict()
+        assert payload["config"]["robust"]["tau_cost"] == "inf"
+        assert payload["config_digest"] == config.digest()
