@@ -6,27 +6,24 @@ concave frontier at the same reasoning rates.
 """
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from racer import (
     PRESET_SCENARIOS,
     RobustConfig,
     TrainConfig,
-    gen_synthetic,
     run_sweep,
+    scenario_splits,
 )
 
-scenario = PRESET_SCENARIOS["separable3"]
-train_data = gen_synthetic(scenario)
-id_test = gen_synthetic(replace(scenario, seed=scenario.seed + 1)).with_cost_scale(
-    train_data.instruct_cost_mean)
+# the id_test split is on the training split's cost scale
+train_data, tests = scenario_splits(PRESET_SCENARIOS["separable3"])
 
 template = TrainConfig(budget=2.0, epochs=120, batch_size=64, primal_lr=2e-3,
                        dual_lr=0.05, seed=0, val_fraction=0.15,
                        robust=RobustConfig(tau_reward=1.0, mode="racer"))
 result = run_sweep(
-    train_data, {"id_test": id_test}, budgets=[2.0, 3.0, 4.0],
+    train_data, tests, budgets=[2.0, 3.0, 4.0],
     methods=["racer", "random", "all-instruct", "all-reasoning"],
     repeats=3, base_seed=0, template=template,
 )

@@ -28,6 +28,7 @@ from .evalbench import (
     gen_synthetic,
     load_scenario,
     run_sweep,
+    scenario_splits,
     shift_scenarios,
 )
 from .reweight import (

@@ -25,14 +25,17 @@ from .core import (
     Metrics,
     ParseError,
     ValidationError,
-    atomic_open,
     evaluate_policy,
     load_dataset,
     policy_probs,
+    read_json_object,
     save_dataset,
+    write_csv,
+    write_json,
 )
 from .evalbench import (
     DEFAULT_BUDGETS,
+    DEFAULT_TEMPLATE,
     PRESET_SCENARIOS,
     SweepCell,
     SweepFailure,
@@ -42,6 +45,7 @@ from .evalbench import (
     gen_synthetic,
     load_scenario,
     run_units,
+    scenario_splits,
     sweep_units,
 )
 from .reweight import tilt_weights, uniform_weights
@@ -93,26 +97,11 @@ def _write_manifest(path, command: str, config: dict, inputs, outputs, seed,
         "seed": seed,
         "duration_s": time.time() - started,
     }
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(manifest, indent=1) + "\n")
+    write_json(path, manifest)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.4g}"
-
-
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)  # a ValueError for bad JSON or UTF-8
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"config file {path}: not a JSON file ({exc!r})") from None
-    if not isinstance(payload, dict):
-        raise ParseError(f"config file {path}: expected a JSON object, "
-                         f"got {type(payload).__name__}")
-    return payload
 
 
 def _widths(value) -> tuple[int, ...]:
@@ -123,46 +112,46 @@ def _widths(value) -> tuple[int, ...]:
 
 _ROBUST_FIELDS = ("tau_reward", "tau_cost", "mode")
 
-# flag and config-file key: (TrainConfig or RobustConfig field, converter,
-# built-in default)
+# flag and config-file key: (TrainConfig or RobustConfig field, converter)
 _TRAIN_FIELDS = {
-    "budget": ("budget", float, None),
-    "tau_r": ("tau_reward", float, 1.0),
-    "tau_c": ("tau_cost", float, math.inf),
-    "mode": ("mode", str, "racer"),
-    "beta": ("beta", float, 0.005),
-    "epochs": ("epochs", int, 60),
-    "batch_size": ("batch_size", int, 64),
-    "lr": ("primal_lr", float, 1e-4),
-    "dual_lr": ("dual_lr", float, 1e-3),
-    "seed": ("seed", int, 0),
-    "val_fraction": ("val_fraction", float, 0.1),
-    "policy": ("policy_kind", str, "linear"),
-    "hidden": ("hidden", _widths, "256,128,64"),
-    "optimizer": ("optimizer", str, "adam"),
-    "lambda_init": ("lambda_init", float, 0.0),
-    "init_bias": ("init_bias", float, 0.0),
+    "budget": ("budget", float),
+    "tau_r": ("tau_reward", float),
+    "tau_c": ("tau_cost", float),
+    "mode": ("mode", str),
+    "beta": ("beta", float),
+    "epochs": ("epochs", int),
+    "batch_size": ("batch_size", int),
+    "lr": ("primal_lr", float),
+    "dual_lr": ("dual_lr", float),
+    "seed": ("seed", int),
+    "val_fraction": ("val_fraction", float),
+    "policy": ("policy_kind", str),
+    "hidden": ("hidden", _widths),
+    "optimizer": ("optimizer", str),
+    "lambda_init": ("lambda_init", float),
+    "init_bias": ("init_bias", float),
 }
 
 
-def _train_config(args, default_budget: float | None = None) -> TrainConfig:
-    """The TrainConfig of the flags over the --config file over the defaults.
+def _train_config(args, budget_required: bool = True) -> TrainConfig:
+    """DEFAULT_TEMPLATE with the --config file's values over it and the
+    flags over those.
 
     Each value is converted and checked on its own, against a valid base
     config, so a bad one is blamed on where it came from: a UsageError for a
     flag, a ParseError naming the file and the field for the config file.
     """
-    file_cfg = _load_config_file(args.config)
-    config = TrainConfig(budget=1.0)
-    for key, (name, convert, default) in _TRAIN_FIELDS.items():
+    file_cfg = {} if args.config is None else read_json_object(args.config, "config file")
+    if budget_required and args.budget is None and "budget" not in file_cfg:
+        raise UsageError("--budget is required")
+    config = DEFAULT_TEMPLATE
+    for key, (name, convert) in _TRAIN_FIELDS.items():
         value = getattr(args, key, None)
         from_file = value is None and key in file_cfg
         if from_file:
             value = file_cfg[key]
         elif value is None:
-            value = default if key != "budget" else default_budget
-            if value is None:
-                raise UsageError("--budget is required")
+            continue
         try:
             value = convert(value)
             if name in _ROBUST_FIELDS:
@@ -238,25 +227,28 @@ def _parse_baseline(spec: str):
                      "(expected all-instruct, all-reasoning, or random:<p>)")
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def _policy_and_data(args):
+    """(policy, data, input paths) of exactly one of --model and --baseline
+    and of --data: a model scores the data on the cost scale of its
+    training split, a baseline on the data's own."""
     if (args.model is None) == (args.baseline is None):
         raise UsageError("exactly one of --model or --baseline is required")
     data = load_dataset(args.data)
-    inputs = [args.data]
     if args.baseline is not None:
-        policy = _parse_baseline(args.baseline)
-    else:
-        policy, cost_mean, _ = load_model(args.model)
-        data = data.with_cost_scale(cost_mean)  # the model's training cost scale
-        inputs.append(args.model)
+        return _parse_baseline(args.baseline), data, [args.data]
+    policy, cost_mean, _ = load_model(args.model)
+    return policy, data.with_cost_scale(cost_mean), [args.data, args.model]
+
+
+def cmd_eval(args) -> int:
+    started = time.time()
+    policy, data, inputs = _policy_and_data(args)
     metrics = evaluate_policy(policy, data, mode=args.mode, seed=args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.json"
-    with atomic_open(metrics_path) as fh:
-        fh.write(json.dumps(metrics.to_dict(), indent=1) + "\n")
+    write_json(metrics_path, metrics.to_dict())
     config = {"model": args.model, "baseline": args.baseline, "data": args.data,
               "mode": args.mode, "seed": args.seed}
     _write_manifest(out / "manifest.json", "eval", config, inputs,
@@ -279,17 +271,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 def _sweep_splits(args):
     """(train_data, tests dict, input paths) from a scenario or data files."""
     if args.scenario is not None:
-        scenario = load_scenario(args.scenario)
-        train_data = gen_synthetic(scenario)
-
-        def shared_scale(config):
-            return gen_synthetic(config).with_cost_scale(train_data.instruct_cost_mean)
-
-        tests = {"id_test": shared_scale(replace(scenario, seed=scenario.seed + 1))}
-        if scenario.shift:
-            shifted = scenario.with_weights(scenario.shift)
-            tests["ood"] = shared_scale(replace(shifted, seed=scenario.seed + 2))
-        return train_data, tests, [args.scenario]
+        return (*scenario_splits(load_scenario(args.scenario)), [args.scenario])
     if args.train_data is None:
         raise UsageError("either --scenario or --train-data is required")
     train_data = load_dataset(args.train_data)
@@ -299,7 +281,7 @@ def _sweep_splits(args):
         if "=" not in item:
             raise UsageError(f"--test-data expects name=path, got {item!r}")
         name, path = item.split("=", 1)
-        # test splits share the training cost scale
+        # a budget means the same compute on every split
         tests[name] = load_dataset(path).with_cost_scale(train_data.instruct_cost_mean)
         inputs.append(path)
     return train_data, tests, inputs
@@ -309,7 +291,7 @@ def _read_cell(path: Path, digest: str):
     """(cells, failures) of a finished sweep unit, or None if the file is
     missing, unreadable or belongs to another configuration."""
     try:
-        payload = json.loads(path.read_text())
+        payload = read_json_object(path, "sweep cell file")
         if payload["digest"] != digest:
             return None
         cells = [SweepCell(c["method"], c["budget"], c["seed"], c["split"],
@@ -324,7 +306,7 @@ def _read_cell(path: Path, digest: str):
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    template = _train_config(args, default_budget=1.0)  # budget set per cell
+    template = _train_config(args, budget_required=False)  # budget set per cell
     budgets = _parse_floats(args.budgets) if args.budgets else DEFAULT_BUDGETS
     methods = tuple(m for m in (args.methods or "").split(",") if m) or (
         "racer", "all-instruct", "all-reasoning", "random")
@@ -365,8 +347,7 @@ def cmd_sweep(args) -> int:
             ],
             "failures": [asdict(f) for f in got_failures],
         }
-        with atomic_open(path) as fh:
-            fh.write(json.dumps(payload, indent=1) + "\n")
+        write_json(path, payload)
 
     result = SweepResult.of_units([got for got in cached if got is not None] + fresh)
     raw_path = out / "sweep.csv"
@@ -398,13 +379,7 @@ _PROBLEM_ARRAYS = ("rho", "reward", "cost", "w1", "w2")
 
 
 def _load_problem(path) -> TabularProblem:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"problem file {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParseError(f"problem file {path}: expected a JSON object, "
-                         f"got {type(payload).__name__}")
+    payload = read_json_object(path, "problem file")
     fields = {}
     for key in (*_PROBLEM_ARRAYS, "budget", "beta"):
         if key not in payload:
@@ -432,20 +407,21 @@ def cmd_saddle_demo(args) -> int:
     else:
         problem = random_problem(args.seed, n_contexts=args.contexts,
                                  beta=args.beta, budget=args.budget)
-    constants = ConvergenceConstants.from_problem(problem)
-    solution = solve_saddle(problem, tol=1e-12)
-    trace = primal_dual_iterate(problem, args.lambda0, args.iters,
-                                constants=constants, solution=solution)
-    bound = trace.kl_bound()
+    # an overflow (say, of the envelope) is a FloatingPointError: exit 3
+    with np.errstate(over="raise", invalid="raise"):
+        constants = ConvergenceConstants.from_problem(problem)
+        solution = solve_saddle(problem, tol=1e-12)
+        trace = primal_dual_iterate(problem, args.lambda0, args.iters,
+                                    constants=constants, solution=solution)
+        bound = trace.kl_bound()
     ok = bool(np.all(trace.kl_to_star <= bound + 1e-12))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    with atomic_open(trace_path) as fh:
-        fh.write("t,lambda_t,kl_to_star,bound_t\n")
-        fh.writelines(f"{t},{lam!r},{kl!r},{b!r}\n" for t, (lam, kl, b) in enumerate(
-            zip(trace.lambdas.tolist(), trace.kl_to_star.tolist(), bound.tolist())))
+    write_csv(trace_path, [("t", "lambda_t", "kl_to_star", "bound_t"),
+                           *zip(range(bound.shape[0]), trace.lambdas.tolist(),
+                                trace.kl_to_star.tolist(), bound.tolist())])
     config = {"contexts": args.contexts, "seed": args.seed, "beta": args.beta,
               "budget": args.budget, "problem": args.problem,
               "lambda0": args.lambda0, "iters": args.iters}
@@ -494,17 +470,9 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_inspect_weights(args) -> int:
     started = time.time()
-    data = load_dataset(args.data)
-    inputs = [args.data]
-    if args.model is not None:
-        policy, cost_mean, _ = load_model(args.model)
-        data = data.with_cost_scale(cost_mean)  # the model's training cost scale
-        inputs.append(args.model)
-    elif args.baseline is not None:
-        policy = _parse_baseline(args.baseline)
-    else:
-        raise UsageError("one of --model or --baseline is required")
-
+    if not args.tau > 0:
+        raise UsageError(f"--tau must be positive (or inf), got {args.tau}")
+    policy, data, inputs = _policy_and_data(args)
     p = policy_probs(policy, data)
     if args.target == "reward":
         f = data.correct[:, 0] + p * (data.correct[:, 1] - data.correct[:, 0])
@@ -515,13 +483,14 @@ def cmd_inspect_weights(args) -> int:
     if math.isinf(args.tau):
         wv = uniform_weights(len(data), float(f.mean()))
     else:
-        wv = tilt_weights(f, args.tau, direction)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            wv = tilt_weights(f, args.tau, direction)
+        if not np.all(np.isfinite(wv.weights)):
+            raise FloatingPointError(f"the tilt at --tau {args.tau!r} has non-finite weights")
 
-    with atomic_open(args.out) as fh:
-        fh.write(f"# tau={args.tau!r}\n# direction={direction}\n# baseline={wv.baseline!r}\n")
-        fh.write("index,f,weight\n")
-        for i in range(len(data)):
-            fh.write(f"{i},{float(f[i])!r},{float(wv.weights[i])!r}\n")
+    write_csv(args.out, [[f"# tau={args.tau!r}"], [f"# direction={direction}"],
+                         [f"# baseline={wv.baseline!r}"], ("index", "f", "weight"),
+                         *zip(range(len(data)), f.tolist(), wv.weights.tolist())])
     config = {"data": args.data, "model": args.model, "baseline": args.baseline,
               "tau": args.tau if not math.isinf(args.tau) else "inf",
               "target": args.target}

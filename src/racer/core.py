@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -180,6 +180,32 @@ def atomic_open(path, newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds; a ParseError naming ``what`` and
+    the path if the file is not JSON or holds another kind of value."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)  # a ValueError for bad JSON or UTF-8
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} {path}: not a JSON file ({exc!r})") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{what} {path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def write_json(path, payload) -> None:
+    """Write payload atomically as indented JSON ending in a newline."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=1) + "\n")
+
+
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """Write rows (header first) atomically as comma-separated lines; a
+    float field is its repr and a field holding a comma is quoted."""
+    with atomic_open(path, newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 _REQUIRED_FIELDS = ("id", "features", "correct_0", "correct_1", "cost_0", "cost_1")
@@ -425,11 +451,7 @@ class Metrics:
     reasoning_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "realized_cost": self.realized_cost,
-            "reasoning_fraction": self.reasoning_fraction,
-        }
+        return asdict(self)
 
 
 def counter_uniforms(seed: int, n: int) -> np.ndarray:

@@ -10,22 +10,25 @@ can be calibrated to reported corpus statistics (e.g. medians 11.2 / 3.4 /
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (ConstantPolicy, Dataset, Metrics, ParseError, ValidationError, atomic_open,
-                   evaluate_policy)
+from .core import (ConstantPolicy, Dataset, Metrics, ParseError, ValidationError,
+                   evaluate_policy, read_json_object, write_csv)
 from .reweight import RobustConfig
 from .trainer import TrainConfig, TrainResult, train
 
 LEARNABLE_METHODS = ("racer", "racer-r", "racer-c", "acer")
 CONSTANT_METHODS = ("all-instruct", "all-reasoning", "random")
 DEFAULT_BUDGETS = (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0, 7.0, 10.0)
+# What ``racer train``, ``racer sweep`` and ``run_sweep`` train with unless
+# told otherwise: the TrainConfig defaults with the reward tilt at tau = 1.
+# A sweep sets the budget, seed and mode of each cell.
+DEFAULT_TEMPLATE = TrainConfig(budget=1.0, robust=RobustConfig(tau_reward=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +75,7 @@ class ScenarioConfig:
 
     domains: tuple[DomainSpec, ...]
     n: int
-    seed: int
+    seed: int = 0
     shift: Mapping[str, float] | None = None
     agreement: float = 0.0
     instruct_cost_sigma: float = 0.25
@@ -107,33 +110,16 @@ class ScenarioConfig:
         domains = tuple(replace(d, weight=float(mapping[d.name])) for d in self.domains)
         return replace(self, domains=domains, shift=None)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "agreement": self.agreement,
-            "instruct_cost_sigma": self.instruct_cost_sigma,
-            "shift": dict(self.shift) if self.shift else None,
-            "domains": [
-                {
-                    "name": d.name,
-                    "weight": d.weight,
-                    "p_instruct": d.p_instruct,
-                    "p_reasoning": d.p_reasoning,
-                    "cost_ratio_median": d.cost_ratio_median,
-                    "cost_ratio_sigma": d.cost_ratio_sigma,
-                    "feature_mean": list(d.feature_mean),
-                    "feature_noise": d.feature_noise,
-                    "instruct_cost_median": d.instruct_cost_median,
-                }
-                for d in self.domains
-            ],
-        }
-
 
 _JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str, "a list": list,
                "an object": dict}
-_REQUIRED = object()
+# the kind of JSON value each field of a scenario file and of its domains takes
+_KINDS = {"domains": "a list of domains", "n": "an integer", "seed": "an integer",
+          "shift": "an object of numbers", "agreement": "a number",
+          "instruct_cost_sigma": "a number", "name": "a string", "weight": "a number",
+          "p_instruct": "a number", "p_reasoning": "a number", "cost_ratio_median": "a number",
+          "cost_ratio_sigma": "a number", "feature_mean": "a list of numbers",
+          "feature_noise": "a number", "instruct_cost_median": "a number"}
 
 
 def _decode(value, kind: str):
@@ -143,71 +129,42 @@ def _decode(value, kind: str):
         return tuple(_decode(v, "a number") for v in _decode(value, "a list"))
     if kind == "an object of numbers":
         return {k: _decode(v, "a number") for k, v in _decode(value, "an object").items()}
+    if kind == "a list of domains":
+        return tuple(_from_record(DomainSpec, d, f"domain {i}: ")
+                     for i, d in enumerate(_decode(value, "a list")))
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise TypeError
     return float(value) if kind == "a number" else value
 
 
-def _field(record: dict, key: str, kind: str, default=_REQUIRED, where: str = ""):
-    if key not in record:
-        if default is _REQUIRED:
-            raise ParseError(f"{where}missing field {key!r}")
-        return default
-    try:
-        return _decode(record[key], kind)
-    except (TypeError, OverflowError):
-        raise ParseError(f"{where}field {key!r} is not {kind}") from None
-
-
-def scenario_from_dict(payload: dict) -> ScenarioConfig:
-    """The scenario a decoded file describes; ParseError naming the field
-    when one is missing or of the wrong type."""
-    if not isinstance(payload, dict):
-        raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
-    domains = []
-    for i, d in enumerate(_field(payload, "domains", "a list")):
-        where = f"domain {i}: "
-        if not isinstance(d, dict):
-            raise ParseError(f"{where}expected a JSON object, got {type(d).__name__}")
-        domains.append(DomainSpec(
-            name=_field(d, "name", "a string", where=where),
-            weight=_field(d, "weight", "a number", where=where),
-            p_instruct=_field(d, "p_instruct", "a number", where=where),
-            p_reasoning=_field(d, "p_reasoning", "a number", where=where),
-            cost_ratio_median=_field(d, "cost_ratio_median", "a number", where=where),
-            cost_ratio_sigma=_field(d, "cost_ratio_sigma", "a number", 0.5, where),
-            feature_mean=_field(d, "feature_mean", "a list of numbers", (0.0,), where),
-            feature_noise=_field(d, "feature_noise", "a number", 0.25, where),
-            instruct_cost_median=_field(d, "instruct_cost_median", "a number", 1.0, where),
-        ))
-    shift = payload.get("shift")
-    return ScenarioConfig(
-        domains=tuple(domains),
-        n=_field(payload, "n", "an integer"),
-        seed=_field(payload, "seed", "an integer", 0),
-        shift=None if shift is None else _field(payload, "shift", "an object of numbers"),
-        agreement=_field(payload, "agreement", "a number", 0.0),
-        instruct_cost_sigma=_field(payload, "instruct_cost_sigma", "a number", 0.25),
-    )
+def _from_record(cls, record, where: str = ""):
+    """cls of the fields a decoded JSON object holds, each of the kind
+    _KINDS names; a field it lacks (or a null where the default is None)
+    keeps its default. ParseError naming a field that is missing without a
+    default or holds another kind of value."""
+    if not isinstance(record, dict):
+        raise ParseError(f"{where}expected a JSON object, got {type(record).__name__}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in record or (record[f.name] is None and f.default is None):
+            if f.default is MISSING:
+                raise ParseError(f"{where}missing field {f.name!r}")
+            continue
+        try:
+            values[f.name] = _decode(record[f.name], _KINDS[f.name])
+        except (TypeError, OverflowError):
+            raise ParseError(f"{where}field {f.name!r} is not {_KINDS[f.name]}") from None
+    return cls(**values)
 
 
 def load_scenario(path) -> ScenarioConfig:
     """The scenario of a JSON file; ParseError naming the file unless it
     decodes to one, ValidationError if that scenario breaks an invariant."""
+    payload = read_json_object(path, "scenario file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)  # a ValueError for bad JSON or UTF-8
-        return scenario_from_dict(payload)
+        return _from_record(ScenarioConfig, payload)
     except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: not a JSON file ({exc!r})") from None
-
-
-def save_scenario(config: ScenarioConfig, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(config.to_dict(), fh, indent=1)
-        fh.write("\n")
+        raise type(exc)(f"scenario file {path}: {exc}") from None
 
 
 # Reference generator regimes. Cost-ratio medians follow the reported corpus
@@ -318,6 +275,23 @@ def gen_synthetic(config: ScenarioConfig, apply_shift: bool = False) -> Dataset:
     """
     cfg = config.with_weights(config.shift) if (apply_shift and config.shift) else config
     return Dataset.from_columns(*_gen_columns(cfg, cfg.weights(), cfg.seed, cfg.n))
+
+
+def scenario_splits(scenario: ScenarioConfig) -> tuple[Dataset, dict[str, Dataset]]:
+    """The training split of a scenario and its test splits on the training
+    cost scale, so a budget means the same compute on each: ``id_test``
+    (seed + 1) and, when the scenario has a shift map, ``ood`` (the shifted
+    mixture, seed + 2)."""
+    train_split = gen_synthetic(scenario)
+
+    def test_split(seed: int, apply_shift: bool = False) -> Dataset:
+        return gen_synthetic(replace(scenario, seed=seed), apply_shift).with_cost_scale(
+            train_split.instruct_cost_mean)
+
+    tests = {"id_test": test_split(scenario.seed + 1)}
+    if scenario.shift:
+        tests["ood"] = test_split(scenario.seed + 2, apply_shift=True)
+    return train_split, tests
 
 
 def shift_scenarios(base: ScenarioConfig, concentration: float = 0.8,
@@ -439,22 +413,13 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         cells = sorted(self.cells, key=lambda c: (c.method, c.budget, c.seed, c.split))
-        with atomic_open(path) as fh:
-            fh.write("method,budget,seed,split,accuracy,cost,reasoning_frac\n")
-            for c in cells:
-                m = c.metrics
-                fh.write(f"{c.method},{c.budget!r},{c.seed},{c.split},"
-                         f"{m.accuracy!r},{m.realized_cost!r},{m.reasoning_fraction!r}\n")
+        write_csv(path, [("method", "budget", "seed", "split", "accuracy", "cost", "reasoning_frac"),
+                         *((c.method, c.budget, c.seed, c.split, c.metrics.accuracy,
+                            c.metrics.realized_cost, c.metrics.reasoning_fraction)
+                           for c in cells)])
 
     def aggregate_csv(self, path) -> None:
-        with atomic_open(path) as fh:
-            fh.write("method,budget,split,n,accuracy_mean,accuracy_std,"
-                     "cost_mean,cost_std,reasoning_mean,reasoning_std\n")
-            for r in self.aggregate():
-                fh.write(f"{r.method},{r.budget!r},{r.split},{r.n},"
-                         f"{r.accuracy_mean!r},{r.accuracy_std!r},"
-                         f"{r.cost_mean!r},{r.cost_std!r},"
-                         f"{r.reasoning_mean!r},{r.reasoning_std!r}\n")
+        write_csv(path, [[f.name for f in fields(AggregateRow)], *map(astuple, self.aggregate())])
 
 
 def sweep_units(budgets: Sequence[float], methods: Sequence[str], repeats: int,
@@ -569,7 +534,7 @@ def run_units(train_data: Dataset, splits: Mapping[str, Dataset], units: Sequenc
 
 def run_sweep(train_data: Dataset, tests: Mapping[str, Dataset],
               budgets: Sequence[float], methods: Sequence[str], repeats: int,
-              base_seed: int, template: TrainConfig | None = None,
+              base_seed: int, template: TrainConfig = DEFAULT_TEMPLATE,
               workers: int = 1) -> SweepResult:
     """Train and evaluate every (budget, seed, method) cell.
 
@@ -580,9 +545,6 @@ def run_sweep(train_data: Dataset, tests: Mapping[str, Dataset],
     ``workers`` is as in ``run_units``.
     """
     units = sweep_units(budgets, methods, repeats, base_seed)
-    if template is None:
-        template = TrainConfig(budget=float(budgets[0]),
-                               robust=RobustConfig(tau_reward=1.0, mode="racer"))
     splits = {"train": train_data, **dict(tests)}
     return SweepResult.of_units(run_units(train_data, splits, units, methods, template,
                                           workers))

@@ -95,7 +95,6 @@ class ConvergenceConstants:
     K: float
     eta: float
     kappa: float
-    lambda_cap: float
 
     @classmethod
     def from_problem(cls, problem: TabularProblem) -> "ConvergenceConstants":
@@ -104,8 +103,7 @@ class ConvergenceConstants:
         mk2 = (M * K) ** 2
         eta = 2.0 * problem.beta / (mk2 + 2.0 * problem.beta**2)
         kappa = mk2 / (mk2 + 2.0 * problem.beta**2)
-        return cls(M=M, K=K, eta=eta, kappa=kappa,
-                   lambda_cap=_dual_upper_bracket(problem))
+        return cls(M=M, K=K, eta=eta, kappa=kappa)
 
 
 def _logit_columns(problem: TabularProblem, lam: float) -> list[np.ndarray]:
@@ -125,10 +123,6 @@ def _softmax_columns(problem: TabularProblem, lam: float):
     return e0 / z, e1 / z, m, z
 
 
-def _tabular_policy(pi: np.ndarray) -> TabularPolicy:
-    return TabularPolicy(dict(zip(map(str, range(pi.shape[0])), pi[:, 1].tolist())))
-
-
 def policy_matrix(problem: TabularProblem, lam: float) -> np.ndarray:
     """(n, 2) matrix of the closed-form softmax policy at multiplier lam."""
     return np.stack(_softmax_columns(problem, lam)[:2], axis=1)
@@ -138,7 +132,8 @@ def closed_form_policy(problem: TabularProblem, lam: float) -> TabularPolicy:
     """Closed-form primal maximizer as a tabular policy keyed by context index."""
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    return _tabular_policy(policy_matrix(problem, lam))
+    p1 = _softmax_columns(problem, lam)[1]
+    return TabularPolicy(dict(zip(map(str, range(p1.shape[0])), p1.tolist())))
 
 
 def dual_function(problem: TabularProblem, lam: float) -> tuple[float, float, float]:
@@ -204,7 +199,6 @@ class SaddleSolution:
     """Unique saddle point of the regularized Lagrangian."""
 
     lambda_star: float
-    pi_star: TabularPolicy
     dual_value: float
     pi_matrix: np.ndarray
 
@@ -236,8 +230,8 @@ def solve_saddle(problem: TabularProblem, tol: float = 1e-10,
             step = lam - g / h
             lam = step if lo < step < hi else 0.5 * (lo + hi)
     pi = policy_matrix(problem, lam)
-    return SaddleSolution(lambda_star=lam, pi_star=_tabular_policy(pi),
-                          dual_value=dual_function(problem, lam)[0], pi_matrix=pi)
+    return SaddleSolution(lambda_star=lam, dual_value=dual_function(problem, lam)[0],
+                          pi_matrix=pi)
 
 
 @dataclass(frozen=True)
@@ -330,6 +324,9 @@ def random_problem(seed: int, n_contexts: int = 8, beta: float = 0.05,
     if budget is None:
         floor = float(np.sum(rho * w2 * cost[:, 0]))
         ceil = float(np.sum(rho * w2 * cost.max(axis=1)))
-        budget = floor + rng.uniform(0.15, 0.85) * (ceil - floor)
+        share = rng.uniform(0.15, 0.85)
+        budget = floor + share * (ceil - floor)
+        if not budget > floor:  # reasoning is nowhere costlier: no budget binds
+            budget = floor * (1.0 + share)
     return TabularProblem(rho=rho, reward=reward, cost=cost, w1=w1, w2=w2,
                           budget=budget, beta=beta)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -27,11 +27,13 @@ from .core import (
     ParseError,
     PolicySpec,
     ValidationError,
-    atomic_open,
     evaluate_policy,
     policy_from_dict,
     policy_to_dict,
+    read_json_object,
     sigmoid,
+    write_csv,
+    write_json,
 )
 from .reweight import RobustConfig, WeightVector, tilt_weights, uniform_weights
 from .saddle import dual_update
@@ -89,29 +91,11 @@ class TrainConfig:
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
 
     def to_dict(self) -> dict:
-        def num(x):
-            return "inf" if isinstance(x, float) and math.isinf(x) else x
-
-        return {
-            "budget": self.budget,
-            "beta": self.beta,
-            "robust": {
-                "tau_reward": num(self.robust.tau_reward),
-                "tau_cost": num(self.robust.tau_cost),
-                "mode": self.robust.mode,
-            },
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "primal_lr": self.primal_lr,
-            "dual_lr": self.dual_lr,
-            "seed": self.seed,
-            "val_fraction": self.val_fraction,
-            "lambda_init": self.lambda_init,
-            "init_bias": self.init_bias,
-            "policy_kind": self.policy_kind,
-            "hidden": list(self.hidden),
-            "optimizer": self.optimizer,
-        }
+        """The fields as JSON values; an infinite tau is the string "inf"."""
+        config = asdict(self)
+        config["robust"] = {k: "inf" if v == math.inf else v for k, v in config["robust"].items()}
+        config["hidden"] = list(self.hidden)
+        return config
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -592,13 +576,10 @@ def select_checkpoint(checkpoints: Sequence[Checkpoint], budget: float) -> Check
 
 def history_to_csv(history: Sequence[EpochRecord], path) -> None:
     """Spec columns only: epoch, reward, cost, lambda and validation metrics."""
-    with atomic_open(path) as fh:
-        fh.write("epoch,train_reward,train_cost,lambda,val_acc,val_cost,reasoning_frac\n")
-        for rec in history:
-            fh.write(
-                f"{rec.epoch},{rec.train_reward!r},{rec.train_cost!r},{rec.lam!r},"
-                f"{rec.val_accuracy!r},{rec.val_cost!r},{rec.reasoning_fraction!r}\n"
-            )
+    write_csv(path, [("epoch", "train_reward", "train_cost", "lambda", "val_acc", "val_cost",
+                      "reasoning_frac"),
+                     *((rec.epoch, rec.train_reward, rec.train_cost, rec.lam, rec.val_accuracy,
+                        rec.val_cost, rec.reasoning_fraction) for rec in history)])
 
 
 # ---------------------------------------------------------------------------
@@ -618,24 +599,19 @@ def save_model(path, policy: PolicySpec, instruct_cost_mean: float,
         "config": config.to_dict() if config is not None else None,
         "config_digest": config.digest() if config is not None else None,
     }
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> tuple[PolicySpec, float, dict]:
     """(policy, instruct_cost_mean, payload) of a model file; ParseError
     unless it decodes to a well-formed model."""
+    payload = read_json_object(path, "model file")
+    if payload.get("format") != _MODEL_FORMAT:
+        raise ValidationError(f"unsupported model format {payload.get('format')!r}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)  # a ValueError for bad JSON or UTF-8
-        if not isinstance(payload, dict):
-            raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
-        if payload.get("format") != _MODEL_FORMAT:
-            raise ValidationError(f"unsupported model format {payload.get('format')!r}")
         return policy_from_dict(payload["policy"]), float(payload["instruct_cost_mean"]), payload
     except ValidationError:
         raise
-    except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"model file {path}: {exc if isinstance(exc, ParseError) else repr(exc)}"
                          ) from None

@@ -20,6 +20,7 @@ from racer.evalbench import (
     baseline_policy,
     gen_synthetic,
     run_sweep,
+    scenario_splits,
     shift_scenarios,
 )
 from racer.reweight import RobustConfig, exact_tilt, tilt_weights
@@ -61,6 +62,18 @@ def separable3_splits():
     id_test = gen_synthetic(replace(scenario, seed=scenario.seed + 1)).with_cost_scale(
         train_data.instruct_cost_mean)
     return train_data, id_test
+
+
+def test_scenario_splits_equal_the_hand_built_splits(separable3_splits):
+    # the criteria below build their splits by hand; racer sweep --scenario
+    # builds them with scenario_splits
+    train, tests = scenario_splits(PRESET_SCENARIOS["separable3"])
+    assert list(tests) == ["id_test"]
+    for got, want in zip((train, tests["id_test"]), separable3_splits):
+        assert (got.ids, got.tags, got.instruct_cost_mean) == (
+            want.ids, want.tags, want.instruct_cost_mean)
+        for name in ("features", "correct", "cost_raw", "cost"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.fixture(scope="module")

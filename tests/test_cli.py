@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -606,6 +607,30 @@ class TestSweep:
         assert (out / "sweep.csv").read_bytes() == raw
         assert sorted(p.name for p in (out / "cells").iterdir()) == sorted(c.name for c in cells)
 
+    @pytest.mark.parametrize("junk", [b"[]", b"[" * 100_000], ids=["list", "deep"])
+    def test_cell_file_of_another_kind_is_recomputed_on_resume(self, data_file, tmp_path,
+                                                                junk):
+        out = tmp_path / "sw_junk"
+        args = ["sweep", "--train-data", data_file, "--budgets", "2.0", "--repeats", "1",
+                "--methods", "all-instruct", "--out", out]
+        assert run(*args) == 0
+        (cell,) = (out / "cells").glob("*.json")
+        whole = cell.read_bytes()
+        cell.write_bytes(junk)
+        assert run(*args, "--resume") == 0
+        assert cell.read_bytes() == whole
+
+    def test_comma_in_split_name_round_trips(self, data_file, tmp_path):
+        # the name used to be written unquoted: 8 fields under a 7-column header
+        out = tmp_path / "sw_comma"
+        assert run("sweep", "--train-data", data_file, "--test-data", f"held,out={data_file}",
+                   "--budgets", "2.0", "--repeats", "1", "--methods", "all-instruct",
+                   "--out", out) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["split"], None in r) for r in rows] == [("held,out", False), ("train", False)]
+        assert rows[0]["cost"] == rows[1]["cost"]
+
     def test_scenario_shift_map_adds_ood_split(self, tmp_path):
         scenario = json.loads((SCENARIOS / "shift_up.json").read_text())
         scenario["n"] = 200
@@ -768,6 +793,21 @@ class TestSaddleDemo:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("lambda0", [1e300, 1.7976931348623157e308])
+    def test_overflow_is_numeric_failure_without_warnings(self, tmp_path, capsys, lambda0):
+        # 1e300: (lambda_0 - lambda*)^2 of the envelope overflows, and the run
+        # used to pass against an infinite envelope; the largest float also
+        # overflows the logits
+        out = tmp_path / "sd"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("saddle-demo", "--lambda0", lambda0, "--out", out)
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric failure") and len(err.splitlines()) == 1
+        assert not (out / "trace.csv").exists()
+
     def test_numeric_overflow_is_numeric_failure(self, tmp_path, capsys):
         # (M K / beta)^2 of the convergence envelope overflows a float
         assert run("saddle-demo", "--contexts", 5, "--beta", 1e-170, "--iters", 5,
@@ -894,3 +934,34 @@ class TestInspectWeights:
             f[0], tilt_weights(f, 1.0, "worst_high").weights[0])
         own = data.cost[0, 0] + 0.5 * (data.cost[0, 1] - data.cost[0, 0])
         assert float(row[1]) != own
+
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan"])
+    def test_tau_not_positive_is_usage_error(self, data_file, tmp_path, capsys, tau):
+        out = tmp_path / "w.csv"
+        assert run("inspect-weights", "--data", data_file, "--baseline", "random:0.5",
+                   f"--tau={tau}", "--target", "cost", "--out", out) == 1
+        assert "--tau must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tilt_with_non_finite_weights_is_numeric_failure(self, data_file, tmp_path,
+                                                             capsys):
+        # (f - mean) / tau overflows; this used to write a file of nan weights
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("inspect-weights", "--data", data_file, "--baseline", "random:0.5",
+                       "--tau", "1e-320", "--target", "cost", "--out", out)
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric failure") and len(err.splitlines()) == 1
+        assert list(tmp_path.glob("w.csv*")) == []
+
+    def test_model_and_baseline_together_is_usage_error(self, data_file, tmp_path, capsys):
+        data = load_dataset(data_file)
+        save_model(tmp_path / "model.json", LinearPolicy(np.zeros(data.n_features), 0.0), 1.0)
+        assert run("inspect-weights", "--data", data_file, "--model", tmp_path / "model.json",
+                   "--baseline", "all-instruct", "--tau", 1, "--target", "cost",
+                   "--out", tmp_path / "w.csv") == 1
+        assert "exactly one of --model or --baseline" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()

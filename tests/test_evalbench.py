@@ -6,7 +6,7 @@ import pytest
 
 from helpers import mean412_dataset
 
-from racer.core import ValidationError, evaluate_policy
+from racer.core import ParseError, ValidationError, evaluate_policy
 from racer.evalbench import (
     DEFAULT_BUDGETS,
     PRESET_SCENARIOS,
@@ -16,6 +16,7 @@ from racer.evalbench import (
     gen_synthetic,
     load_scenario,
     run_sweep,
+    scenario_splits,
     shift_scenarios,
     split_units,
 )
@@ -270,9 +271,27 @@ class TestScenarioFiles:
             assert path.exists(), path
             assert load_scenario(path) == config
 
-    def test_json_round_trip(self, tmp_path):
-        config = two_domain()
+    @pytest.mark.parametrize("text, message", [
+        (b"{bad", "not a JSON file (JSONDecodeError("),
+        (b"\xff{}", "not a JSON file (UnicodeDecodeError("),
+        (b"[1]", "expected a JSON object, got list"),
+    ])
+    def test_file_faults_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "s.json"
-        from racer.evalbench import save_scenario
-        save_scenario(config, path)
-        assert load_scenario(path) == config
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith(f"scenario file {path}: {message}")
+
+
+class TestScenarioSplits:
+    def test_shift_scenario_adds_ood_on_the_training_scale(self):
+        scenario = replace(two_domain(), shift={"cheap": 0.1, "dear": 0.9})
+        train, tests = scenario_splits(scenario)
+        assert list(tests) == ["id_test", "ood"]
+        ood = gen_synthetic(replace(scenario, seed=scenario.seed + 2), apply_shift=True)
+        assert tests["ood"].ids == ood.ids
+        assert np.array_equal(tests["ood"].cost_raw, ood.cost_raw)
+        for split in tests.values():
+            assert split.instruct_cost_mean == train.instruct_cost_mean
+        assert ood.instruct_cost_mean != train.instruct_cost_mean
