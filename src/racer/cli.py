@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -22,13 +23,15 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    Metrics,
     ParseError,
     ValidationError,
+    decode,
+    decode_field,
     evaluate_policy,
     load_dataset,
     policy_probs,
     read_json_object,
+    read_record,
     save_dataset,
     write_csv,
     write_json,
@@ -48,7 +51,7 @@ from .evalbench import (
     scenario_splits,
     sweep_units,
 )
-from .reweight import tilt_weights, uniform_weights
+from .reweight import RobustConfig, tilt_weights, uniform_weights
 from .saddle import (
     ConvergenceConstants,
     InfeasibleProblemError,
@@ -104,32 +107,20 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _widths(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        return tuple(int(h) for h in value.split(",") if h)
-    return tuple(int(h) for h in value)
+def _widths(text: str) -> tuple[int, ...]:
+    return tuple(int(h) for h in text.split(",") if h)
 
 
-_ROBUST_FIELDS = ("tau_reward", "tau_cost", "mode")
+_ROBUST_FIELDS = typing.get_type_hints(RobustConfig)
+_FIELD_TYPES = {**typing.get_type_hints(TrainConfig), **_ROBUST_FIELDS}
 
-# flag and config-file key: (TrainConfig or RobustConfig field, converter)
+# flag and config-file key: the TrainConfig or RobustConfig field it sets
 _TRAIN_FIELDS = {
-    "budget": ("budget", float),
-    "tau_r": ("tau_reward", float),
-    "tau_c": ("tau_cost", float),
-    "mode": ("mode", str),
-    "beta": ("beta", float),
-    "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int),
-    "lr": ("primal_lr", float),
-    "dual_lr": ("dual_lr", float),
-    "seed": ("seed", int),
-    "val_fraction": ("val_fraction", float),
-    "policy": ("policy_kind", str),
-    "hidden": ("hidden", _widths),
-    "optimizer": ("optimizer", str),
-    "lambda_init": ("lambda_init", float),
-    "init_bias": ("init_bias", float),
+    "budget": "budget", "tau_r": "tau_reward", "tau_c": "tau_cost", "mode": "mode",
+    "beta": "beta", "epochs": "epochs", "batch_size": "batch_size", "lr": "primal_lr",
+    "dual_lr": "dual_lr", "seed": "seed", "val_fraction": "val_fraction",
+    "policy": "policy_kind", "hidden": "hidden", "optimizer": "optimizer",
+    "init_bias": "init_bias",
 }
 
 
@@ -137,15 +128,22 @@ def _train_config(args, budget_required: bool = True) -> TrainConfig:
     """DEFAULT_TEMPLATE with the --config file's values over it and the
     flags over those.
 
-    Each value is converted and checked on its own, against a valid base
-    config, so a bad one is blamed on where it came from: a UsageError for a
-    flag, a ParseError naming the file and the field for the config file.
+    Every config-file value decodes by the type of the field it sets; a
+    key that is no flag name is a ParseError. Each value is checked on its own,
+    against a valid base config, so a bad one is blamed on where it came
+    from: a UsageError for a flag, a ParseError naming the file and the key
+    for the config file.
     """
     file_cfg = {} if args.config is None else read_json_object(args.config, "config file")
+    where = f"config file {args.config}: "
+    for key in file_cfg:
+        if key not in _TRAIN_FIELDS:
+            raise ParseError(f"{where}unknown key {key!r}")
+        file_cfg[key] = decode_field(file_cfg, key, _FIELD_TYPES[_TRAIN_FIELDS[key]], where)
     if budget_required and args.budget is None and "budget" not in file_cfg:
         raise UsageError("--budget is required")
     config = DEFAULT_TEMPLATE
-    for key, (name, convert) in _TRAIN_FIELDS.items():
+    for key, name in _TRAIN_FIELDS.items():
         value = getattr(args, key, None)
         from_file = value is None and key in file_cfg
         if from_file:
@@ -153,14 +151,13 @@ def _train_config(args, budget_required: bool = True) -> TrainConfig:
         elif value is None:
             continue
         try:
-            value = convert(value)
             if name in _ROBUST_FIELDS:
                 config = replace(config, robust=replace(config.robust, **{name: value}))
             else:
                 config = replace(config, **{name: value})
-        except (ValueError, TypeError, OverflowError) as exc:
+        except ValueError as exc:
             if from_file:
-                raise ParseError(f"config file {args.config}: field {key!r}: {exc}") from None
+                raise ParseError(f"{where}field {key!r}: {exc}") from None
             raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
     return config
 
@@ -181,7 +178,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--val-fraction", dest="val_fraction", type=float)
     p.add_argument("--policy", choices=("linear", "feedforward"))
-    p.add_argument("--hidden", help="comma-separated hidden widths")
+    p.add_argument("--hidden", type=_widths, help="comma-separated hidden widths")
     p.add_argument("--optimizer", choices=("adam", "sgd"))
     p.add_argument("--config", help="JSON config file (flags override it)")
 
@@ -217,12 +214,9 @@ def _parse_baseline(spec: str):
         return baseline_policy(spec)
     if spec.startswith("random:"):
         try:
-            p = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad random baseline {spec!r}") from None
-        if not 0.0 <= p <= 1.0:
-            raise UsageError(f"random baseline rate must lie in [0, 1], got {p}")
-        return baseline_policy("random", p)
+            return baseline_policy("random", float(spec.split(":", 1)[1]))
+        except ValueError as exc:  # not a number, or outside [0, 1]
+            raise UsageError(f"bad random baseline {spec!r} ({exc})") from None
     raise UsageError(f"unknown baseline {spec!r} "
                      "(expected all-instruct, all-reasoning, or random:<p>)")
 
@@ -289,19 +283,16 @@ def _sweep_splits(args):
 
 def _read_cell(path: Path, digest: str):
     """(cells, failures) of a finished sweep unit, or None if the file is
-    missing, unreadable or belongs to another configuration."""
+    missing, does not decode or belongs to another configuration. A cell
+    record holds its metrics' fields beside its own."""
     try:
         payload = read_json_object(path, "sweep cell file")
         if payload["digest"] != digest:
             return None
-        cells = [SweepCell(c["method"], c["budget"], c["seed"], c["split"],
-                           Metrics(c["accuracy"], c["realized_cost"], c["reasoning_fraction"]))
-                 for c in payload["cells"]]
-        failures = [SweepFailure(f["method"], f["budget"], f["seed"], f["error"])
-                    for f in payload["failures"]]
+        return ([decode(SweepCell, {**c, "metrics": c}) for c in payload["cells"]],
+                [decode(SweepFailure, f) for f in payload["failures"]])
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return cells, failures
 
 
 def cmd_sweep(args) -> int:
@@ -375,23 +366,6 @@ def cmd_sweep(args) -> int:
 # saddle demo
 # ---------------------------------------------------------------------------
 
-_PROBLEM_ARRAYS = ("rho", "reward", "cost", "w1", "w2")
-
-
-def _load_problem(path) -> TabularProblem:
-    payload = read_json_object(path, "problem file")
-    fields = {}
-    for key in (*_PROBLEM_ARRAYS, "budget", "beta"):
-        if key not in payload:
-            raise ParseError(f"problem file {path}: missing field {key!r}")
-        try:
-            fields[key] = (np.asarray(payload[key], dtype=np.float64)
-                           if key in _PROBLEM_ARRAYS else float(payload[key]))
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"problem file {path}: field {key!r} is not numeric") from None
-    return TabularProblem(**fields)
-
-
 def cmd_saddle_demo(args) -> int:
     started = time.time()
     if args.contexts < 1 or args.iters < 1 or args.seed < 0:
@@ -402,7 +376,7 @@ def cmd_saddle_demo(args) -> int:
         raise UsageError(f"--lambda0 must be non-negative and finite, got {args.lambda0}")
     inputs = []
     if args.problem is not None:
-        problem = _load_problem(args.problem)
+        problem = read_record(TabularProblem, args.problem, "problem file")
         inputs.append(args.problem)
     else:
         problem = random_problem(args.seed, n_contexts=args.contexts,

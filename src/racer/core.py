@@ -11,13 +11,16 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import functools
 import json
 import math
 import operator
 import os
-from dataclasses import asdict, dataclass
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -195,10 +198,93 @@ def read_json_object(path, what: str) -> dict:
     return payload
 
 
+# the kind of JSON value a type hint takes, as a fault names it: (one, many)
+_KINDS = {float: ("a number", "numbers"), int: ("an integer", "integers"),
+          str: ("a string", "strings"), np.ndarray: ("an array of numbers", "arrays of numbers")}
+_type_hints = functools.cache(typing.get_type_hints)  # a dataclass's, for decode
+
+
+def _kind(hint, many: bool = False) -> str:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return "a list of " + _kind(args[0], True)
+    if origin is Mapping:
+        return "an object of " + _kind(args[1], True)
+    return _KINDS.get(hint, ("an object", "objects"))[many]
+
+
+def _as(hint, value, label: str):
+    """value as type hint hint; TypeError if it is another kind of value. A
+    record nested under field ``label`` names it (and its index in a list)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint):
+        return decode(hint, value, f"{label}: ")
+    if origin is tuple and type(value) is list:
+        return tuple(_as(args[0], v, f"{label.removesuffix('s')} {i}")
+                     for i, v in enumerate(value))
+    if origin is Mapping and type(value) is dict:
+        return {k: _as(args[1], v, label) for k, v in value.items()}
+    if hint is np.ndarray and type(value) is list:  # nested lists of numbers
+        items = [_as(np.ndarray if type(v) is list else float, v, label) for v in value]
+        try:
+            return np.array(items, dtype=np.float64)
+        except ValueError:  # ragged
+            raise TypeError from None
+    if hint is float and type(value) in (int, float):
+        return float(value)  # an OverflowError past the float range
+    if hint is float and value == "inf":  # how infinity is written
+        return math.inf
+    if hint in (int, str) and type(value) is hint:  # a bool is not an int
+        return value
+    raise TypeError
+
+
+def decode_field(record: dict, name: str, hint, where: str = ""):
+    """record[name] as type hint hint: a number is a JSON integer or float,
+    or "inf"; an integer is a JSON integer (a bool or a numeric string is
+    neither); lists, arrays, objects and nested records decode element by
+    element. ParseError naming ``where`` and the field unless it is present
+    and of that kind."""
+    if name not in record:
+        raise ParseError(f"{where}missing field {name!r}")
+    if type(None) in typing.get_args(hint):  # X | None
+        hint = typing.get_args(hint)[0]
+    try:
+        return _as(hint, record[name], f"{where}{name}")
+    except (TypeError, OverflowError, RecursionError):
+        raise ParseError(f"{where}field {name!r} is not {_kind(hint)}") from None
+
+
+def decode(cls, record, where: str = ""):
+    """The dataclass cls of a decoded JSON object, each field by
+    ``decode_field`` and its type hint. A field the object lacks, or a null
+    where the default is None, keeps its default; a field missing without
+    one is a ParseError naming ``where``. cls's own checks raise as they do."""
+    if not isinstance(record, dict):
+        raise ParseError(f"{where}expected a JSON object, got {type(record).__name__}")
+    hints, values = _type_hints(cls), {}
+    for f in fields(cls):
+        absent = record.get(f.name) is None and (f.name not in record or f.default is None)
+        if not absent or f.default is MISSING and f.default_factory is MISSING:
+            values[f.name] = decode_field(record, f.name, hints[f.name], where)
+    return cls(**values)
+
+
+def read_record(cls, path, what: str):
+    """The dataclass cls a JSON file holds, by ``decode``; its ParseError or
+    ValidationError names ``what`` and the path."""
+    payload = read_json_object(path, what)
+    try:
+        return decode(cls, payload)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from None
+
+
 def write_json(path, payload) -> None:
-    """Write payload atomically as indented JSON ending in a newline."""
+    """Write payload atomically as indented JSON ending in a newline; an
+    array is written as its list."""
     with atomic_open(path) as fh:
-        fh.write(json.dumps(payload, indent=1) + "\n")
+        fh.write(json.dumps(payload, indent=1, default=np.ndarray.tolist) + "\n")
 
 
 def write_csv(path, rows: Iterable[Sequence]) -> None:
@@ -336,6 +422,9 @@ class TabularPolicy:
 
     table: Mapping[str, float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "table", dict(self.table))  # which write_json can write
+
 
 @dataclass(frozen=True)
 class LinearPolicy:
@@ -416,14 +505,7 @@ def policy_logits(policy: PolicySpec, features: np.ndarray) -> np.ndarray:
 
 def policy_prob(policy: PolicySpec, instance: Instance) -> float:
     """Probability of choosing the reasoning mode, pi(1|z), for one instance."""
-    if isinstance(policy, ConstantPolicy):
-        return policy.p_reason
-    if isinstance(policy, TabularPolicy):
-        try:
-            return float(policy.table[instance.id])
-        except KeyError:
-            raise ValidationError(f"unknown context id {instance.id!r}") from None
-    return float(sigmoid(policy_logits(policy, instance.features[None, :]))[0])
+    return float(policy_probs(policy, Dataset([instance]))[0])
 
 
 def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:
@@ -505,41 +587,33 @@ def evaluate_policy(policy: PolicySpec, data: Dataset, mode: str = "expected",
 # policy serialization (shared by the trainer and the CLI)
 # ---------------------------------------------------------------------------
 
+_POLICY_KINDS = {"tabular": TabularPolicy, "linear": LinearPolicy,
+                 "feedforward": FeedForwardPolicy, "constant": ConstantPolicy}
+
+
 def policy_to_dict(policy: PolicySpec) -> dict:
-    if isinstance(policy, TabularPolicy):
-        return {"kind": "tabular", "table": dict(policy.table)}
-    if isinstance(policy, LinearPolicy):
-        return {"kind": "linear", "weights": policy.weights.tolist(), "bias": policy.bias}
-    if isinstance(policy, FeedForwardPolicy):
-        return {
-            "kind": "feedforward",
-            "weights": [w.tolist() for w in policy.weights],
-            "biases": [b.tolist() for b in policy.biases],
-        }
-    if isinstance(policy, ConstantPolicy):
-        return {"kind": "constant", "p_reason": policy.p_reason}
+    """{"kind": ..., **fields}; ``write_json`` writes its arrays as lists."""
+    for kind, cls in _POLICY_KINDS.items():
+        if isinstance(policy, cls):
+            return {"kind": kind, **vars(policy)}
     raise TypeError(f"cannot serialize {type(policy).__name__}")
 
 
-def policy_from_dict(payload: dict) -> PolicySpec:
-    """Inverse of policy_to_dict; ParseError if the weight shapes do not fit."""
-    kind = payload.get("kind")
-    if kind == "tabular":
-        return TabularPolicy({str(k): float(v) for k, v in payload["table"].items()})
-    if kind == "linear":
-        policy = LinearPolicy(np.asarray(payload["weights"], dtype=np.float64), payload["bias"])
-        if policy.weights.ndim != 1:
-            raise ParseError("linear policy weights must be a vector")
-        return policy
+def policy_from_dict(payload, where: str = "") -> PolicySpec:
+    """Inverse of policy_to_dict: the policy of the kind payload names, by
+    ``decode``; ParseError naming ``where`` if the weight shapes do not fit."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where}expected a JSON object, got {type(payload).__name__}")
+    kind = decode_field(payload, "kind", str, where)
+    if kind not in _POLICY_KINDS:
+        raise ValidationError(f"unknown policy kind {kind!r}")
+    policy = decode(_POLICY_KINDS[kind], payload, where)
+    if kind == "linear" and policy.weights.ndim != 1:
+        raise ParseError(f"{where}linear policy weights must be a vector")
     if kind == "feedforward":
-        ws = tuple(np.asarray(w, dtype=np.float64) for w in payload["weights"])
-        bs = tuple(np.asarray(b, dtype=np.float64) for b in payload["biases"])
-        policy = FeedForwardPolicy(ws, bs)
+        ws, bs = policy.weights, policy.biases
         if (any(w.ndim != 2 or b.shape != w.shape[:1] for w, b in zip(ws, bs))
                 or any(w.shape[0] != nxt.shape[1] for w, nxt in zip(ws, ws[1:]))
                 or ws[-1].shape[0] != 1):
-            raise ParseError("feedforward policy layer shapes do not chain to one logit")
-        return policy
-    if kind == "constant":
-        return ConstantPolicy(payload["p_reason"])
-    raise ValidationError(f"unknown policy kind {kind!r}")
+            raise ParseError(f"{where}feedforward policy layer shapes do not chain to one logit")
+    return policy

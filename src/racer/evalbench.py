@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (ConstantPolicy, Dataset, Metrics, ParseError, ValidationError,
-                   evaluate_policy, read_json_object, write_csv)
+from .core import (ConstantPolicy, Dataset, Metrics, ValidationError, evaluate_policy,
+                   read_record, write_csv)
 from .reweight import RobustConfig
 from .trainer import TrainConfig, TrainResult, train
 
@@ -111,92 +111,29 @@ class ScenarioConfig:
         return replace(self, domains=domains, shift=None)
 
 
-_JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str, "a list": list,
-               "an object": dict}
-# the kind of JSON value each field of a scenario file and of its domains takes
-_KINDS = {"domains": "a list of domains", "n": "an integer", "seed": "an integer",
-          "shift": "an object of numbers", "agreement": "a number",
-          "instruct_cost_sigma": "a number", "name": "a string", "weight": "a number",
-          "p_instruct": "a number", "p_reasoning": "a number", "cost_ratio_median": "a number",
-          "cost_ratio_sigma": "a number", "feature_mean": "a list of numbers",
-          "feature_noise": "a number", "instruct_cost_median": "a number"}
-
-
-def _decode(value, kind: str):
-    """value as the kind of JSON value named; TypeError if it is another
-    (OverflowError for an integer past the float range)."""
-    if kind == "a list of numbers":
-        return tuple(_decode(v, "a number") for v in _decode(value, "a list"))
-    if kind == "an object of numbers":
-        return {k: _decode(v, "a number") for k, v in _decode(value, "an object").items()}
-    if kind == "a list of domains":
-        return tuple(_from_record(DomainSpec, d, f"domain {i}: ")
-                     for i, d in enumerate(_decode(value, "a list")))
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise TypeError
-    return float(value) if kind == "a number" else value
-
-
-def _from_record(cls, record, where: str = ""):
-    """cls of the fields a decoded JSON object holds, each of the kind
-    _KINDS names; a field it lacks (or a null where the default is None)
-    keeps its default. ParseError naming a field that is missing without a
-    default or holds another kind of value."""
-    if not isinstance(record, dict):
-        raise ParseError(f"{where}expected a JSON object, got {type(record).__name__}")
-    values = {}
-    for f in fields(cls):
-        if f.name not in record or (record[f.name] is None and f.default is None):
-            if f.default is MISSING:
-                raise ParseError(f"{where}missing field {f.name!r}")
-            continue
-        try:
-            values[f.name] = _decode(record[f.name], _KINDS[f.name])
-        except (TypeError, OverflowError):
-            raise ParseError(f"{where}field {f.name!r} is not {_KINDS[f.name]}") from None
-    return cls(**values)
-
-
 def load_scenario(path) -> ScenarioConfig:
     """The scenario of a JSON file; ParseError naming the file unless it
     decodes to one, ValidationError if that scenario breaks an invariant."""
-    payload = read_json_object(path, "scenario file")
-    try:
-        return _from_record(ScenarioConfig, payload)
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"scenario file {path}: {exc}") from None
+    return read_record(ScenarioConfig, path, "scenario file")
 
 
 # Reference generator regimes. Cost-ratio medians follow the reported corpus
 # statistics (11.2 / 3.4 / 4.7); accuracy endpoints follow the reported
 # 1.7B-scale judge pair (70.04% instruct, 78.35% reasoning).
 PRESET_SCENARIOS: dict[str, ScenarioConfig] = {
-    "magpie-ultra": ScenarioConfig(
-        domains=(DomainSpec("magpie-ultra", 1.0, 0.7004, 0.7835, 11.2,
-                            feature_mean=(1.0, 0.0, 0.0, 0.5)),),
-        n=10_000, seed=0,
-    ),
-    "wildguardmix": ScenarioConfig(
-        domains=(DomainSpec("wildguardmix", 1.0, 0.7004, 0.7835, 3.4,
-                            feature_mean=(0.0, 1.0, 0.0, -0.5)),),
-        n=10_000, seed=0,
-    ),
-    "offsetbias": ScenarioConfig(
-        domains=(DomainSpec("offsetbias", 1.0, 0.7004, 0.7835, 4.7,
-                            feature_mean=(0.0, 0.0, 1.0, 0.0)),),
-        n=10_000, seed=0,
-    ),
+    **{name: ScenarioConfig((DomainSpec(name, 1.0, 0.7004, 0.7835, median, feature_mean=mean),),
+                            n=10_000)
+       for name, median, mean in (("magpie-ultra", 11.2, (1.0, 0.0, 0.0, 0.5)),
+                                  ("wildguardmix", 3.4, (0.0, 1.0, 0.0, -0.5)),
+                                  ("offsetbias", 4.7, (0.0, 0.0, 1.0, 0.0)))},
     # Three-domain separable mixture: reasoning is decisive on "math",
     # neutral on "chat", harmful on "safety". Used by the frontier and
     # budget-control benchmarks.
     "separable3": ScenarioConfig(
         domains=(
-            DomainSpec("math", 0.35, 0.35, 0.92, 3.0, 0.3,
-                       (1.5, -0.5, 0.0, 0.6), 0.45),
-            DomainSpec("chat", 0.40, 0.80, 0.80, 4.5, 0.3,
-                       (-1.0, 1.0, 0.4, -0.2), 0.45),
-            DomainSpec("safety", 0.25, 0.85, 0.72, 5.5, 0.3,
-                       (0.0, -1.2, -1.0, 0.3), 0.45),
+            DomainSpec("math", 0.35, 0.35, 0.92, 3.0, 0.3, (1.5, -0.5, 0.0, 0.6), 0.45),
+            DomainSpec("chat", 0.40, 0.80, 0.80, 4.5, 0.3, (-1.0, 1.0, 0.4, -0.2), 0.45),
+            DomainSpec("safety", 0.25, 0.85, 0.72, 5.5, 0.3, (0.0, -1.2, -1.0, 0.3), 0.45),
         ),
         n=2000, seed=100, instruct_cost_sigma=0.15,
     ),
@@ -206,10 +143,8 @@ PRESET_SCENARIOS: dict[str, ScenarioConfig] = {
     # blows the budget when the mixture inverts.
     "shift-up": ScenarioConfig(
         domains=(
-            DomainSpec("light", 0.8, 0.80, 0.82, 1.6, 0.3,
-                       (1.2, 0.3, -0.5), 0.45, 1.0),
-            DomainSpec("heavy", 0.2, 0.35, 0.95, 6.0, 0.3,
-                       (-1.0, 0.8, 0.9), 0.45, 1.5),
+            DomainSpec("light", 0.8, 0.80, 0.82, 1.6, 0.3, (1.2, 0.3, -0.5), 0.45, 1.0),
+            DomainSpec("heavy", 0.2, 0.35, 0.95, 6.0, 0.3, (-1.0, 0.8, 0.9), 0.45, 1.5),
         ),
         n=1500, seed=500, instruct_cost_sigma=0.15,
     ),
@@ -219,10 +154,8 @@ PRESET_SCENARIOS: dict[str, ScenarioConfig] = {
     # mixture concentrates exactly there.
     "shift-down": ScenarioConfig(
         domains=(
-            DomainSpec("light", 0.2, 0.20, 0.38, 2.2, 0.3,
-                       (0.9, 0.2, -0.4), 0.9, 1.0),
-            DomainSpec("heavy", 0.8, 0.50, 0.97, 3.2, 0.3,
-                       (-0.6, 0.5, 0.6), 0.9, 1.2),
+            DomainSpec("light", 0.2, 0.20, 0.38, 2.2, 0.3, (0.9, 0.2, -0.4), 0.9, 1.0),
+            DomainSpec("heavy", 0.8, 0.50, 0.97, 3.2, 0.3, (-0.6, 0.5, 0.6), 0.9, 1.2),
         ),
         n=1500, seed=600, agreement=1.0, instruct_cost_sigma=0.15,
     ),
@@ -233,10 +166,10 @@ PRESET_SCENARIOS: dict[str, ScenarioConfig] = {
 # generation
 # ---------------------------------------------------------------------------
 
-def _gen_columns(config: ScenarioConfig, weights: np.ndarray, seed: int, n: int):
-    """(ids, tags, features, correct, cost_raw) of n rows drawn from the mixture."""
-    rng = np.random.default_rng(seed)
-    k = len(config.domains)
+def _gen_columns(config: ScenarioConfig):
+    """(ids, tags, features, correct, cost_raw) of the config's n rows."""
+    rng = np.random.default_rng(config.seed)
+    k, n, weights = len(config.domains), config.n, config.weights()
     dom_idx = rng.choice(k, size=n, p=weights / weights.sum())
     p0 = np.array([d.p_instruct for d in config.domains])[dom_idx]
     p1 = np.array([d.p_reasoning for d in config.domains])[dom_idx]
@@ -263,7 +196,7 @@ def _gen_columns(config: ScenarioConfig, weights: np.ndarray, seed: int, n: int)
     features = means + noise[:, None] * rng.standard_normal(means.shape)
 
     names = [d.name for d in config.domains]
-    return ([f"syn-{seed}-{i:06d}" for i in range(n)], [names[j] for j in dom_idx.tolist()],
+    return ([f"syn-{config.seed}-{i:06d}" for i in range(n)], [names[j] for j in dom_idx.tolist()],
             features, np.stack([correct0, correct1], axis=1), np.stack([cost0, cost1], axis=1))
 
 
@@ -274,7 +207,7 @@ def gen_synthetic(config: ScenarioConfig, apply_shift: bool = False) -> Dataset:
     shift map replaces the mixture weights.
     """
     cfg = config.with_weights(config.shift) if (apply_shift and config.shift) else config
-    return Dataset.from_columns(*_gen_columns(cfg, cfg.weights(), cfg.seed, cfg.n))
+    return Dataset.from_columns(*_gen_columns(cfg))
 
 
 def scenario_splits(scenario: ScenarioConfig) -> tuple[Dataset, dict[str, Dataset]]:
@@ -314,12 +247,16 @@ def shift_scenarios(base: ScenarioConfig, concentration: float = 0.8,
     n_test = base.n if n_test is None else n_test
 
     def shifted(target: int, seed: int) -> Dataset:
-        weights = np.array([d.weight for d in base.domains])
+        weights = base.weights()
         others = weights.sum() - weights[target]
-        new = weights * (1.0 - concentration) / others if others > 0 else weights * 0.0
-        new[target] = concentration
-        return Dataset.from_columns(*_gen_columns(base, new, seed, n_test),
-                                    instruct_cost_mean=train_split.instruct_cost_mean)
+        if others > 0:
+            new = weights * (1.0 - concentration) / others
+            new[target] = concentration
+        else:  # no weight elsewhere: every row is drawn from the target
+            new = np.eye(len(weights))[target]
+        domains = tuple(replace(d, weight=float(w)) for d, w in zip(base.domains, new))
+        cfg = replace(base, domains=domains, shift=None, seed=seed, n=n_test)
+        return gen_synthetic(cfg).with_cost_scale(train_split.instruct_cost_mean)
 
     low = int(np.argmin(medians))
     high = int(np.argmax(medians))
@@ -400,15 +337,9 @@ class SweepResult:
             groups.setdefault((cell.method, cell.budget, cell.split), []).append(cell.metrics)
         rows = []
         for (method, budget, split), ms in sorted(groups.items()):
-            acc = np.array([m.accuracy for m in ms])
-            cost = np.array([m.realized_cost for m in ms])
-            rf = np.array([m.reasoning_fraction for m in ms])
-            rows.append(AggregateRow(
-                method, budget, split, len(ms),
-                float(acc.mean()), float(acc.std()),
-                float(cost.mean()), float(cost.std()),
-                float(rf.mean()), float(rf.std()),
-            ))
+            columns = np.array([astuple(m) for m in ms]).T  # accuracy, cost, reasoning
+            stats = [float(stat(column)) for column in columns for stat in (np.mean, np.std)]
+            rows.append(AggregateRow(method, budget, split, len(ms), *stats))
         return rows
 
     def to_csv(self, path) -> None:
@@ -443,16 +374,10 @@ def sweep_units(budgets: Sequence[float], methods: Sequence[str], repeats: int,
 
 def split_units(units: Sequence, workers: int) -> list[list]:
     """Split units into at most ``workers`` contiguous, near-equal groups."""
-    if not units:
-        return []
     n_groups = max(1, min(workers, len(units)))
     size, extra = divmod(len(units), n_groups)
-    groups, start = [], 0
-    for g in range(n_groups):
-        stop = start + size + (g < extra)
-        groups.append(list(units[start:stop]))
-        start = stop
-    return groups
+    bounds = [g * size + min(g, extra) for g in range(n_groups + 1)]
+    return [list(units[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _run_sweep_cell(args):
@@ -522,6 +447,10 @@ def run_units(train_data: Dataset, splits: Mapping[str, Dataset], units: Sequenc
     The units are split into ``workers`` contiguous groups, each trained as
     one stack, in its own process when there are several.
     """
+    for name, split in splits.items():
+        if split.n_features != train_data.n_features:
+            raise ValidationError(f"split {name!r} has {split.n_features} features, "
+                                  f"the training data {train_data.n_features}")
     work = [(train_data, splits, group, tuple(methods), template)
             for group in split_units(units, workers)]
     if len(work) > 1:

@@ -178,22 +178,6 @@ def dual_update(lam, eta: float, weighted_cost, budget, beta: float):
     return np.maximum(0.0, lam + eta * (weighted_cost - budget - beta * lam))
 
 
-_BRACKET_LIMIT = 2.0**60
-
-
-def _dual_upper_bracket(problem: TabularProblem, start: float = 1.0) -> float:
-    """Smallest power-of-two multiple of start with d'(lambda) > 0."""
-    hi = start
-    while dual_function(problem, hi)[1] <= 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise InfeasibleProblemError(
-                "dual bracket expansion exceeded 2**60; the cheapest policy "
-                "exceeds the budget under the weights"
-            )
-    return hi
-
-
 @dataclass(frozen=True)
 class SaddleSolution:
     """Unique saddle point of the regularized Lagrangian."""
@@ -216,7 +200,14 @@ def solve_saddle(problem: TabularProblem, tol: float = 1e-10,
     if g0 >= 0.0:
         lam = 0.0
     else:
-        hi = _dual_upper_bracket(problem, start=bracket_init)
+        hi = bracket_init  # then the smallest power-of-two multiple with d'(hi) > 0
+        while dual_function(problem, hi)[1] <= 0.0:
+            hi *= 2.0
+            if hi > 2.0**60:
+                raise InfeasibleProblemError(
+                    "dual bracket expansion exceeded 2**60; the cheapest policy "
+                    "exceeds the budget under the weights"
+                )
         lo = 0.0
         lam = 0.5 * (lo + hi)
         for _ in range(200):
@@ -277,9 +268,16 @@ def primal_dual_iterate(problem: TabularProblem, lambda0: float, iterations: int
     if solution is None:
         solution = solve_saddle(problem, tol=1e-12)
 
-    # loop invariants: log pi_star per action (-inf where it underflowed) and rho * w2
+    # loop invariants: log pi_star per action and rho * w2; where pi_star
+    # underflowed to 0 its log is l_a - m - log z, which stays finite
     with np.errstate(divide="ignore"):
-        log_star0, log_star1 = np.log(solution.pi_matrix.T)
+        log_star = np.log(solution.pi_matrix.T)
+    under = np.isneginf(log_star)
+    if under.any():
+        _, _, m, z = _softmax_columns(problem, solution.lambda_star)
+        log_star[under] = (np.stack(_logit_columns(problem, solution.lambda_star))
+                           - m - np.log(z))[under]
+    log_star0, log_star1 = log_star
     rho_w2 = problem.rho * problem.w2
     c0, c1 = problem.cost.T
 

@@ -27,6 +27,7 @@ from .core import (
     ParseError,
     PolicySpec,
     ValidationError,
+    decode_field,
     evaluate_policy,
     policy_from_dict,
     policy_to_dict,
@@ -61,7 +62,6 @@ class TrainConfig:
     dual_lr: float = 1e-3
     seed: int = 0
     val_fraction: float = 0.1
-    lambda_init: float = 0.0
     init_bias: float = 0.0
     policy_kind: str = "linear"
     hidden: tuple[int, ...] = (256, 128, 64)
@@ -78,8 +78,6 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
-        if self.lambda_init < 0:
-            raise ValueError("lambda_init must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.policy_kind not in ("linear", "feedforward"):
@@ -221,10 +219,6 @@ def _objective(params, kind, acts, u, p, dr, dc, exp_r, exp_c, wr, wc, lam, beta
     return value, _backward(params, kind, acts, gu)
 
 
-def _policy_kind(policy: PolicySpec) -> str:
-    return "linear" if isinstance(policy, LinearPolicy) else "feedforward"
-
-
 def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
                     weights_c: WeightVector, dual: DualState):
     """Reweighted, entropy-regularized batch objective and its gradient.
@@ -237,7 +231,7 @@ def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
     wc = weights_c.weights
     if wr.shape[0] != len(batch) or wc.shape[0] != len(batch):
         raise ValueError("weight vectors must align with the batch")
-    kind = _policy_kind(policy)
+    kind = "linear" if isinstance(policy, LinearPolicy) else "feedforward"
     params = _params(policy)
     return _objective_on_params(
         params, kind, batch.features, batch.correct, batch.cost, wr, wc,
@@ -245,21 +239,20 @@ def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
     )
 
 
-def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta,
-                         where: str = "batch"):
+def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
     """The objective of one policy on one batch: a stack of one replica."""
     stacked = [p[None] for p in params]
     u, acts = _forward(stacked, kind, x[None])
     if not np.all(np.isfinite(u)):
         bad = int(np.argmax(~np.isfinite(u[0])))
-        raise TrainingDivergenceError(f"non-finite logit at {where} index {bad}")
+        raise TrainingDivergenceError(f"non-finite logit at batch index {bad}")
     p = sigmoid(u)
     r0, dr, c0, dc = _gaps(correct[None], cost[None])
     values, grads = _objective(stacked, kind, acts, u, p, dr, dc, r0 + p * dr, c0 + p * dc,
                                wr[None], wc[None], np.array([lam]), beta)
     value = float(values[0])
     if not math.isfinite(value):
-        raise TrainingDivergenceError(f"non-finite objective value in {where}")
+        raise TrainingDivergenceError("non-finite objective value in batch")
     return value, [g[0] for g in grads]
 
 
@@ -425,7 +418,7 @@ class _Stack:
         self.opt = (_Adam(self.flat, lead.primal_lr) if lead.optimizer == "adam"
                     else _Sgd(self.flat, lead.primal_lr))
         self.slot = np.arange(len(configs))  # position of each replica in configs
-        self.lam = np.full(len(configs), lead.lambda_init)
+        self.lam = np.zeros(len(configs))
         self.budget = np.array([cfg.budget for cfg in configs])
         self.tau_r = np.array([cfg.robust.effective_tau_reward for cfg in configs])
         self.tau_c = np.array([cfg.robust.effective_tau_cost for cfg in configs])
@@ -608,10 +601,8 @@ def load_model(path) -> tuple[PolicySpec, float, dict]:
     payload = read_json_object(path, "model file")
     if payload.get("format") != _MODEL_FORMAT:
         raise ValidationError(f"unsupported model format {payload.get('format')!r}")
-    try:
-        return policy_from_dict(payload["policy"]), float(payload["instruct_cost_mean"]), payload
-    except ValidationError:
-        raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"model file {path}: {exc if isinstance(exc, ParseError) else repr(exc)}"
-                         ) from None
+    where = f"model file {path}: "
+    if "policy" not in payload:
+        raise ParseError(f"{where}missing field 'policy'")
+    return (policy_from_dict(payload["policy"], f"{where}policy: "),
+            decode_field(payload, "instruct_cost_mean", float, where), payload)

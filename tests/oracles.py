@@ -545,7 +545,7 @@ class _RefStack:
         self.opt = (_RefAdam(self.params, lead.primal_lr) if lead.optimizer == "adam"
                     else _RefSgd(self.params, lead.primal_lr))
         self.slot = np.arange(len(configs))
-        self.lam = np.full(len(configs), lead.lambda_init)
+        self.lam = np.zeros(len(configs))
         self.budget = np.array([cfg.budget for cfg in configs])
         self.tau_r = np.array([cfg.robust.effective_tau_reward for cfg in configs])
         self.tau_c = np.array([cfg.robust.effective_tau_cost for cfg in configs])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 import warnings
 from dataclasses import replace
@@ -176,7 +177,7 @@ def model_texts(draw):
 CONFIG = {"budget": 2.0, "epochs": 2, "batch_size": 16, "lr": 1e-2, "dual_lr": 0.05,
           "seed": 1, "tau_r": 1.0, "tau_c": "inf", "mode": "racer", "beta": 0.005,
           "val_fraction": 0.2, "policy": "feedforward", "hidden": [4],
-          "optimizer": "adam", "lambda_init": 0.0, "init_bias": 0.0}
+          "optimizer": "adam", "init_bias": 0.0}
 
 # junk that keeps a run small: no large epoch counts or hidden widths
 _small_junk = st.one_of(
@@ -235,12 +236,39 @@ def scenario_texts(draw):
     return _junk_text(draw, payload)
 
 
+@st.composite
+def cell_texts(draw, payload):
+    """Bytes of a sweep cell file: payload with some fields of the file, its
+    first cell or its first failure dropped or given junk values."""
+    payload = json.loads(json.dumps(payload))
+    records = [payload, *payload["cells"][:1], *payload["failures"][:1]]
+    targets = [(record, key) for record in records for key in sorted(record)]
+    for i in draw(st.lists(st.integers(0, len(targets) - 1), max_size=3, unique=True)):
+        record, key = targets[i]
+        if draw(st.booleans()):
+            record.pop(key, None)
+        else:
+            record[key] = draw(_junk)
+    return _junk_text(draw, payload)
+
+
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
     path = tmp_path_factory.mktemp("small") / "data.jsonl"
     assert run("gen-synth", "--regime", "separable3", "--n", 60, "--seed", 2,
                "--out", path) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(small_data, tmp_path_factory):
+    """(argv, out dir) of a finished one-unit sweep whose cell file holds a
+    cell and a failure; no unit trains."""
+    args = ["sweep", "--train-data", small_data, "--budgets", "2.0", "--repeats", "1",
+            "--methods", "all-instruct,random"]
+    out = tmp_path_factory.mktemp("finished_sweep")
+    assert run_quietly(*args, "--out", out)[0] == 0
+    return args, out
 
 
 @pytest.fixture()
@@ -387,7 +415,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("text, message", [
-        ('{"beta": "x"}', "field 'beta': could not convert string to float"),
+        ('{"beta": "x"}', "field 'beta' is not a number"),
         ('{"hidden": 5}', "field 'hidden'"),
         ('{"hidden": [0]}', "field 'hidden': hidden widths must be positive"),
         ('{"seed": -1}', "field 'seed': seed must be non-negative"),
@@ -397,8 +425,16 @@ class TestTrain:
         ('[1]', "expected a JSON object, got list"),
         ('{bad', "not a JSON file"),
         ('\udcff', "not a JSON file"),
+        ('{"epochs": 2.7}', "field 'epochs' is not an integer"),
+        ('{"seed": true}', "field 'seed' is not an integer"),
+        ('{"budget": "2"}', "field 'budget' is not a number"),
+        ('{"hidden": "4,8"}', "field 'hidden' is not a list of integers"),
+        ('{"epochs": 2, "lambda_init": 0.0}', "unknown key 'lambda_init'"),
+        (json.dumps(OLD_CONFIG), "unknown key 'robust'"),
     ], ids=["text-beta", "number-hidden", "zero-hidden", "negative-seed", "null-tau",
-            "infinite-epochs", "unknown-mode", "list", "truncated", "not-utf8"])
+            "infinite-epochs", "unknown-mode", "list", "truncated", "not-utf8",
+            "fractional-epochs", "bool-seed", "text-budget", "text-hidden", "removed-key",
+            "model-config"])
     def test_bad_config_file_is_data_error(self, data_file, tmp_path, capsys, command,
                                            text, message):
         cfg = tmp_path / "cfg.json"
@@ -528,14 +564,19 @@ class TestEval:
         ("[1, 2]", "expected a JSON object, got list"),
         (MODEL_TEXT[:60], "JSONDecodeError"),
         (model_text(weights=[[0.5, -0.5]]), "weights must be a vector"),
-        (model_text(bias="b"), "could not convert string to float"),
+        (model_text(bias="b"), "field 'bias' is not a number"),
+        (model_text(bias="0.25"), "field 'bias' is not a number"),
+        (model_text(weights=[True, -0.5]), "field 'weights' is not an array of numbers"),
+        (model_text(weights=["0.5", -0.5]), "field 'weights' is not an array of numbers"),
+        (model_text(instruct_cost_mean=True), "field 'instruct_cost_mean' is not a number"),
         (model_text(kind="feedforward", weights=[[[1.0, 0.0]], [[1.0, 1.0]]], biases=[[0.0], [0.0]]),
          "layer shapes do not chain"),
         (model_text(kind="feedforward", weights=[[[1.0, 0.0]]], biases=[[0.0, 1.0]]),
          "layer shapes do not chain"),
         (model_text(instruct_cost_mean=-2.0), "instruct_cost_mean must be positive"),
-    ], ids=["list", "truncated", "matrix-weights", "text-bias", "unchained-layers",
-            "bias-shape", "negative-scale"])
+    ], ids=["list", "truncated", "matrix-weights", "text-bias", "numeric-text-bias",
+            "bool-weights", "text-weights", "bool-scale", "unchained-layers", "bias-shape",
+            "negative-scale"])
     def test_bad_model_file_is_data_error(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.jsonl"
         data.write_text(json.dumps(RECORD) + "\n")
@@ -728,6 +769,104 @@ class TestSweep:
             assert (tmp_path / "resumed" / name).read_bytes() == \
                 (tmp_path / "fresh" / name).read_bytes()
 
+    @pytest.mark.parametrize("field, value", [("budget", "x"), ("seed", 1.5),
+                                              ("accuracy", True), ("split", None)])
+    def test_mistyped_cell_is_recomputed_on_resume(self, data_file, tmp_path, capsys,
+                                                   field, value):
+        out = tmp_path / "sw_typed"
+        args = ["sweep", "--train-data", data_file, "--budgets", "2.0,3.0", "--repeats", "1",
+                "--methods", "all-instruct", "--out", out]
+        assert run(*args) == 0
+        raw = (out / "sweep.csv").read_bytes()
+        cell = sorted((out / "cells").glob("*.json"))[0]
+        whole = cell.read_bytes()
+        payload = json.loads(whole)
+        payload["cells"][0][field] = value
+        cell.write_text(json.dumps(payload))
+        assert run(*args, "--resume") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert cell.read_bytes() == whole
+        assert (out / "sweep.csv").read_bytes() == raw
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_cell_file_never_escapes(self, finished_sweep, data):
+        args, done = finished_sweep
+        (cell,) = (done / "cells").glob("*.json")
+        text = data.draw(cell_texts(json.loads(cell.read_bytes())))
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(done / "cells", Path(tmp) / "cells")
+            (Path(tmp) / "cells" / cell.name).write_bytes(text)
+            code, err = run_quietly(*args, "--resume", "--out", tmp)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    def test_test_split_of_another_dimension_fails_before_training(self, data_file, tmp_path,
+                                                                   capsys, monkeypatch):
+        other = tmp_path / "other.jsonl"
+        assert run("gen-synth", "--scenario", SCENARIOS / "shift_up.json", "--n", 50,
+                   "--out", other) == 0  # 3-d features vs 4-d training data
+
+        def train(*args, **kwargs):
+            raise AssertionError("a unit trained")
+
+        monkeypatch.setattr("racer.evalbench.train", train)
+        assert run("sweep", "--train-data", data_file, "--test-data", f"held={other}",
+                   "--budgets", "2.0", "--repeats", "1", "--methods", "racer",
+                   "--out", tmp_path / "sw") == 2
+        err = capsys.readouterr().err
+        assert "split 'held' has 3 features" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "sw" / "cells").iterdir())
+
+    def test_too_few_rows_fail_every_learnable_cell(self, tmp_path, capsys):
+        data = tmp_path / "few.jsonl"
+        assert run("gen-synth", "--regime", "offsetbias", "--n", 40, "--out", data) == 0
+        out = tmp_path / "sw_few"
+        assert run("sweep", "--train-data", data, "--budgets", "2,3", "--repeats", "1",
+                   "--methods", "racer,acer,random,all-instruct", "--out", out) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for budget in (2, 3):
+            for method in ("racer", "acer"):
+                assert (f"warning: {method} budget={budget} seed=0 failed: "
+                        "dataset size 40 must exceed batch_size 64") in err
+            assert (f"warning: random budget={budget} seed=0 failed: "
+                    "random baseline needs a paired racer run") in err
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["budget"]) for r in rows] == [("all-instruct", "2.0"),
+                                                             ("all-instruct", "3.0")]
+        cells = [json.loads(p.read_text()) for p in (out / "cells").glob("*.json")]
+        assert sorted(len(c["failures"]) for c in cells) == [3, 3]
+
+    def test_diverging_replica_fails_only_its_own_cell(self, tmp_path, capsys):
+        # both modes are always right, so the gradient is 0 until the budget
+        # multiplier leaves 0: at budget 1.5 it does and the huge features
+        # overflow the next logits; at budget 100 it never does
+        scenario = tmp_path / "flat.json"
+        scenario.write_text(json.dumps({
+            "n": 200, "seed": 0,
+            "domains": [{"name": "x", "weight": 1.0, "p_instruct": 1.0, "p_reasoning": 1.0,
+                         "cost_ratio_median": 3.0, "feature_mean": [1e200],
+                         "feature_noise": 0.0}],
+        }))
+        data = tmp_path / "flat.jsonl"
+        assert run("gen-synth", "--scenario", scenario, "--out", data) == 0
+        out = tmp_path / "sw_div"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("sweep", "--train-data", data, "--budgets", "1.5,100", "--repeats", "1",
+                       "--methods", "racer,all-instruct", "--optimizer", "sgd", "--lr", 1,
+                       "--epochs", 2, "--out", out) == 0
+        err = capsys.readouterr().err
+        assert "warning: racer budget=1.5 seed=0 failed: non-finite logit" in err
+        assert "Traceback" not in err
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["budget"]) for r in rows] == [
+            ("all-instruct", "1.5"), ("all-instruct", "100.0"), ("racer", "100.0")]
+        assert len(list((out / "cells").glob("*.json"))) == 2
+
     def test_all_cells_failing_gives_nonzero_exit(self, data_file, tmp_path):
         # random without a paired racer run fails in every cell
         assert run("sweep", "--train-data", data_file, "--budgets", "2.0",
@@ -764,8 +903,11 @@ class TestSaddleDemo:
 
     @pytest.mark.parametrize("text, message", [
         (json.dumps({k: v for k, v in PROBLEM.items() if k != "beta"}), "missing field 'beta'"),
-        (json.dumps({**PROBLEM, "reward": "xy"}), "field 'reward' is not numeric"),
-        (json.dumps({**PROBLEM, "budget": [2.0]}), "field 'budget' is not numeric"),
+        (json.dumps({**PROBLEM, "reward": "xy"}), "field 'reward' is not an array of numbers"),
+        (json.dumps({**PROBLEM, "budget": [2.0]}), "field 'budget' is not a number"),
+        (json.dumps({**PROBLEM, "budget": "1.5"}), "field 'budget' is not a number"),
+        (json.dumps({**PROBLEM, "beta": True}), "field 'beta' is not a number"),
+        (json.dumps({**PROBLEM, "rho": [True, 0.5]}), "field 'rho' is not an array of numbers"),
         (json.dumps([PROBLEM]), "expected a JSON object, got list"),
         (json.dumps(PROBLEM)[:40], "problem file"),
         (json.dumps({**PROBLEM, "rho": [0.4, 0.4]}), "sum to 1"),
@@ -792,6 +934,14 @@ class TestSaddleDemo:
             run("saddle-demo", "--beta", 1e-4, "--out", tmp_path / "sd")
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
+
+    def test_small_beta_passes(self, tmp_path, capsys):
+        # pi* underflows to 0 in places; its log, and so the KL, stays finite
+        assert run("saddle-demo", "--beta", 1e-4, "--out", tmp_path / "sd") == 0
+        assert "PASS" in capsys.readouterr().out
+        rows = (tmp_path / "sd" / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == 201
+        assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
     @pytest.mark.parametrize("lambda0", [1e300, 1.7976931348623157e308])
     def test_overflow_is_numeric_failure_without_warnings(self, tmp_path, capsys, lambda0):

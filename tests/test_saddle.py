@@ -104,7 +104,11 @@ class TestColumnKernels:
         trace = primal_dual_iterate(prob, lams[0], 25, solution=sol)
         lambdas, _, kls = saddle_iterate(prob, lams[0], 25, trace.constants.eta, sol.pi_matrix)
         assert _bits(trace.lambdas) == _bits(lambdas)
-        assert _bits(trace.kl_to_star) == _bits(kls)
+        # the reference's KL is inf where pi* underflowed to 0 (the beta =
+        # 1e-4 examples); the library's log pi* stays finite there
+        finite = np.isfinite(kls)
+        assert _bits(trace.kl_to_star[finite]) == _bits(kls[finite])
+        assert np.all(np.isfinite(trace.kl_to_star))
 
     def test_reference_covers_underflow(self):
         # beta = 1e-4 and lambda = 1e6 drive exp to exactly 0, so the KL's

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from helpers import make_instance
 from oracles import finite_diff_gradient, stack_train
 
-from racer.core import Dataset, LinearPolicy, Metrics, ValidationError, evaluate_policy
+from racer.core import (ConstantPolicy, Dataset, FeedForwardPolicy, LinearPolicy, Metrics,
+                        TabularPolicy, ValidationError, evaluate_policy)
 from racer.reweight import MODES, RobustConfig, uniform_weights
 from racer.trainer import (
     Checkpoint,
@@ -415,6 +417,20 @@ class TestModelRoundTrip:
         before = evaluate_policy(result.best.policy, data)
         after = evaluate_policy(policy, data)
         assert before == after
+
+    @pytest.mark.parametrize("policy", [
+        TabularPolicy(MappingProxyType({"a": 0.25, "b": 1.0})),
+        ConstantPolicy(0.3),
+        LinearPolicy(np.array([0.5, -1.5]), 0.25),
+        FeedForwardPolicy((np.full((3, 2), 0.1), np.full((1, 3), 0.5)),
+                          (np.zeros(3), np.array([-1.0]))),
+    ], ids=["tabular", "constant", "linear", "feedforward"])
+    def test_every_policy_kind_round_trips(self, tmp_path, policy):
+        save_model(tmp_path / "a.json", policy, 2.0)
+        loaded, cost_mean, _ = load_model(tmp_path / "a.json")
+        assert type(loaded) is type(policy) and cost_mean == 2.0
+        save_model(tmp_path / "b.json", loaded, cost_mean)
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
     def test_config_round_trip(self, tmp_path):
         # a model file records its config as strict JSON ("inf" for an
