@@ -476,10 +476,15 @@ PolicySpec = Union[TabularPolicy, LinearPolicy, FeedForwardPolicy, ConstantPolic
 
 def sigmoid(x):
     """Overflow-safe elementwise logistic function."""
-    x = np.asarray(x, dtype=np.float64)
+    return _sigmoid(np.asarray(x, dtype=np.float64))[0]
+
+
+def _sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid of a float64 array and the e = exp(-|x|) it is built from;
+    log1p(e) is the softplus(-|x|) that the entropy term needs."""
     e = np.exp(np.minimum(x, -x))  # exp(-|x|); a NaN passes through unchanged
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0 / d, e / d), e
 
 
 def policy_logits(policy: PolicySpec, features: np.ndarray) -> np.ndarray:

@@ -104,12 +104,20 @@ def tilt_weights(values, tau, direction: str) -> WeightVector:
         t = t.reshape(-1, 1)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    return WeightVector(*_tilt_rows(f, t, direction))
+
+
+def _tilt_rows(f: np.ndarray, t, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """tilt_weights' arithmetic without its checks: (weights, anchors) of
+    finite float64 values f along the last axis, with t a positive tau that
+    broadcasts against f (one per row as a column, inf where a row keeps
+    weight 1) and a direction from DIRECTIONS."""
     n = f.shape[-1]
     mean = np.add.reduce(f, axis=-1, keepdims=True) / n
     s = (mean - f) / t if direction == "worst_low" else (f - mean) / t
     w = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
     w /= np.add.reduce(w, axis=-1, keepdims=True) / n
-    return WeightVector(w, mean[..., 0])
+    return w, mean[..., 0]
 
 
 def kl_divergence(p, q) -> float:

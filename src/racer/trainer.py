@@ -27,6 +27,7 @@ from .core import (
     ParseError,
     PolicySpec,
     ValidationError,
+    _sigmoid,
     decode_field,
     evaluate_policy,
     policy_from_dict,
@@ -36,8 +37,11 @@ from .core import (
     write_csv,
     write_json,
 )
-from .reweight import RobustConfig, WeightVector, tilt_weights, uniform_weights
+from .reweight import RobustConfig, WeightVector, _tilt_rows, tilt_weights, uniform_weights
 from .saddle import dual_update
+
+# The step calls the kernels _sigmoid and _tilt_rows; bench/spans.py binds
+# its spans to sigmoid, tilt_weights and uniform_weights in this module.
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -199,18 +203,18 @@ def _gaps(correct: np.ndarray, cost: np.ndarray):
     return r0, correct[..., 1] - r0, c0, cost[..., 1] - c0
 
 
-def _objective(params, kind, acts, u, p, dr, dc, exp_r, exp_c, wr, wc, lam, beta):
+def _objective(params, kind, acts, u, p, tail, dr, dc, exp_r, exp_c, wr, wc, lam, beta):
     """Per-replica objective values (R,) and their stacked gradients.
 
     value = mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ]
+    tail is log1p(exp(-|u|)), from the e that _sigmoid returns with p.
     Row means are np.add.reduce / n, which is bitwise what ndarray.mean
     computes for float64.
     """
     q = 1.0 - p
     lam_wc = lam[:, None] * wc
     # H(sigma(u)) = p*softplus(-u) + (1-p)*softplus(u), exact 0 at saturation,
-    # with softplus(+-u) = log1p(exp(-|u|)) + max(+-u, 0)
-    tail = np.log1p(np.exp(-np.abs(u)))
+    # with softplus(+-u) = tail + max(+-u, 0)
     h = p * (tail + np.maximum(-u, 0.0)) + q * (tail + np.maximum(u, 0.0))
     n = u.shape[1]
     value = np.add.reduce(wr * exp_r - lam_wc * exp_c + beta * h, axis=1) / n
@@ -246,10 +250,10 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
     if not np.all(np.isfinite(u)):
         bad = int(np.argmax(~np.isfinite(u[0])))
         raise TrainingDivergenceError(f"non-finite logit at batch index {bad}")
-    p = sigmoid(u)
+    p, e = _sigmoid(u)
     r0, dr, c0, dc = _gaps(correct[None], cost[None])
-    values, grads = _objective(stacked, kind, acts, u, p, dr, dc, r0 + p * dr, c0 + p * dc,
-                               wr[None], wc[None], np.array([lam]), beta)
+    values, grads = _objective(stacked, kind, acts, u, p, np.log1p(e), dr, dc, r0 + p * dr,
+                               c0 + p * dc, wr[None], wc[None], np.array([lam]), beta)
     value = float(values[0])
     if not math.isfinite(value):
         raise TrainingDivergenceError("non-finite objective value in batch")
@@ -349,12 +353,6 @@ def train(data: Dataset,
     return _Stack(data, list(config)).run()
 
 
-def _tilt(f: np.ndarray, tau: np.ndarray, direction: str) -> np.ndarray:
-    if np.logical_and.reduce(np.isinf(tau)):
-        return uniform_weights(f.shape).weights
-    return tilt_weights(f, tau, direction).weights
-
-
 def _batch_means(a: np.ndarray, size: int) -> np.ndarray:
     """Row means of each run of `size` columns, the last run possibly shorter:
     bitwise the means of the batches those columns held."""
@@ -391,6 +389,10 @@ class _Stack:
         n_val = int(round(lead.val_fraction * n))
         if n_val < 1 or n - n_val <= 0:
             raise ValidationError("validation split is empty")
+        finite = np.logical_and.reduce(np.isfinite(data.cost), axis=1)  # the tilt needs it
+        if not np.logical_and.reduce(finite):
+            raise ValidationError(f"instance {data.ids[int(np.argmin(finite))]!r}: costs are not "
+                                  f"finite on the cost scale {data.instruct_cost_mean!r}")
 
         self.config, self.kind = lead, lead.policy_kind
         self.features, self.correct, self.cost = data.features, data.correct, data.cost
@@ -420,8 +422,9 @@ class _Stack:
         self.slot = np.arange(len(configs))  # position of each replica in configs
         self.lam = np.zeros(len(configs))
         self.budget = np.array([cfg.budget for cfg in configs])
-        self.tau_r = np.array([cfg.robust.effective_tau_reward for cfg in configs])
-        self.tau_c = np.array([cfg.robust.effective_tau_cost for cfg in configs])
+        # one tau per replica, as a column that broadcasts over its batch
+        self.tau_r = np.array([[cfg.robust.effective_tau_reward] for cfg in configs])
+        self.tau_c = np.array([[cfg.robust.effective_tau_cost] for cfg in configs])
 
     def _bind(self) -> None:
         """Point the per-layer parameter arrays at their columns of self.flat."""
@@ -432,10 +435,13 @@ class _Stack:
             start += size
 
     def run(self) -> list[Outcome]:
-        for epoch in range(self.config.epochs):
-            if not self.slot.size:
-                break
-            self._epoch(epoch)
+        # a diverging replica overflows on its way to the finite checks,
+        # which report it; numpy's own warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(self.config.epochs):
+                if not self.slot.size:
+                    break
+                self._epoch(epoch)
         for slot in self.slot:
             best = select_checkpoint(self.checkpoints[slot], self.configs[slot].budget)
             self.outcomes[slot] = TrainResult(best, tuple(self.histories[slot]),
@@ -467,13 +473,19 @@ class _Stack:
         r0, dr, c0, dc = _gaps(self.correct.take(order, axis=0),
                                self.cost.take(order, axis=0))
         n_batches = -(-n_train // cfg.batch_size)
+        # a side on which every tau is inf keeps weight 1 on every row and is
+        # not tilted in this epoch; the flags hold until the epoch ends, also
+        # if a drop leaves only tau = inf on a side
+        self.tilt_r, self.tilt_c = (not np.logical_and.reduce(np.isinf(tau), axis=None)
+                                    for tau in (self.tau_r, self.tau_c))
         # every replica's training rows in this epoch's order; each batch
-        # reads a slice and fills its slice of exp_r, exp_c, w_r and w_c,
-        # whose statistics are reduced once the epoch is done
+        # reads a slice and fills its slice of exp_r, exp_c and of the tilted
+        # sides' w_r and w_c, whose statistics are reduced once the epoch is done
         self.rows = {
             "x": self.features.take(order, axis=0), "r0": r0, "dr": dr, "c0": c0, "dc": dc,
             "exp_r": np.empty((n_rep, n_train)), "exp_c": np.empty((n_rep, n_train)),
-            "w_r": np.empty((n_rep, n_train)), "w_c": np.empty((n_rep, n_train)),
+            "w_r": (np.empty if self.tilt_r else np.ones)((n_rep, n_train)),
+            "w_c": (np.empty if self.tilt_c else np.ones)((n_rep, n_train)),
         }
         for b in range(n_batches):
             self._batch(epoch, b)
@@ -509,8 +521,8 @@ class _Stack:
 
         # step 1: per-instance reward/cost summaries under the current policy
         u, acts = _forward(self.params, self.kind, self.rows["x"][:, cut])
-        finite = np.logical_and.reduce(np.isfinite(u), axis=1)
-        if not np.logical_and.reduce(finite):
+        if not np.logical_and.reduce(np.isfinite(u), axis=None):
+            finite = np.logical_and.reduce(np.isfinite(u), axis=1)
             keep = self._drop({k: f"non-finite logit in epoch {epoch} batch {b}"
                                for k in np.flatnonzero(~finite)})
             if not self.slot.size:
@@ -518,24 +530,29 @@ class _Stack:
             u, acts = u[keep], tuple(a[keep] for a in acts)
         rows = self.rows
         dr, c0, dc = rows["dr"][:, cut], rows["c0"][:, cut], rows["dc"][:, cut]
-        p = sigmoid(u)
+        # u is finite (checked above), and so are the flags and the costs
+        # (checked in __init__): the tilt's inputs need no check
+        p, e = _sigmoid(u)
         exp_r = np.add(rows["r0"][:, cut], p * dr, out=rows["exp_r"][:, cut])
         exp_c = np.add(c0, p * dc, out=rows["exp_c"][:, cut])
 
-        # step 2: adversarial tilts (uniform where tau = inf)
-        w_r = rows["w_r"][:, cut] = _tilt(exp_r, self.tau_r, "worst_low")
-        w_c = rows["w_c"][:, cut] = _tilt(exp_c, self.tau_c, "worst_high")
+        # step 2: adversarial tilts (weight 1 where tau = inf)
+        w_r, w_c = rows["w_r"][:, cut], rows["w_c"][:, cut]
+        if self.tilt_r:
+            w_r = rows["w_r"][:, cut] = _tilt_rows(exp_r, self.tau_r, "worst_low")[0]
+        if self.tilt_c:
+            w_c = rows["w_c"][:, cut] = _tilt_rows(exp_c, self.tau_c, "worst_high")[0]
 
         # step 3: one ascent step on the reweighted objective; the parameters
         # are those of step 1, so its logits and probabilities are reused
-        value, grads = _objective(self.params, self.kind, acts, u, p, dr, dc,
+        value, grads = _objective(self.params, self.kind, acts, u, p, np.log1p(e), dr, dc,
                                   exp_r, exp_c, w_r, w_c, self.lam, cfg.beta)
         self.opt.ascend(self.flat, _flatten(grads))
 
         # step 4: projected dual step on the tilt-weighted cost of the
         # updated policy
         u_new, _ = _forward(self.params, self.kind, acts[0])
-        p_new = sigmoid(u_new)
+        p_new = _sigmoid(u_new)[0]
         weighted_cost = np.add.reduce(w_c * (c0 + p_new * dc), axis=1) / u.shape[1]
         self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
 

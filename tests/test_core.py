@@ -19,6 +19,7 @@ from racer.core import (
     policy_probs,
     save_dataset,
     sigmoid,
+    _sigmoid,
 )
 from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
 
@@ -125,6 +126,15 @@ class TestPolicyProb:
         expected = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         assert np.array_equal(sigmoid(x), expected)
         assert np.array_equal(sigmoid(x.reshape(50, 100)), expected.reshape(50, 100))
+
+    def test_sigmoid_kernel_shares_its_exponential(self):
+        # the trainer takes p and the entropy term's log1p(e) from one call
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308])
+        normals = np.random.default_rng(11).standard_normal((3, 64))
+        for u in (edges, normals, normals * 300.0):
+            p, e = _sigmoid(u)
+            assert p.tobytes() == sigmoid(u).tobytes()
+            assert np.log1p(e).tobytes() == np.log1p(np.exp(-np.abs(u))).tobytes()
 
     def test_mirrored_logits_sum_to_one(self):
         policy = LinearPolicy(np.array([1.0]), 0.0)

@@ -12,6 +12,7 @@ from oracles import binary_tilt_oracle, grid_worst_case, row_tilt_weights
 
 from racer.reweight import (
     RobustConfig,
+    _tilt_rows,
     exact_tilt,
     kl_divergence,
     tilt_weights,
@@ -91,13 +92,17 @@ class TestTiltWeights:
     def test_row_tau_errors(self):
         f = np.ones((2, 3))
         for tau in (np.array([1.0, 0.0]), np.array([1.0, math.nan]), np.array([1.0, 1.0, 1.0]),
-                    -1.0):
+                    -1.0, np.array([-1.0, math.inf])):
             with pytest.raises(ValueError, match="tau"):
                 tilt_weights(f, tau, "worst_high")
         with pytest.raises(ValueError, match="tau"):
             tilt_weights([0.0, 1.0], np.array([1.0]), "worst_high")
-        with pytest.raises(ValueError, match="non-finite"):
-            tilt_weights(np.array([[0.0, math.inf]]), 1.0, "worst_high")
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                tilt_weights(np.array([[0.0, 1.0], [2.0, bad]]), np.array([1.0, math.inf]),
+                             "worst_high")
+        with pytest.raises(ValueError, match="direction"):
+            tilt_weights(f, np.array([1.0, math.inf]), "sideways")
         with pytest.raises(ValueError, match="non-empty"):
             tilt_weights(np.ones((2, 2, 2)), 1.0, "worst_high")
 
@@ -118,8 +123,10 @@ class TestTiltWeights:
         with np.errstate(all="ignore"):
             got = tilt_weights(f, tau, direction)
             weights, anchors = row_tilt_weights(f, tau, direction)
-        assert got.weights.tobytes() == weights.tobytes()
-        assert np.asarray(got.baseline).tobytes() == anchors.tobytes()
+            # the trainer's unchecked kernel takes one tau per row as a column
+            kernel = _tilt_rows(f, tau if rows == 0 else tau[:, None], direction)
+        assert got.weights.tobytes() == weights.tobytes() == kernel[0].tobytes()
+        assert np.asarray(got.baseline).tobytes() == anchors.tobytes() == kernel[1].tobytes()
 
     def test_uniform_weights_take_a_shape(self):
         assert np.array_equal(uniform_weights((2, 3)).weights, np.ones((2, 3)))

@@ -13,12 +13,15 @@ from oracles import finite_diff_gradient, stack_train
 
 from racer.core import (ConstantPolicy, Dataset, FeedForwardPolicy, LinearPolicy, Metrics,
                         TabularPolicy, ValidationError, evaluate_policy)
+import racer.trainer
 from racer.reweight import MODES, RobustConfig, uniform_weights
+from racer.saddle import dual_update
 from racer.trainer import (
     Checkpoint,
     DualState,
     TrainConfig,
     TrainingDivergenceError,
+    TrainResult,
     batch_objective,
     init_policy,
     load_model,
@@ -229,6 +232,16 @@ class TestTrain:
         tail = [rec.train_cost for rec in result.history[-10:]]
         assert abs(np.mean(tail) - 2.0) <= 0.05 * 2.0
 
+    def test_costs_must_be_finite_on_the_cost_scale(self):
+        # raw costs are finite, but 1e308 / 0.5 overflows
+        rows = [make_instance(i, [float(i % 3)], (i % 2, 1), (0.5, 1e308 if i == 7 else 2.0))
+                for i in range(40)]
+        with np.errstate(over="ignore"):
+            data = Dataset(rows)
+        for robust in (RobustConfig(tau_cost=1.0), RobustConfig()):
+            with pytest.raises(ValidationError, match="instance 'z7': costs are not finite"):
+                train(data, TrainConfig(budget=2.0, epochs=1, batch_size=8, robust=robust))
+
     def test_dataset_must_exceed_batch(self):
         data = routing_dataset(seed=9, n=30)
         with pytest.raises(ValidationError, match="batch_size"):
@@ -311,10 +324,8 @@ class TestReplicaStack:
     @pytest.mark.parametrize("cause", ["objective", "logit"])
     def test_diverging_replica_fails_alone(self, cause):
         data, configs = diverging_group(cause)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            alone = [solo(data, c) for c in configs]
-            stacked = train(data, configs)
+        alone = [solo(data, c) for c in configs]
+        stacked = train(data, configs)
         failed = [isinstance(a, TrainingDivergenceError) for a in alone]
         assert any(failed) and not all(failed)
         for a, b in zip(alone, stacked):
@@ -327,11 +338,9 @@ class TestReplicaStack:
         data = routing_dataset(seed=3, n=120)
         config = TrainConfig(budget=2.0, epochs=1, batch_size=32,
                              robust=RobustConfig(tau_reward=1e-320))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(TrainingDivergenceError, match="objective value in epoch 0"):
-                train(data, config)
-            (outcome,) = train(data, [config])
+        with pytest.raises(TrainingDivergenceError, match="objective value in epoch 0"):
+            train(data, config)
+        (outcome,) = train(data, [config])
         assert isinstance(outcome, TrainingDivergenceError)
 
     def test_configs_may_differ_only_in_budget_seed_robust(self):
@@ -371,12 +380,44 @@ class TestLeanStep:
     @pytest.mark.parametrize("cause", ["objective", "logit"])
     def test_divergence_equal_to_reference(self, cause):
         data, configs = diverging_group(cause)
+        outcomes = train(data, configs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            outcomes = train(data, configs)
             expected = stack_train(data, configs)
         assert any(isinstance(o, TrainingDivergenceError) for o in expected)
         assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
+
+    def test_cost_side_keeps_its_tilt_after_its_only_tilted_replica_fails(self):
+        # seed 6 is the only replica with a finite cost tau and leaves the
+        # stack in batch 1 of 4 in epoch 0; the survivors' cost weights in
+        # the rest of that epoch are the kernel's, all exactly 1
+        data, configs = diverging_group("logit")
+        configs = [replace(c, robust=RobustConfig(tau_cost=0.5)) if c.seed == 6 else c
+                   for c in configs]
+        outcomes = train(data, configs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = stack_train(data, configs)
+        assert str(outcomes[6]) == "non-finite logit in epoch 0 batch 1"
+        assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
+        survivors = [o for o in outcomes if isinstance(o, TrainResult)]
+        assert survivors and all(rec.cost_weight_range == (1.0, 1.0)
+                                 for o in survivors for rec in o.history)
+
+    def test_one_dual_step_per_batch(self, monkeypatch):
+        # the benchmark's tracer counts batches by these calls
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dual_update(*args)
+
+        monkeypatch.setattr(racer.trainer, "dual_update", counted)
+        data = routing_dataset(seed=3, n=120)
+        config = TrainConfig(budget=2.0, epochs=3, batch_size=32)
+        train(data, config)
+        n_train = len(data) - int(round(config.val_fraction * len(data)))
+        assert len(calls) == config.epochs * math.ceil(n_train / config.batch_size) == 12
 
 
 class TestSelectCheckpoint:
