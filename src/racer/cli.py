@@ -229,9 +229,9 @@ def _policy_and_data(args):
         raise UsageError("exactly one of --model or --baseline is required")
     data = load_dataset(args.data)
     if args.baseline is not None:
-        return _parse_baseline(args.baseline), data, [args.data]
+        return _parse_baseline(args.baseline), data.require_finite_cost(), [args.data]
     policy, cost_mean, _ = load_model(args.model)
-    return policy, data.with_cost_scale(cost_mean), [args.data, args.model]
+    return policy, data.with_cost_scale(cost_mean).require_finite_cost(), [args.data, args.model]
 
 
 def cmd_eval(args) -> int:

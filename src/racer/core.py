@@ -12,6 +12,7 @@ import contextlib
 import copy
 import csv
 import functools
+import itertools
 import json
 import math
 import operator
@@ -20,7 +21,7 @@ import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -157,14 +158,25 @@ class Dataset:
     def with_cost_scale(self, instruct_cost_mean: float | None = None) -> "Dataset":
         """The same columns (not copied) with costs divided by
         instruct_cost_mean, by default this dataset's mean raw instruct cost."""
-        if instruct_cost_mean is None:
-            instruct_cost_mean = float(np.mean(self.cost_raw[:, 0]))
-        if not (math.isfinite(instruct_cost_mean) and instruct_cost_mean > 0):
-            raise ValidationError("instruct_cost_mean must be positive and finite")
-        scaled = copy.copy(self)
-        scaled.instruct_cost_mean = float(instruct_cost_mean)
-        scaled.cost = _frozen(self.cost_raw / scaled.instruct_cost_mean)
+        with np.errstate(over="ignore"):  # a cost past the float range is inf
+            if instruct_cost_mean is None:
+                instruct_cost_mean = float(np.mean(self.cost_raw[:, 0]))
+            if not (math.isfinite(instruct_cost_mean) and instruct_cost_mean > 0):
+                raise ValidationError("instruct_cost_mean must be positive and finite")
+            scaled = copy.copy(self)
+            scaled.instruct_cost_mean = float(instruct_cost_mean)
+            scaled.cost = _frozen(self.cost_raw / scaled.instruct_cost_mean)
         return scaled
+
+    def require_finite_cost(self, where: str = "") -> "Dataset":
+        """This dataset; a ValidationError naming ``where`` and the first
+        instance whose costs overflow on its cost scale (a finite raw cost
+        over a small instruct_cost_mean) instead."""
+        finite = np.logical_and.reduce(np.isfinite(self.cost), axis=1)
+        if not np.logical_and.reduce(finite):
+            raise ValidationError(f"{where}instance {self.ids[int(np.argmin(finite))]!r}: costs "
+                                  f"are not finite on the cost scale {self.instruct_cost_mean!r}")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +308,17 @@ def write_csv(path, rows: Iterable[Sequence]) -> None:
 
 _REQUIRED_FIELDS = ("id", "features", "correct_0", "correct_1", "cost_0", "cost_1")
 _record_fields = operator.itemgetter(*_REQUIRED_FIELDS)
+# Rows load_dataset and save_dataset hold as Python objects at once: their
+# memory does not grow with the file, and the cyclic collector sees one block.
+_BLOCK_ROWS = 4096
 
 
 def load_dataset(path, format: str | None = None) -> Dataset:
     """Read a JSONL or CSV routing dataset and return it cost-normalized.
 
     Record order is preserved. Raises ParseError naming the line (and field)
-    for undecodable records, ValidationError for invariant violations.
+    for undecodable records, ValidationError for invariant violations. A file
+    numpy cannot convert block by block is read again and converted by row.
     """
     path = str(path)
     loader = {"jsonl": _load_jsonl, "csv": _load_csv}.get(
@@ -310,22 +326,35 @@ def load_dataset(path, format: str | None = None) -> Dataset:
     if loader is None:
         raise ValueError(f"unknown format {format!r}")
     try:
-        rows = loader(path)
+        blocks = _column_blocks(loader(path))
+        if not blocks:  # decode every record before converting any, row by row
+            return Dataset(_row_instance(*row) for row in list(loader(path)))  # the first error
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValidationError("dataset is empty")
-    _, tags, ids, features, *values = zip(*rows)
-    try:  # one conversion per column
-        features = np.array(features, dtype=np.float64)
-        values = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        features = values = None
-    if features is None or features.ndim != 2 or values.ndim != 2 or np.isnan(values).any():
-        return Dataset(_row_instance(*row) for row in rows)  # raises the first row's error
-    return Dataset.from_columns(map(str, ids), tags, features, values[:2].T, values[2:].T)
+    ids, tags, features, values = zip(*blocks)
+    values = np.concatenate(values, axis=1)
+    return Dataset.from_columns(map(str, itertools.chain(*ids)), itertools.chain(*tags),
+                                np.concatenate(features), values[:2].T, values[2:].T)
+
+
+def _column_blocks(rows: Iterator[tuple]) -> list[tuple] | None:
+    """(ids, tags, (b, d) features, (4, b) values) of each block of rows; None
+    at a block numpy does not convert or of another feature width than block 0."""
+    blocks = []
+    for block in iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []):
+        _, tags, ids, features, *values = zip(*block)
+        try:  # one conversion per column
+            features = np.array(features, dtype=np.float64)
+            values = np.array(values, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if (features.ndim != 2 or values.ndim != 2 or np.isnan(values).any()
+                or (blocks and features.shape[1] != blocks[0][2].shape[1])):
+            return None
+        blocks.append((ids, tags, features, values))
+    return blocks
 
 
 def _row_instance(lineno, tag, id_, *fields) -> Instance:
@@ -341,29 +370,34 @@ def _row_instance(lineno, tag, id_, *fields) -> Instance:
     return Instance(str(id_), values[0], values[1:3], values[3:], tag)
 
 
-def _load_jsonl(path: str) -> list[tuple]:
+def _load_jsonl(path: str) -> Iterator[tuple]:
     """(line, tag, id, features, correct_0, correct_1, cost_0, cost_1) per record."""
-    rows = []
+    scan = json.JSONDecoder().scan_once  # json.loads without its Python-level wrappers
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too-long integers
-                msg = getattr(exc, "msg", exc)
-                raise ParseError(f"line {lineno}: invalid JSON ({msg})") from None
+            try:  # one value, then only the whitespace json.loads allows
+                record, end = scan(line, 0)
+                decoded = not line[end:].strip(" \t\n\r")
+            except (StopIteration, ValueError, RecursionError):
+                decoded = False
+            if not decoded:  # blank, or json.loads accepts it or names the fault
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # also too-long integers
+                    msg = getattr(exc, "msg", exc)
+                    raise ParseError(f"line {lineno}: invalid JSON ({msg})") from None
             if not isinstance(record, dict):
                 raise ParseError(f"line {lineno}: record is not an object")
             try:
-                rows.append((lineno, record.get("tag")) + _record_fields(record))
+                yield (lineno, record.get("tag")) + _record_fields(record)
             except KeyError:
                 missing = next(f for f in _REQUIRED_FIELDS if f not in record)
                 raise ParseError(f"line {lineno}: missing field {missing!r}") from None
-    return rows
 
 
-def _load_csv(path: str) -> list[tuple]:
+def _load_csv(path: str) -> Iterator[tuple]:
     """Rows as _load_jsonl gives them, with the values still text."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -377,9 +411,9 @@ def _load_csv(path: str) -> list[tuple]:
         missing = [c for c in ("id", *_REQUIRED_FIELDS[2:]) if c not in reader.fieldnames]
         if missing or not feat_cols:
             raise ParseError(f"line 1: no {(missing or ['feat_*'])[0]} column in header")
-        return [(reader.line_num, row.get("tag") or None, row["id"], [row[c] for c in feat_cols],
-                 row["correct_0"], row["correct_1"], row["cost_0"], row["cost_1"])
-                for row in reader]
+        for row in reader:
+            yield (reader.line_num, row.get("tag") or None, row["id"], [row[c] for c in feat_cols],
+                   row["correct_0"], row["correct_1"], row["cost_0"], row["cost_1"])
 
 
 def _json_text(value) -> str:
@@ -395,21 +429,25 @@ def save_dataset(data: Dataset, path, format: str | None = None) -> None:
         format = "csv" if path.endswith(".csv") else "jsonl"
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    rows = zip(data.ids, data.features.tolist(), data.correct.astype(np.int64).tolist(),
-               data.cost_raw.tolist(), data.tags)
     with atomic_open(path, newline="" if format == "csv" else None) as fh:
         if format == "csv":
             writer = csv.writer(fh)
             writer.writerow(["id", *(f"feat_{j}" for j in range(data.n_features)),
                              "correct_0", "correct_1", "cost_0", "cost_1", "tag"])
-            writer.writerows([i, *map(repr, f), c0, c1, repr(k0), repr(k1), t or ""]
-                             for i, f, (c0, c1), (k0, k1), t in rows)
-            return
-        # json writes a float as float.__repr__, so a list of floats reprs as its JSON
-        tags = ["" if t is None else ', "tag": ' + _json_text(t) for t in data.tags]
-        fh.writelines(f'{{"id": {_json_text(i)}, "features": {f!r}, "correct_0": {c0}, '
-                      f'"correct_1": {c1}, "cost_0": {k0!r}, "cost_1": {k1!r}{t}}}\n'
-                      for (i, f, (c0, c1), (k0, k1), _), t in zip(rows, tags))
+        for start in range(0, len(data), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = zip(data.ids[block], data.features[block].tolist(),
+                       data.correct[block].astype(np.int64).tolist(),
+                       data.cost_raw[block].tolist(), data.tags[block])
+            if format == "csv":
+                writer.writerows([i, *map(repr, f), c0, c1, repr(k0), repr(k1), t or ""]
+                                 for i, f, (c0, c1), (k0, k1), t in rows)
+                continue
+            # json writes a float as float.__repr__, so a list of floats reprs as its JSON
+            tags = ("" if t is None else ', "tag": ' + _json_text(t) for t in data.tags[block])
+            fh.writelines(f'{{"id": {_json_text(i)}, "features": {f!r}, "correct_0": {c0}, '
+                          f'"correct_1": {c1}, "cost_0": {k0!r}, "cost_1": {k1!r}{t}}}\n'
+                          for (i, f, (c0, c1), (k0, k1), _), t in zip(rows, tags))
 
 
 # ---------------------------------------------------------------------------

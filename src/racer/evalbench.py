@@ -451,6 +451,7 @@ def run_units(train_data: Dataset, splits: Mapping[str, Dataset], units: Sequenc
         if split.n_features != train_data.n_features:
             raise ValidationError(f"split {name!r} has {split.n_features} features, "
                                   f"the training data {train_data.n_features}")
+        split.require_finite_cost(f"split {name!r}: ")
     work = [(train_data, splits, group, tuple(methods), template)
             for group in split_units(units, workers)]
     if len(work) > 1:

@@ -389,10 +389,7 @@ class _Stack:
         n_val = int(round(lead.val_fraction * n))
         if n_val < 1 or n - n_val <= 0:
             raise ValidationError("validation split is empty")
-        finite = np.logical_and.reduce(np.isfinite(data.cost), axis=1)  # the tilt needs it
-        if not np.logical_and.reduce(finite):
-            raise ValidationError(f"instance {data.ids[int(np.argmin(finite))]!r}: costs are not "
-                                  f"finite on the cost scale {data.instruct_cost_mean!r}")
+        data.require_finite_cost()  # the tilt needs it
 
         self.config, self.kind = lead, lead.policy_kind
         self.features, self.correct, self.cost = data.features, data.correct, data.cost

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_instance
 from racer.cli import main
-from racer.core import LinearPolicy, evaluate_policy, load_dataset, save_dataset
+from racer.core import Dataset, LinearPolicy, evaluate_policy, load_dataset, save_dataset
 from racer.evalbench import (CONSTANT_METHODS, LEARNABLE_METHODS, PRESET_SCENARIOS,
                              gen_synthetic, load_scenario, run_sweep, shift_scenarios)
 from racer.reweight import RobustConfig, tilt_weights
@@ -544,6 +545,31 @@ class TestEval:
         base_cost = json.loads((tmp_path / "ev2" / "metrics.json").read_text())["realized_cost"]
         assert base_cost == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["eval", "inspect-weights"])
+    @pytest.mark.parametrize("source", ["baseline", "model"])
+    def test_costs_overflowing_the_cost_scale_are_data_error(self, tmp_path, capsys, command,
+                                                             source):
+        # raw costs are finite, but 1e308 over an instruct-cost mean of 0.5 is not
+        path = tmp_path / "huge.jsonl"
+        path.write_text("".join(json.dumps({**RECORD, "id": f"r{i}", "cost_0": 0.5,
+                                            "cost_1": 1e308 if i else 2.0}) + "\n"
+                                for i in range(2)))
+        assert load_dataset(path).cost[1, 1] == math.inf  # loads without a warning
+        save_model(tmp_path / "model.json", LinearPolicy(np.zeros(2), 0.0), 0.5)
+        out = tmp_path / "out"
+        args = {"eval": ["--out", out],
+                "inspect-weights": ["--tau", 1, "--target", "cost", "--out", out]}[command]
+        scored_by = (["--baseline", "all-reasoning"] if source == "baseline"
+                     else ["--model", tmp_path / "model.json"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, "--data", path, *scored_by, *args) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "instance 'r1': costs are not finite on the cost scale 0.5" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("features", "xy", "line 1: field 'features' is not numeric"),
         ("correct_0", "x", "line 1: field 'correct_0' is not numeric"),
@@ -815,6 +841,26 @@ class TestSweep:
                    "--out", tmp_path / "sw") == 2
         err = capsys.readouterr().err
         assert "split 'held' has 3 features" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "sw" / "cells").iterdir())
+
+    def test_test_split_overflowing_the_training_cost_scale_fails_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        rows = [make_instance(i, [float(i % 3), 1.0], (i % 2, 1), (0.5, 1.0)) for i in range(80)]
+        save_dataset(Dataset(rows), tmp_path / "train.jsonl")
+        # finite on its own scale (mean 1e300), not on the training scale 0.5
+        held = [make_instance(i, [0.0, 1.0], (1, 1), (1e300, 1e308)) for i in range(2)]
+        save_dataset(Dataset(held), tmp_path / "held.jsonl")
+
+        def train(*args, **kwargs):
+            raise AssertionError("a unit trained")
+
+        monkeypatch.setattr("racer.evalbench.train", train)
+        assert run("sweep", "--train-data", tmp_path / "train.jsonl",
+                   "--test-data", f"held={tmp_path / 'held.jsonl'}", "--budgets", "2.0",
+                   "--repeats", "1", "--methods", "racer", "--out", tmp_path / "sw") == 2
+        err = capsys.readouterr().err
+        assert "split 'held': instance 'z0': costs are not finite on the cost scale 0.5" in err
         assert "Traceback" not in err
         assert not list((tmp_path / "sw" / "cells").iterdir())
 

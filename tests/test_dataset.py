@@ -1,6 +1,7 @@
 """The columnar Dataset, its generator, loaders and writers, held bitwise
 equal to the per-row reference path in ``oracles``."""
 
+import contextlib
 import csv
 import io
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import racer.core
 from oracles import (
     RowInstance,
     row_columns,
@@ -184,7 +186,7 @@ _FIELD_VALUES = {
 def record_files(draw):
     """Text of a JSONL file whose records mix well-typed and odd values."""
     lines = []
-    for i in range(draw(st.integers(1, 5))):
+    for i in range(draw(st.integers(1, 9))):
         record = {"id": draw(st.one_of(st.just(f"r{i}"), st.integers(0, 9), _special_text))}
         for field, (accepted, odd) in _FIELD_VALUES.items():
             record[field] = draw(odd if draw(st.integers(0, 24)) == 0 else accepted)
@@ -210,10 +212,22 @@ def _non_integral_flag(path):
     return False
 
 
+@contextlib.contextmanager
+def block_rows(rows):
+    """load_dataset and save_dataset work in blocks of rows inside it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(racer.core, "_BLOCK_ROWS", rows)
+        yield
+
+
+# block size 2 puts block seams inside the drawn files
+_block_sizes = st.sampled_from([2, racer.core._BLOCK_ROWS])
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=record_files())
-def test_loader_matches_row_loader_on_every_accepted_file(text):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(text=record_files(), block=_block_sizes)
+def test_loader_matches_row_loader_on_every_accepted_file(text, block):
+    with tempfile.TemporaryDirectory() as tmp, block_rows(block):
         path = Path(tmp) / "d.jsonl"
         path.write_text(text, encoding="utf-8")
         try:
@@ -241,15 +255,16 @@ def test_loader_matches_row_loader_on_every_accepted_file(text):
                                st.sampled_from(["0", "1", " 1", "+0"]),
                                st.sampled_from(["0", "1"]), _cost, _cost,
                                st.one_of(st.just(""), _special_text)),
-                     min_size=1, max_size=5))
-def test_csv_loader_matches_row_loader(rows):
+                     min_size=1, max_size=9),
+       block=_block_sizes)
+def test_csv_loader_matches_row_loader(rows, block):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["id", "feat_1", "feat_0", "correct_0", "correct_1", "cost_0", "cost_1",
                      "tag"])
     for i, f, c0, c1, k0, k1, tag in rows:
         writer.writerow([i, repr(f[1]), repr(f[0]), c0, c1, repr(k0), repr(k1), tag])
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, block_rows(block):
         path = Path(tmp) / "d.csv"
         path.write_text(buf.getvalue(), encoding="utf-8", newline="")
         assert_columns_equal(load_dataset(path), row_load(path, "csv"))
@@ -317,6 +332,122 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     path.write_bytes(b"id,feat_x\n")
     with pytest.raises(ParseError, match="feat_<index>"):
         load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# block seams: load_dataset and save_dataset in blocks of _BLOCK_ROWS rows
+# ---------------------------------------------------------------------------
+
+def record_line(i, **fields) -> str:
+    return json.dumps({"id": f"r{i}", "features": [float(i), 1.0], "correct_0": 1,
+                       "correct_1": i % 2, "cost_0": 1.0 + i, "cost_1": 2.0, **fields})
+
+
+def write_records(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def test_json_fault_in_a_later_block_beats_a_non_numeric_first_row(tmp_path):
+    lines = [record_line(i) for i in range(6)]
+    lines[0] = record_line(0, features="xy")
+    lines[4] = lines[4][:-1]  # line 5, in block 3
+    path = write_records(tmp_path / "d.jsonl", lines)
+    with block_rows(2), pytest.raises(ParseError, match="line 5: invalid JSON"):
+        load_dataset(path)
+    lines[4] = record_line(4)
+    write_records(path, lines)
+    with block_rows(2), pytest.raises(ParseError, match="line 1: field 'features'"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("wide", [[4], [4, 5]], ids=["ragged-block", "wide-block"])
+def test_feature_width_change_in_a_later_block_names_the_row(tmp_path, wide):
+    lines = [record_line(i, features=[0.0, 1.0, 2.0] if i in wide else [0.0, 1.0])
+             for i in range(6)]
+    path = write_records(tmp_path / "d.jsonl", lines)
+    with block_rows(2), pytest.raises(ValidationError,
+                                      match="instance 'r4': feature dimension 3 != 2"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("block", [2, 4096])
+def test_value_numpy_may_reject_in_a_later_block_loads_as_the_row_loader(tmp_path, block):
+    # numpy before 2.0 does not convert these strings, which float() reads
+    lines = [record_line(i) for i in range(6)]
+    lines[5] = record_line(5, cost_0="1_0", correct_1=" 1 ", features=["١", 2.5])
+    path = write_records(tmp_path / "d.jsonl", lines)
+    with block_rows(block):
+        assert_columns_equal(load_dataset(path), row_load(path, "jsonl"))
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_save_is_byte_identical_at_every_block_size(tmp_path, fmt):
+    data = to_columns(
+        [RowInstance(f"r{i}", np.array([i / 3, -0.0]), (i % 2, 1), (0.1 * (i + 1), 2.5),
+                     None if i % 3 else f"t,{i}") for i in range(7)])
+    written = []
+    for block in (1, 2, 4096):
+        path = tmp_path / f"{block}.{fmt}"
+        with block_rows(block):
+            save_dataset(data, path)
+        written.append(path.read_bytes())
+    row_save(data.instances, tmp_path / f"row.{fmt}", fmt)
+    assert written == [(tmp_path / f"row.{fmt}").read_bytes()] * 3
+
+
+_GOOD = record_line(0)
+
+
+@pytest.mark.parametrize("line, outcome", [
+    ("\ufeff" + _GOOD, "line 3: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ("   " + _GOOD, None),
+    (_GOOD + " \t\r", None),  # \r\n ends the line
+    ("\f", None),  # a blank line, skipped
+    (_GOOD + "\f", "line 3: invalid JSON (Extra data)"),
+    ("1 2", "line 3: invalid JSON (Extra data)"),
+    (_GOOD + " x", "line 3: invalid JSON (Extra data)"),
+    ("{", "line 3: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ("[" * 100_000, "line 3: invalid JSON (maximum recursion depth exceeded"),
+    ("[1, 2]", "line 3: record is not an object"),
+    ('"x"', "line 3: record is not an object"),
+    (record_line(1, cost_1=math.nan), "instance 'r1': costs must be positive and finite"),
+    (record_line(1, features=[math.inf, 0.0]), "instance 'r1': non-finite feature value"),
+], ids=["bom", "leading-spaces", "crlf", "form-feed-line", "trailing-form-feed",
+        "extra-value", "extra-text", "bad-json", "deep-nesting", "array", "string",
+        "nan-literal", "infinity-literal"])
+def test_line_decoding_keeps_the_json_loads_outcome(tmp_path, line, outcome):
+    # line 2 is blank, so the line under test is line 3
+    path = write_records(tmp_path / "d.jsonl", [record_line(9), "", line, record_line(8)])
+    if outcome is None:
+        want = ("r9", "r0", "r8") if line.strip() else ("r9", "r8")
+        assert load_dataset(path).ids == want
+        return
+    error = ValidationError if outcome.startswith("instance") else ParseError
+    with pytest.raises(error) as caught:
+        load_dataset(path)
+    assert str(caught.value).startswith(outcome)
+
+
+def test_io_memory_does_not_hold_every_row(tmp_path):
+    # A row held as Python lists costs ~0.4 kB: with all 50k alive at once
+    # (every row before numpy converts any) the peaks were 23 MB on save and
+    # 31 / 43 MB on JSONL / CSV load. The loaded dataset itself holds 11 MB.
+    import tracemalloc
+    data = gen_synthetic(replace(PRESET_SCENARIOS["magpie-ultra"], n=50_000))
+    save_dataset(data, tmp_path / "d.csv")  # the same blocks as JSONL: traced once
+    peaks = {}
+    tracemalloc.start()
+    try:
+        save_dataset(data, tmp_path / "d.jsonl")
+        peaks["save"] = tracemalloc.get_traced_memory()[1]
+        for fmt in ("jsonl", "csv"):
+            tracemalloc.reset_peak()
+            assert load_dataset(tmp_path / f"d.{fmt}").ids == data.ids
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks["save"] <= 6e6 and peaks["jsonl"] <= 20e6 and peaks["csv"] <= 20e6, peaks
 
 
 # ---------------------------------------------------------------------------
