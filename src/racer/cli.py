@@ -236,6 +236,8 @@ def _policy_and_data(args):
 
 def cmd_eval(args) -> int:
     started = time.time()
+    if not 0 <= args.seed < 2**64:  # the sampler's seeds; outside, they alias
+        raise UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
     policy, data, inputs = _policy_and_data(args)
     metrics = evaluate_policy(policy, data, mode=args.mode, seed=args.seed)
 

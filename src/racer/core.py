@@ -341,10 +341,12 @@ def load_dataset(path, format: str | None = None) -> Dataset:
 
 def _column_blocks(rows: Iterator[tuple]) -> list[tuple] | None:
     """(ids, tags, (b, d) features, (4, b) values) of each block of rows; None
-    at a block numpy does not convert or of another feature width than block 0."""
-    blocks = []
+    at a block numpy does not convert or of another feature width than block 0.
+    Equal str tags are one object, the first one read."""
+    blocks, shared = [], {}
     for block in iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []):
         _, tags, ids, features, *values = zip(*block)
+        tags = [shared.setdefault(t, t) if type(t) is str else t for t in tags]
         try:  # one conversion per column
             features = np.array(features, dtype=np.float64)
             values = np.array(values, dtype=np.float64)
@@ -521,8 +523,8 @@ def _sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigmoid of a float64 array and the e = exp(-|x|) it is built from;
     log1p(e) is the softplus(-|x|) that the entropy term needs."""
     e = np.exp(np.minimum(x, -x))  # exp(-|x|); a NaN passes through unchanged
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d), e
+    # (1 if x >= 0 else e) / (1 + e); np.where would cost more on small arrays
+    return np.divide(np.maximum(e, np.heaviside(x, 1.0)), 1.0 + e), e
 
 
 def policy_logits(policy: PolicySpec, features: np.ndarray) -> np.ndarray:
@@ -586,6 +588,8 @@ def counter_uniforms(seed: int, n: int) -> np.ndarray:
     reproducible regardless of traversal or parallelization order.
     """
     mask = (1 << 64) - 1
+    if not 0 <= int(seed) <= mask:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     # hash the seed first so nearby seeds decorrelate (a seed-linear base
     # would make the output a function of seed + index only)
     base = (int(seed) + 0x9E3779B97F4A7C15) & mask

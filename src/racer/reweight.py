@@ -107,15 +107,15 @@ def tilt_weights(values, tau, direction: str) -> WeightVector:
     return WeightVector(*_tilt_rows(f, t, direction))
 
 
-def _tilt_rows(f: np.ndarray, t, direction: str) -> tuple[np.ndarray, np.ndarray]:
+def _tilt_rows(f: np.ndarray, t, direction: str, out=None) -> tuple[np.ndarray, np.ndarray]:
     """tilt_weights' arithmetic without its checks: (weights, anchors) of
     finite float64 values f along the last axis, with t a positive tau that
     broadcasts against f (one per row as a column, inf where a row keeps
-    weight 1) and a direction from DIRECTIONS."""
+    weight 1) and a direction from DIRECTIONS; the weights go to out if given."""
     n = f.shape[-1]
     mean = np.add.reduce(f, axis=-1, keepdims=True) / n
     s = (mean - f) / t if direction == "worst_low" else (f - mean) / t
-    w = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    w = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True), out=out)
     w /= np.add.reduce(w, axis=-1, keepdims=True) / n
     return w, mean[..., 0]
 

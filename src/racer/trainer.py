@@ -40,8 +40,8 @@ from .core import (
 from .reweight import RobustConfig, WeightVector, _tilt_rows, tilt_weights, uniform_weights
 from .saddle import dual_update
 
-# The step calls the kernels _sigmoid and _tilt_rows; bench/spans.py binds
-# its spans to sigmoid, tilt_weights and uniform_weights in this module.
+# The step calls the kernels _sigmoid and _tilt_rows and scores validation itself;
+# bench/spans.py binds sigmoid, tilt_weights, uniform_weights and evaluate_policy here.
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -182,19 +182,29 @@ def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray):
     return u, tuple(acts)
 
 
-def _backward(params: Sequence[np.ndarray], kind: str, acts, gu: np.ndarray):
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Per-layer (R, *shape) views of the columns of a flat (R, P) array."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[:, start:start + size].reshape(-1, *shape))
+        start += size
+    return views
+
+
+def _backward(params: Sequence[np.ndarray], kind: str, acts, gu: np.ndarray, grads) -> None:
+    """Write the gradient into grads, the per-layer views of one (R, P) array."""
     if kind == "linear":
         (x,) = acts
-        return [(x.transpose(0, 2, 1) @ gu[..., None])[..., 0],
-                np.add.reduce(gu, axis=1, keepdims=True)]
-    grads: list[np.ndarray | None] = [None] * len(params)
+        np.matmul(x.transpose(0, 2, 1), gu[..., None], out=grads[0][..., None])
+        np.add.reduce(gu, axis=1, keepdims=True, out=grads[1])
+        return
     delta = gu[..., None]  # gradient w.r.t. the final pre-activation, (R, B, 1)
     for i in range(len(params) // 2 - 1, -1, -1):
-        grads[2 * i] = delta.transpose(0, 2, 1) @ acts[i]
-        grads[2 * i + 1] = np.add.reduce(delta, axis=1)
+        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads[2 * i])
+        np.add.reduce(delta, axis=1, out=grads[2 * i + 1])
         if i > 0:
             delta = (delta @ params[2 * i]) * (acts[i] > 0)
-    return grads
 
 
 def _gaps(correct: np.ndarray, cost: np.ndarray):
@@ -203,24 +213,26 @@ def _gaps(correct: np.ndarray, cost: np.ndarray):
     return r0, correct[..., 1] - r0, c0, cost[..., 1] - c0
 
 
-def _objective(params, kind, acts, u, p, tail, dr, dc, exp_r, exp_c, wr, wc, lam, beta):
-    """Per-replica objective values (R,) and their stacked gradients.
+def _objective(params, kind, acts, u, p, tail, dr, dc, exp_r, exp_c, wr, wc, lam, beta, grads):
+    """Per-replica objective values (R,); the stacked gradient goes to grads.
 
     value = mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ]
-    tail is log1p(exp(-|u|)), from the e that _sigmoid returns with p.
+    tail is log1p(exp(-|u|)), from the e that _sigmoid returns with p. A
+    weight of None is 1 on every row and is not multiplied: x * 1.0 is x.
     Row means are np.add.reduce / n, which is bitwise what ndarray.mean
     computes for float64.
     """
     q = 1.0 - p
-    lam_wc = lam[:, None] * wc
+    lam_wc = lam[:, None] if wc is None else lam[:, None] * wc
     # H(sigma(u)) = p*softplus(-u) + (1-p)*softplus(u), exact 0 at saturation,
     # with softplus(+-u) = tail + max(+-u, 0)
     h = p * (tail + np.maximum(-u, 0.0)) + q * (tail + np.maximum(u, 0.0))
     n = u.shape[1]
-    value = np.add.reduce(wr * exp_r - lam_wc * exp_c + beta * h, axis=1) / n
+    reward, gain = (exp_r, dr) if wr is None else (wr * exp_r, wr * dr)
+    value = np.add.reduce(reward - lam_wc * exp_c + beta * h, axis=1) / n
     # d value / d u_i; dH/du = -u * p * (1 - p)
-    gu = (wr * dr - lam_wc * dc - beta * u) * p * q / n
-    return value, _backward(params, kind, acts, gu)
+    _backward(params, kind, acts, (gain - lam_wc * dc - beta * u) * p * q / n, grads)
+    return value
 
 
 def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
@@ -252,9 +264,9 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
         raise TrainingDivergenceError(f"non-finite logit at batch index {bad}")
     p, e = _sigmoid(u)
     r0, dr, c0, dc = _gaps(correct[None], cost[None])
-    values, grads = _objective(stacked, kind, acts, u, p, np.log1p(e), dr, dc, r0 + p * dr,
-                               c0 + p * dc, wr[None], wc[None], np.array([lam]), beta)
-    value = float(values[0])
+    grads = _views(np.empty((1, sum(a.size for a in params))), [a.shape for a in params])
+    value = float(_objective(stacked, kind, acts, u, p, np.log1p(e), dr, dc, r0 + p * dr,
+                             c0 + p * dc, wr[None], wc[None], np.array([lam]), beta, grads)[0])
     if not math.isfinite(value):
         raise TrainingDivergenceError("non-finite objective value in batch")
     return value, [g[0] for g in grads]
@@ -263,11 +275,6 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
-
-def _flatten(stacked: Sequence[np.ndarray]) -> np.ndarray:
-    """Stacked arrays (R, ...) laid end to end as one (R, P) array."""
-    return np.concatenate([a.reshape(len(a), -1) for a in stacked], axis=1)
-
 
 class _Adam:
     """Adaptive-moment ascent on a flat (R, P) parameter array, in place."""
@@ -369,9 +376,10 @@ class _Stack:
 
     Axis 0 of every per-replica array is the replica. A replica that
     diverges leaves the stack with its error; the others go on unchanged.
-    The parameters of all replicas live in one (R, P) array; the per-layer
-    arrays are views of it. Each epoch gathers its shuffled rows once, and
-    its batches are slices of them.
+    The parameters of all replicas live in one (R, P) array and their
+    gradient in another; the per-layer arrays are views of them. Each epoch
+    gathers its shuffled rows once, its batches are slices of them, and one
+    stacked forward pass scores each replica's validation rows, gathered once.
     """
 
     def __init__(self, data: Dataset, configs: list[TrainConfig]):
@@ -398,21 +406,21 @@ class _Stack:
         self.checkpoints: list[list[Checkpoint]] = [[] for _ in configs]
         self.configs = configs
 
-        train_idx, self.val_sets, policies, self.shuffle_rngs = [], [], [], []
+        perms, policies, self.shuffle_rngs = [], [], []
         for cfg in configs:
             split_rng, init_rng, shuffle_rng = (
                 np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
             )
-            perm = split_rng.permutation(n)
-            train_idx.append(perm[: n - n_val])
-            self.val_sets.append(data.subset(perm[n - n_val:]))
+            perms.append(split_rng.permutation(n))
             policies.append(init_policy(lead.policy_kind, data.n_features, lead.hidden,
                                         init_rng, bias=lead.init_bias))
             self.shuffle_rngs.append(shuffle_rng)
-        self.train_idx = np.stack(train_idx)
+        self.train_idx, val_idx = np.hsplit(np.stack(perms), [n - n_val])
+        self.val = {name: value.take(val_idx, axis=0) for name, value in
+                    (("x", data.features), ("correct", data.correct), ("cost", data.cost))}
         stacked = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
         self.shapes = [p.shape[1:] for p in stacked]
-        self.flat = _flatten(stacked)
+        self.flat = np.concatenate([a.reshape(len(a), -1) for a in stacked], axis=1)
         self._bind()
         self.opt = (_Adam(self.flat, lead.primal_lr) if lead.optimizer == "adam"
                     else _Sgd(self.flat, lead.primal_lr))
@@ -424,12 +432,9 @@ class _Stack:
         self.tau_c = np.array([[cfg.robust.effective_tau_cost] for cfg in configs])
 
     def _bind(self) -> None:
-        """Point the per-layer parameter arrays at their columns of self.flat."""
-        self.params, start = [], 0
-        for shape in self.shapes:
-            size = math.prod(shape)
-            self.params.append(self.flat[:, start:start + size].reshape(-1, *shape))
-            start += size
+        """Per-layer views of self.flat (the parameters) and of a new self.grad."""
+        self.grad = np.empty_like(self.flat)
+        self.params, self.grads = _views(self.flat, self.shapes), _views(self.grad, self.shapes)
 
     def run(self) -> list[Outcome]:
         # a diverging replica overflows on its way to the finite checks,
@@ -457,9 +462,8 @@ class _Stack:
         self._bind()
         self.opt.keep(keep)
         self.rows = {name: value[keep] for name, value in self.rows.items()}
-        kept = np.flatnonzero(keep)
-        self.val_sets = [self.val_sets[k] for k in kept]
-        self.shuffle_rngs = [self.shuffle_rngs[k] for k in kept]
+        self.val = {name: value[keep] for name, value in self.val.items()}
+        self.shuffle_rngs = [self.shuffle_rngs[k] for k in np.flatnonzero(keep)]
         return keep
 
     def _epoch(self, epoch: int) -> None:
@@ -495,9 +499,15 @@ class _Stack:
         wr_lo, wc_lo = (np.minimum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
         wr_hi, wc_hi = (np.maximum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
 
+        # evaluate_policy's expected mode, bitwise, on each replica's own rows
+        prob = _sigmoid(_forward(self.params, self.kind, self.val["x"])[0])[0]
+        q, n_val = 1.0 - prob, prob.shape[1]
+        accuracy, cost = (np.add.reduce(q * v[..., 0] + prob * v[..., 1], axis=1) / n_val
+                          for v in (self.val["correct"], self.val["cost"]))
+        reasoning = np.add.reduce(prob, axis=1) / n_val
         for k, slot in enumerate(self.slot):
             snapshot = _rebuild(self.kind, [p[k] for p in self.params])
-            val_metrics = evaluate_policy(snapshot, self.val_sets[k], mode="expected")
+            val_metrics = Metrics(float(accuracy[k]), float(cost[k]), float(reasoning[k]))
             lam = float(self.lam[k])
             self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
             self.histories[slot].append(EpochRecord(
@@ -533,24 +543,25 @@ class _Stack:
         exp_r = np.add(rows["r0"][:, cut], p * dr, out=rows["exp_r"][:, cut])
         exp_c = np.add(c0, p * dc, out=rows["exp_c"][:, cut])
 
-        # step 2: adversarial tilts (weight 1 where tau = inf)
-        w_r, w_c = rows["w_r"][:, cut], rows["w_c"][:, cut]
-        if self.tilt_r:
-            w_r = rows["w_r"][:, cut] = _tilt_rows(exp_r, self.tau_r, "worst_low")[0]
-        if self.tilt_c:
-            w_c = rows["w_c"][:, cut] = _tilt_rows(exp_c, self.tau_c, "worst_high")[0]
+        # step 2: adversarial tilts, written into the epoch's weights; an
+        # untilted side (None) keeps weight 1
+        w_r = (_tilt_rows(exp_r, self.tau_r, "worst_low", out=rows["w_r"][:, cut])[0]
+               if self.tilt_r else None)
+        w_c = (_tilt_rows(exp_c, self.tau_c, "worst_high", out=rows["w_c"][:, cut])[0]
+               if self.tilt_c else None)
 
         # step 3: one ascent step on the reweighted objective; the parameters
         # are those of step 1, so its logits and probabilities are reused
-        value, grads = _objective(self.params, self.kind, acts, u, p, np.log1p(e), dr, dc,
-                                  exp_r, exp_c, w_r, w_c, self.lam, cfg.beta)
-        self.opt.ascend(self.flat, _flatten(grads))
+        value = _objective(self.params, self.kind, acts, u, p, np.log1p(e), dr, dc,
+                           exp_r, exp_c, w_r, w_c, self.lam, cfg.beta, self.grads)
+        self.opt.ascend(self.flat, self.grad)
 
         # step 4: projected dual step on the tilt-weighted cost of the
         # updated policy
         u_new, _ = _forward(self.params, self.kind, acts[0])
         p_new = _sigmoid(u_new)[0]
-        weighted_cost = np.add.reduce(w_c * (c0 + p_new * dc), axis=1) / u.shape[1]
+        cost = c0 + p_new * dc
+        weighted_cost = np.add.reduce(cost if w_c is None else w_c * cost, axis=1) / u.shape[1]
         self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
 
         # checked last: a failed replica leaves the stack here and what it

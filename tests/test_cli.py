@@ -497,6 +497,16 @@ class TestEval:
         a = (tmp_path / "s1" / "metrics.json").read_bytes()
         assert a == (tmp_path / "s2" / "metrics.json").read_bytes()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_sampled_seed_outside_64_bits_is_usage_error(self, data_file, tmp_path, seed):
+        # -1 and 2**64 drew the same actions as 2**64 - 1 and 0 and exited 0
+        code, err = run_quietly("eval", "--baseline", "random:0.5", "--data", data_file,
+                                "--mode", "sampled", "--seed", seed, "--out", tmp_path / "s")
+        assert code == 1 and f"--seed must lie in [0, 2**64), got {seed}" in err
+        assert not (tmp_path / "s").exists()
+        assert run("eval", "--baseline", "random:0.5", "--data", data_file, "--mode", "sampled",
+                   "--seed", 2**64 - 1, "--out", tmp_path / "top") == 0
+
     def test_unknown_baseline(self, data_file, tmp_path):
         assert run("eval", "--baseline", "bogus", "--data", data_file,
                    "--out", tmp_path / "x") == 1

@@ -13,6 +13,7 @@ from racer.core import (
     ParseError,
     TabularPolicy,
     ValidationError,
+    counter_uniforms,
     evaluate_policy,
     load_dataset,
     policy_prob,
@@ -200,6 +201,15 @@ class TestEvaluatePolicy:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             evaluate_policy(ConstantPolicy(0.0), random_dataset(1), mode="bogus")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_sampled_seed_outside_64_bits_is_rejected(self, seed):
+        # masked to 64 bits, -1 drew the actions of 2**64 - 1 and 2**64 those of 0
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            counter_uniforms(seed, 3)
+        with pytest.raises(ValueError, match="seed"):
+            evaluate_policy(ConstantPolicy(0.5), random_dataset(1), mode="sampled", seed=seed)
+        assert counter_uniforms(2**64 - 1, 3).shape == (3,)
 
 
 class TestInvariants:

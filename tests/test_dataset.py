@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import racer.core
+from helpers import make_instance
 from oracles import (
     RowInstance,
     row_columns,
@@ -448,6 +449,26 @@ def test_io_memory_does_not_hold_every_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peaks["save"] <= 6e6 and peaks["jsonl"] <= 20e6 and peaks["csv"] <= 20e6, peaks
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_equal_str_tags_load_as_one_object(tmp_path, fmt):
+    # a 50k-row magpie-ultra file loaded as 50 000 copies of its one tag
+    # (3 MB); tags that are not strings load as they are
+    tags = ["math", "code", None, "math", "code", "math"]
+    if fmt == "jsonl":
+        tags += [7, [1], 7, [1], "math"]
+    data = Dataset([make_instance(i, [float(i)], (0, 1), (1.0, 2.0), tag)
+                    for i, tag in enumerate(tags)])
+    save_dataset(data, tmp_path / f"d.{fmt}")
+    with block_rows(2):  # equal tags in different blocks
+        loaded = load_dataset(tmp_path / f"d.{fmt}")
+    assert loaded.tags == data.tags
+    distinct = {id(t) for t in loaded.tags if type(t) is str}
+    assert len(distinct) == 2
+    assert [type(t) for t in loaded.tags] == [type(t) for t in tags]
+    lists = [t for t in loaded.tags if type(t) is list]
+    assert len({id(t) for t in lists}) == len(lists)
 
 
 # ---------------------------------------------------------------------------

@@ -354,27 +354,34 @@ class TestReplicaStack:
             train(data, [replace(base, batch_size=200), replace(base, batch_size=200, seed=1)])
 
 
+LEAN_DATA = routing_dataset(seed=13, n=400)
+
+
 class TestLeanStep:
-    """The stack gathers once per epoch, updates one flat parameter array
-    and reduces its statistics at epoch end; the reference gathers per
-    batch, updates each parameter array and keeps running sums."""
+    """The stack gathers once per epoch, updates one flat parameter array,
+    reduces its statistics at epoch end and scores every replica's
+    validation rows in one forward pass; the reference gathers per batch,
+    updates each parameter array, keeps running sums and calls
+    evaluate_policy on each replica's validation split."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(replicas=st.lists(replica_draws, min_size=1, max_size=5),
            kind=st.sampled_from(["linear", "feedforward"]),
            optimizer=st.sampled_from(["adam", "sgd"]),
-           batch_size=st.sampled_from([8, 22, 24, 50]))
-    def test_bitwise_equal_to_reference(self, replicas, kind, optimizer, batch_size):
-        # 88 training rows: batch sizes 8 and 22 divide them, 24 and 50 leave a tail
+           batch_size=st.sampled_from([8, 22, 24, 50]),
+           n_val=st.one_of(st.just(312), st.integers(1, 312)))
+    def test_bitwise_equal_to_reference(self, replicas, kind, optimizer, batch_size, n_val):
+        # 1 to 312 validation rows; at 312 the 88 training rows are divided
+        # by batch sizes 8 and 22 and leave a tail at 24 and 50
         base = TrainConfig(budget=2.0, epochs=2, batch_size=batch_size, primal_lr=2e-2,
                            dual_lr=0.1, policy_kind=kind, hidden=(5, 3),
-                           optimizer=optimizer, val_fraction=0.2)
+                           optimizer=optimizer, val_fraction=n_val / len(LEAN_DATA))
         configs = [replace(base, budget=b, seed=s,
                            robust=RobustConfig(tau_reward=tr, tau_cost=tc, mode=m))
                    for b, s, m, tr, tc in replicas]
-        outcomes = train(STACK_DATA, configs)
-        expected = stack_train(STACK_DATA, configs)
+        outcomes = train(LEAN_DATA, configs)
+        expected = stack_train(LEAN_DATA, configs)
         assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
 
     @pytest.mark.parametrize("cause", ["objective", "logit"])
@@ -403,6 +410,42 @@ class TestLeanStep:
         survivors = [o for o in outcomes if isinstance(o, TrainResult)]
         assert survivors and all(rec.cost_weight_range == (1.0, 1.0)
                                  for o in survivors for rec in o.history)
+
+    @pytest.mark.parametrize("cause", ["objective", "logit"])
+    def test_survivors_score_their_own_validation_rows(self, cause):
+        # a replica that leaves the stack takes its validation rows with it:
+        # every checkpoint of a survivor scores the survivor's own split
+        data, configs = diverging_group(cause)
+        outcomes = train(data, configs)
+        failed = [isinstance(o, TrainingDivergenceError) for o in outcomes]
+        assert any(failed) and not all(failed)
+        # a survivor after a failed replica moves up in the stack
+        assert any(failed[:k].count(True) and not f for k, f in enumerate(failed))
+        n_val = int(round(configs[0].val_fraction * len(data)))
+        for config, outcome in zip(configs, outcomes):
+            if isinstance(outcome, TrainingDivergenceError):
+                continue
+            split_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
+            val = data.subset(split_rng.permutation(len(data))[len(data) - n_val:])
+            assert len(outcome.checkpoints) == config.epochs
+            for c in outcome.checkpoints:
+                with np.errstate(over="ignore", invalid="ignore"):  # as train scores them
+                    expected = evaluate_policy(c.policy, val)
+                assert repr(c.metrics) == repr(expected)
+
+    def test_validation_is_scored_without_evaluate_policy(self, monkeypatch):
+        # the stack scores each epoch's validation rows in one forward pass
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate_policy(*args, **kwargs)
+
+        monkeypatch.setattr(racer.trainer, "evaluate_policy", counted)
+        base = TrainConfig(budget=2.0, epochs=3, batch_size=32)
+        outcomes = train(routing_dataset(seed=3, n=120), [replace(base, seed=s) for s in range(3)])
+        assert all(len(o.checkpoints) == 3 for o in outcomes)
+        assert calls == []
 
     def test_one_dual_step_per_batch(self, monkeypatch):
         # the benchmark's tracer counts batches by these calls
