@@ -74,12 +74,12 @@ class TrainConfig:
     def __post_init__(self):
         if not self.budget > 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be non-negative and finite, got {self.beta}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if not (self.primal_lr > 0 and self.dual_lr > 0):
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.primal_lr < math.inf and 0 < self.dual_lr < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
         if self.seed < 0:
@@ -213,26 +213,42 @@ def _gaps(correct: np.ndarray, cost: np.ndarray):
     return r0, correct[..., 1] - r0, c0, cost[..., 1] - c0
 
 
-def _objective(params, kind, acts, u, p, tail, dr, dc, exp_r, exp_c, wr, wc, lam, beta, grads):
-    """Per-replica objective values (R,); the stacked gradient goes to grads.
+def _gradient(params, kind, acts, u, p, dr, dc, wr, wc, lam, beta, grads) -> None:
+    """Write the stacked gradient of _value's objective into grads. A weight
+    of None is 1 on every row and is not multiplied: x * 1.0 is x."""
+    q = 1.0 - p
+    lam_wc = lam[:, None] if wc is None else lam[:, None] * wc
+    gain = dr if wr is None else wr * dr
+    # d objective / d u_i; dH/du = -u * p * (1 - p)
+    _backward(params, kind, acts, (gain - lam_wc * dc - beta * u) * p * q / u.shape[1], grads)
 
-    value = mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ]
-    tail is log1p(exp(-|u|)), from the e that _sigmoid returns with p. A
-    weight of None is 1 on every row and is not multiplied: x * 1.0 is x.
-    Row means are np.add.reduce / n, which is bitwise what ndarray.mean
-    computes for float64.
-    """
+
+def _value(u, p, tail, exp_r, exp_c, wr, wc, lam, beta) -> np.ndarray:
+    """Per-replica objective values (R,), tail being log1p(exp(-|u|)):
+    mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ]
+    Row means are np.add.reduce / n, bitwise ndarray.mean for float64."""
     q = 1.0 - p
     lam_wc = lam[:, None] if wc is None else lam[:, None] * wc
     # H(sigma(u)) = p*softplus(-u) + (1-p)*softplus(u), exact 0 at saturation,
     # with softplus(+-u) = tail + max(+-u, 0)
     h = p * (tail + np.maximum(-u, 0.0)) + q * (tail + np.maximum(u, 0.0))
-    n = u.shape[1]
-    reward, gain = (exp_r, dr) if wr is None else (wr * exp_r, wr * dr)
-    value = np.add.reduce(reward - lam_wc * exp_c + beta * h, axis=1) / n
-    # d value / d u_i; dH/du = -u * p * (1 - p)
-    _backward(params, kind, acts, (gain - lam_wc * dc - beta * u) * p * q / n, grads)
-    return value
+    reward = exp_r if wr is None else wr * exp_r
+    return np.add.reduce(reward - lam_wc * exp_c + beta * h, axis=1) / u.shape[1]
+
+
+def _lam_safe(batch_size: int, c_max: float, beta: float, tau_r: float, tau_c: float) -> float:
+    """A bound on lambda below which every batch's objective value is finite,
+    or -1 where the conditions fail (c_max: a stack's largest cost; tau_r,
+    tau_c: its smallest temperatures). Step 1's check makes u finite, so p
+    and 1 - p lie in [0, 1], the entropy in [0, ln 2 + eps], exp_r in [0, 1]
+    (0/1 flags) and exp_c in [0, c_max (1 + 2 eps)]. A tilt's largest weight
+    before normalising is exp(0) = 1, so 0 <= w <= B, and the tau conditions
+    keep +-(f - mean) / tau finite (tau = inf gives 0). Each summand is then
+    at most B + lambda B c_max 1.01 + beta in size: below the bound the
+    pairwise sum of at most B of them stays under 1e307, and the cap
+    1e307 / B keeps lambda * w finite before it meets exp_c."""
+    b, ok = float(batch_size), beta <= 1e300 and tau_r >= 1e-300 and c_max / tau_c <= 1e300
+    return min((1e307 - b * b - b * beta) / (1.01 * b * b * c_max), 1e307 / b) if ok else -1.0
 
 
 def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
@@ -265,8 +281,9 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
     p, e = _sigmoid(u)
     r0, dr, c0, dc = _gaps(correct[None], cost[None])
     grads = _views(np.empty((1, sum(a.size for a in params))), [a.shape for a in params])
-    value = float(_objective(stacked, kind, acts, u, p, np.log1p(e), dr, dc, r0 + p * dr,
-                             c0 + p * dc, wr[None], wc[None], np.array([lam]), beta, grads)[0])
+    wr, wc, lam = wr[None], wc[None], np.array([lam])
+    _gradient(stacked, kind, acts, u, p, dr, dc, wr, wc, lam, beta, grads)
+    value = float(_value(u, p, np.log1p(e), r0 + p * dr, c0 + p * dc, wr, wc, lam, beta)[0])
     if not math.isfinite(value):
         raise TrainingDivergenceError("non-finite objective value in batch")
     return value, [g[0] for g in grads]
@@ -391,9 +408,7 @@ class _Stack:
                 raise ValueError("stacked configs may differ only in budget, seed and robust")
         n = len(data)
         if n <= lead.batch_size:
-            raise ValidationError(
-                f"dataset size {n} must exceed batch_size {lead.batch_size}"
-            )
+            raise ValidationError(f"dataset size {n} must exceed batch_size {lead.batch_size}")
         n_val = int(round(lead.val_fraction * n))
         if n_val < 1 or n - n_val <= 0:
             raise ValidationError("validation split is empty")
@@ -408,9 +423,8 @@ class _Stack:
 
         perms, policies, self.shuffle_rngs = [], [], []
         for cfg in configs:
-            split_rng, init_rng, shuffle_rng = (
-                np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
-            )
+            split_rng, init_rng, shuffle_rng = (np.random.default_rng(s) for s in
+                                                np.random.SeedSequence(cfg.seed).spawn(3))
             perms.append(split_rng.permutation(n))
             policies.append(init_policy(lead.policy_kind, data.n_features, lead.hidden,
                                         init_rng, bias=lead.init_bias))
@@ -430,6 +444,9 @@ class _Stack:
         # one tau per replica, as a column that broadcasts over its batch
         self.tau_r = np.array([[cfg.robust.effective_tau_reward] for cfg in configs])
         self.tau_c = np.array([[cfg.robust.effective_tau_cost] for cfg in configs])
+        # the step skips the objective value while no lambda exceeds this bound
+        self.lam_safe = _lam_safe(lead.batch_size, float(np.max(data.cost)), lead.beta,
+                                  float(np.min(self.tau_r)), float(np.min(self.tau_c)))
 
     def _bind(self) -> None:
         """Per-layer views of self.flat (the parameters) and of a new self.grad."""
@@ -551,9 +568,12 @@ class _Stack:
                if self.tilt_c else None)
 
         # step 3: one ascent step on the reweighted objective; the parameters
-        # are those of step 1, so its logits and probabilities are reused
-        value = _objective(self.params, self.kind, acts, u, p, np.log1p(e), dr, dc,
-                           exp_r, exp_c, w_r, w_c, self.lam, cfg.beta, self.grads)
+        # are those of step 1, so its logits and probabilities are reused; its
+        # value is computed only where lam_safe cannot certify it finite
+        _gradient(self.params, self.kind, acts, u, p, dr, dc, w_r, w_c, self.lam, cfg.beta,
+                  self.grads)
+        value = (None if np.maximum.reduce(self.lam) <= self.lam_safe else
+                 _value(u, p, np.log1p(e), exp_r, exp_c, w_r, w_c, self.lam, cfg.beta))
         self.opt.ascend(self.flat, self.grad)
 
         # step 4: projected dual step on the tilt-weighted cost of the
@@ -567,13 +587,13 @@ class _Stack:
         # checked last: a failed replica leaves the stack here and what it
         # computed after its failure goes with it, so its outcome is the
         # error its solo run raises at this point
-        ok = np.isfinite(value) & np.logical_and.reduce(np.isfinite(u_new), axis=1)
-        if not np.logical_and.reduce(ok):
-            where = f"epoch {epoch} batch {b}"
-            self._drop({k: (f"non-finite objective value in {where}"
-                            if not math.isfinite(value[k])
-                            else f"non-finite logit after update in {where}")
-                        for k in np.flatnonzero(~ok)})
+        bad_value = () if value is None else np.flatnonzero(~np.isfinite(value))
+        if not len(bad_value) and np.logical_and.reduce(np.isfinite(u_new), axis=None):
+            return
+        where = f"epoch {epoch} batch {b}"
+        bad_logit = np.flatnonzero(~np.logical_and.reduce(np.isfinite(u_new), axis=1))
+        self._drop({**{k: f"non-finite logit after update in {where}" for k in bad_logit},
+                    **{k: f"non-finite objective value in {where}" for k in bad_value}})
 
 
 def select_checkpoint(checkpoints: Sequence[Checkpoint], budget: float) -> Checkpoint:

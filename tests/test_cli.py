@@ -453,6 +453,41 @@ class TestTrain:
         assert run(*argv, flag, "--out", tmp_path / "o") == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--beta", "nan", "beta must be non-negative and finite, got nan"),
+        ("--beta", "inf", "beta must be non-negative and finite, got inf"),
+        ("--lr", "inf", "learning rates must be positive and finite"),
+        ("--dual-lr", "inf", "learning rates must be positive and finite"),
+    ])
+    def test_non_finite_rate_flag_names_the_flag(self, data_file, tmp_path, capsys, command,
+                                                 flag, value, message):
+        # these used to train and exit 3 on a non-finite objective or logit
+        source = (["--data", data_file, "--budget", 2] if command == "train"
+                  else ["--train-data", data_file, "--budgets", 2, "--repeats", 1,
+                        "--methods", "racer,random"])
+        assert run(command, *source, flag, value, "--out", tmp_path / "o") == 1
+        assert f"error: {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"beta": NaN}', "field 'beta': beta must be non-negative and finite"),
+        ('{"beta": Infinity}', "field 'beta': beta must be non-negative and finite"),
+        ('{"lr": Infinity}', "field 'lr': learning rates must be positive and finite"),
+        ('{"dual_lr": Infinity}', "field 'dual_lr': learning rates must be positive and finite"),
+    ])
+    def test_non_finite_rate_in_config_file_is_data_error(self, data_file, tmp_path, capsys,
+                                                          text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run("train", "--data", data_file, "--budget", 2, "--config", cfg,
+                   "--out", tmp_path / "o") == 2
+        assert f"config file {cfg}: {message}" in capsys.readouterr().err
+
+    def test_infinite_budget_is_an_unconstrained_run(self, data_file, tmp_path):
+        assert run("train", "--data", data_file, "--budget", "inf", "--epochs", 2,
+                   "--out", tmp_path / "o") == 0
+
     @settings(max_examples=60, deadline=None)
     @given(text=config_texts())
     def test_fuzzed_config_file_never_escapes(self, small_data, text):

@@ -1,20 +1,23 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_instance
+from helpers import make_instance, random_dataset
 from oracles import finite_diff_gradient, stack_train
 
 from racer.core import (ConstantPolicy, Dataset, FeedForwardPolicy, LinearPolicy, Metrics,
-                        TabularPolicy, ValidationError, evaluate_policy)
+                        TabularPolicy, ValidationError, _sigmoid, evaluate_policy)
+from racer.evalbench import (DEFAULT_TEMPLATE, PRESET_SCENARIOS, gen_synthetic, load_scenario,
+                             scenario_splits)
 import racer.trainer
-from racer.reweight import MODES, RobustConfig, uniform_weights
+from racer.reweight import MODES, RobustConfig, _tilt_rows, uniform_weights
 from racer.saddle import dual_update
 from racer.trainer import (
     Checkpoint,
@@ -28,9 +31,16 @@ from racer.trainer import (
     save_model,
     select_checkpoint,
     train,
+    _Stack,
+    _gaps,
+    _lam_safe,
     _objective_on_params,
     _params,
+    _value,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def routing_dataset(seed=0, n=300, ratio=4.0, p_gain=0.9, p_helps=0.5):
@@ -287,6 +297,17 @@ def diverging_group(cause):
         return data, [replace(base, seed=1),
                       replace(base, seed=2, robust=RobustConfig(tau_reward=1e-320)),
                       replace(base, seed=3, robust=RobustConfig(mode="acer"))]
+    if cause == "overflow":
+        # six reasoning costs of 1e305 (about 1e303 on the cost scale):
+        # lambda * cost overflows once a budget-2 replica's lambda has grown;
+        # a budget above every cost keeps its lambda at 0
+        data = Dataset([*random_dataset(seed=3, n=120, d=3).instances,
+                        *(make_instance(120 + i, [0.0, 0.0, 0.0], (1, 0), (100.0, 1e305))
+                          for i in range(6))])
+        base = TrainConfig(budget=2.0, epochs=3, batch_size=32, primal_lr=1e-2,
+                           dual_lr=0.05, robust=RobustConfig(tau_reward=1.0))
+        return data, [*(replace(base, seed=s) for s in range(4)),
+                      replace(base, seed=4, budget=1e304)]
     # one huge feature overflows the logit of every replica that trains on
     # it; the others hold it out for validation
     data = Dataset([*routing_dataset(seed=4, n=99).instances,
@@ -294,6 +315,9 @@ def diverging_group(cause):
     base = TrainConfig(budget=2.0, epochs=3, batch_size=16, primal_lr=10.0,
                        dual_lr=0.05, val_fraction=0.5)
     return data, [replace(base, seed=s) for s in range(8)]
+
+
+DIVERGENCE_CAUSES = ["objective", "logit", "overflow"]
 
 
 def outcome_bits(outcome):
@@ -321,7 +345,7 @@ class TestReplicaStack:
             alone = train(STACK_DATA, config)
             assert result_bits(outcome) == result_bits(alone)
 
-    @pytest.mark.parametrize("cause", ["objective", "logit"])
+    @pytest.mark.parametrize("cause", DIVERGENCE_CAUSES)
     def test_diverging_replica_fails_alone(self, cause):
         data, configs = diverging_group(cause)
         alone = [solo(data, c) for c in configs]
@@ -333,6 +357,15 @@ class TestReplicaStack:
                 assert type(b) is TrainingDivergenceError and str(b) == str(a)
             else:
                 assert result_bits(b) == result_bits(a)
+
+    def test_overflowing_cost_term_fails_only_the_budget_bound_replicas(self):
+        data, configs = diverging_group("overflow")
+        outcomes = train(data, configs)
+        assert [str(o) for o in outcomes[:4]] == [
+            f"non-finite objective value in epoch 0 batch {b}" for b in (1, 3, 1, 1)]
+        survivor = outcomes[4]
+        assert isinstance(survivor, TrainResult)
+        assert all(rec.lam == 0.0 for rec in survivor.history)
 
     def test_single_config_raises_its_divergence(self):
         data = routing_dataset(seed=3, n=120)
@@ -384,7 +417,7 @@ class TestLeanStep:
         expected = stack_train(LEAN_DATA, configs)
         assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
 
-    @pytest.mark.parametrize("cause", ["objective", "logit"])
+    @pytest.mark.parametrize("cause", DIVERGENCE_CAUSES)
     def test_divergence_equal_to_reference(self, cause):
         data, configs = diverging_group(cause)
         outcomes = train(data, configs)
@@ -411,7 +444,7 @@ class TestLeanStep:
         assert survivors and all(rec.cost_weight_range == (1.0, 1.0)
                                  for o in survivors for rec in o.history)
 
-    @pytest.mark.parametrize("cause", ["objective", "logit"])
+    @pytest.mark.parametrize("cause", DIVERGENCE_CAUSES)
     def test_survivors_score_their_own_validation_rows(self, cause):
         # a replica that leaves the stack takes its validation rows with it:
         # every checkpoint of a survivor scores the survivor's own split
@@ -461,6 +494,96 @@ class TestLeanStep:
         train(data, config)
         n_train = len(data) - int(round(config.val_fraction * len(data)))
         assert len(calls) == config.epochs * math.ceil(n_train / config.batch_size) == 12
+
+    def test_value_is_computed_only_above_the_certified_bound(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _value(*args)
+
+        monkeypatch.setattr(racer.trainer, "_value", counted)
+        base = TrainConfig(budget=2.0, epochs=3, batch_size=32)
+        configs = [replace(base, seed=0),
+                   replace(base, seed=1, robust=RobustConfig(tau_reward=1.0, tau_cost=0.5)),
+                   replace(base, seed=2, robust=RobustConfig(mode="acer"))]
+        outcomes = train(routing_dataset(seed=3, n=120), configs)
+        assert all(isinstance(o, TrainResult) for o in outcomes)
+        assert calls == []
+        # the overflow group's lambda outgrows the bound: the value is
+        # computed and the outcomes stay the reference's, which computes
+        # it on every batch
+        data, configs = diverging_group("overflow")
+        outcomes = train(data, configs)
+        assert calls
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = stack_train(data, configs)
+        assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
+
+
+# finite logits, with the saturation and exp-underflow edges
+logit_draws = st.one_of(st.sampled_from([1e308, -1e308, 745.0, -745.0, 0.0]),
+                        st.floats(-1e308, 1e308))
+# inside the bound's conditions and at their edges; inf switches a tilt off
+tau_r_draws = st.one_of(st.sampled_from([1e-300, math.inf]), st.floats(1e-300, 1e300))
+cost_draws = st.one_of(st.sampled_from([1e-300, 1e303]), st.floats(1e-300, 1e303))
+
+
+class TestCertifiedValue:
+    """Below lam_safe the objective value is finite, so the step may skip it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw=st.data(), n_rep=st.integers(1, 3), n=st.integers(1, 8),
+           extra=st.integers(0, 3),
+           beta=st.one_of(st.sampled_from([0.0, 1e300]), st.floats(0.0, 1e300)))
+    def test_value_within_the_bound_is_finite(self, draw, n_rep, n, extra, beta):
+        # the batch holds n <= batch_size rows, as the last batch of an epoch may
+        u = np.array(draw.draw(st.lists(logit_draws, min_size=n_rep * n, max_size=n_rep * n)))
+        u = u.reshape(n_rep, n)
+        correct = np.array(draw.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                              min_size=2 * n_rep * n, max_size=2 * n_rep * n)))
+        cost = np.array(draw.draw(st.lists(cost_draws, min_size=2 * n_rep * n,
+                                           max_size=2 * n_rep * n)))
+        c_max = float(cost.max())
+        tau_c_edge = max(c_max / 1e300, 5e-324)
+        tau_c_draws = st.one_of(st.sampled_from([tau_c_edge, math.inf]),
+                                st.floats(tau_c_edge, 1e300))
+        tau_r = np.array([[draw.draw(tau_r_draws)] for _ in range(n_rep)])
+        tau_c = np.array([[draw.draw(tau_c_draws)] for _ in range(n_rep)])
+        lam_safe = _lam_safe(n + extra, c_max, beta, float(tau_r.min()), float(tau_c.min()))
+        assume(lam_safe >= 0)  # an edge that rounds outside the conditions
+        fractions = draw.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+                                       min_size=n_rep, max_size=n_rep))
+        lam = lam_safe * np.array(fractions)
+
+        r0, dr, c0, dc = _gaps(correct.reshape(n_rep, n, 2), cost.reshape(n_rep, n, 2))
+        p, e = _sigmoid(u)
+        exp_r, exp_c = r0 + p * dr, c0 + p * dc
+        # as in the step: a side on which every tau is inf is not tilted
+        w_r = None if np.isinf(tau_r).all() else _tilt_rows(exp_r, tau_r, "worst_low")[0]
+        w_c = None if np.isinf(tau_c).all() else _tilt_rows(exp_c, tau_c, "worst_high")[0]
+        value = _value(u, p, np.log1p(e), exp_r, exp_c, w_r, w_c, lam, beta)
+        assert np.isfinite(value).all()
+
+    def test_outside_the_conditions_nothing_is_certified(self):
+        assert _lam_safe(64, 4.0, 1e301, 1.0, math.inf) == -1.0
+        assert _lam_safe(64, 4.0, 0.005, 1e-320, math.inf) == -1.0
+        assert _lam_safe(64, 1e303, 0.005, 1.0, 1e2) == -1.0
+        assert _lam_safe(64, 4.0, 0.005, math.inf, math.inf) > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_frontier_sweep_stack_is_certified(self, seed):
+        scenario = replace(load_scenario(SCENARIOS / "separable3.json"), seed=seed)
+        data, _ = scenario_splits(scenario)
+        base = replace(DEFAULT_TEMPLATE, epochs=100, batch_size=64, primal_lr=2e-3,
+                       dual_lr=0.05, val_fraction=0.15, seed=seed)
+        assert _Stack(data, [replace(base, budget=b) for b in (2.0, 3.0, 4.0)]).lam_safe >= 1e290
+
+    def test_ff_train_run_is_certified(self):
+        data = gen_synthetic(replace(PRESET_SCENARIOS["wildguardmix"], n=10_000, seed=1))
+        config = replace(DEFAULT_TEMPLATE, budget=2.0, policy_kind="feedforward", epochs=3)
+        assert _Stack(data, [config]).lam_safe >= 1e290
 
 
 class TestSelectCheckpoint:
