@@ -1,7 +1,8 @@
 """Command-line driver: training, evaluation, sweeps, the saddle demo, and
 synthetic-data utilities.
 
-Exit codes: 0 success, 1 usage, 2 data/config problem, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 data/config problem or out of memory,
+3 numeric failure.
 Every run writes a manifest (resolved config, input digests, output paths)
 alongside its outputs so it can be reproduced exactly.
 """
@@ -51,7 +52,7 @@ from .evalbench import (
     scenario_splits,
     sweep_units,
 )
-from .reweight import RobustConfig, tilt_weights, uniform_weights
+from .reweight import MODES, RobustConfig, _tilt_rows
 from .saddle import (
     ConvergenceConstants,
     InfeasibleProblemError,
@@ -61,6 +62,8 @@ from .saddle import (
     solve_saddle,
 )
 from .trainer import (
+    OPTIMIZERS,
+    POLICY_KINDS,
     TrainConfig,
     TrainingDivergenceError,
     history_to_csv,
@@ -169,7 +172,7 @@ def _train_config(args, budget_required: bool = True) -> TrainConfig:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau-r", dest="tau_r", type=float)
     p.add_argument("--tau-c", dest="tau_c", type=float)
-    p.add_argument("--mode", choices=("racer", "racer-r", "racer-c", "acer"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--beta", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -177,9 +180,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dual-lr", dest="dual_lr", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--policy", choices=("linear", "feedforward"))
+    p.add_argument("--policy", choices=POLICY_KINDS)
     p.add_argument("--hidden", type=_widths, help="comma-separated hidden widths")
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
+    p.add_argument("--optimizer", choices=tuple(OPTIMIZERS))
     p.add_argument("--config", help="JSON config file (flags override it)")
 
 
@@ -264,23 +267,17 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad numeric list {text!r}") from None
 
 
-def _sweep_splits(args):
+def _sweep_splits(args, items):
     """(train_data, tests dict, input paths) from a scenario or data files."""
     if args.scenario is not None:
         return (*scenario_splits(load_scenario(args.scenario)), [args.scenario])
     if args.train_data is None:
         raise UsageError("either --scenario or --train-data is required")
     train_data = load_dataset(args.train_data)
-    inputs = [args.train_data]
-    tests = {}
-    for item in args.test_data or []:
-        if "=" not in item:
-            raise UsageError(f"--test-data expects name=path, got {item!r}")
-        name, path = item.split("=", 1)
-        # a budget means the same compute on every split
-        tests[name] = load_dataset(path).with_cost_scale(train_data.instruct_cost_mean)
-        inputs.append(path)
-    return train_data, tests, inputs
+    # a budget means the same compute on every split
+    tests = {name: load_dataset(path).with_cost_scale(train_data.instruct_cost_mean)
+             for name, path in items}
+    return train_data, tests, [args.train_data, *(path for _, path in items)]
 
 
 def _read_cell(path: Path, digest: str):
@@ -303,19 +300,27 @@ def cmd_sweep(args) -> int:
     budgets = _parse_floats(args.budgets) if args.budgets else DEFAULT_BUDGETS
     methods = tuple(m for m in (args.methods or "").split(",") if m) or (
         "racer", "all-instruct", "all-reasoning", "random")
+    # [name, path] of each --test-data item; a scenario sweep has none
+    items = [item.split("=", 1) for item in args.test_data or [] if args.scenario is None]
+    for item in items:
+        if len(item) < 2:
+            raise UsageError(f"--test-data expects name=path, got {item[0]!r}")
     try:
-        units = sweep_units(budgets, methods, args.repeats, args.base_seed)
+        units = sweep_units(budgets, methods, args.repeats, args.base_seed,
+                            [name for name, _ in items])
     except ValidationError as exc:
         raise UsageError(str(exc)) from None
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
-    train_data, tests, inputs = _sweep_splits(args)
+    train_data, tests, inputs = _sweep_splits(args, items)
     out = Path(args.out)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
-    input_digests = {str(p): _sha256(p) for p in inputs}
+    # a test file is keyed by its name=path item, so a renamed split gets new cells
+    keys = [inputs[0], *map("=".join, items)]
+    input_digests = {key: _sha256(path) for key, path in zip(keys, inputs)}
     base_blob = json.dumps(
         {"template": template.to_dict(), "methods": list(methods),
          "inputs": input_digests}, sort_keys=True)
@@ -327,8 +332,7 @@ def cmd_sweep(args) -> int:
 
     cached = [_read_cell(*cell_path(unit)) if args.resume else None for unit in units]
     pending = [unit for unit, got in zip(units, cached) if got is None]
-    fresh = run_units(train_data, {"train": train_data, **tests}, pending, methods,
-                      template, args.workers)
+    fresh = run_units(train_data, tests, pending, methods, template, args.workers)
     for unit, (got_cells, got_failures) in zip(pending, fresh):
         path, digest = cell_path(unit)
         payload = {
@@ -450,23 +454,18 @@ def cmd_inspect_weights(args) -> int:
         raise UsageError(f"--tau must be positive (or inf), got {args.tau}")
     policy, data, inputs = _policy_and_data(args)
     p = policy_probs(policy, data)
-    if args.target == "reward":
-        f = data.correct[:, 0] + p * (data.correct[:, 1] - data.correct[:, 0])
-        direction = "worst_low"
-    else:
-        f = data.cost[:, 0] + p * (data.cost[:, 1] - data.cost[:, 0])
-        direction = "worst_high"
-    if math.isinf(args.tau):
-        wv = uniform_weights(len(data), float(f.mean()))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            wv = tilt_weights(f, args.tau, direction)
-        if not np.all(np.isfinite(wv.weights)):
-            raise FloatingPointError(f"the tilt at --tau {args.tau!r} has non-finite weights")
+    v, direction = ((data.correct, "worst_low") if args.target == "reward"
+                    else (data.cost, "worst_high"))
+    f = v[:, 0] + p * (v[:, 1] - v[:, 0])
+    # tau = inf gives every row weight 1 and the mean of f as its anchor
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        weights, baseline = _tilt_rows(f, args.tau, direction)
+    if not np.all(np.isfinite(weights)):
+        raise FloatingPointError(f"the tilt at --tau {args.tau!r} has non-finite weights")
 
     write_csv(args.out, [[f"# tau={args.tau!r}"], [f"# direction={direction}"],
-                         [f"# baseline={wv.baseline!r}"], ("index", "f", "weight"),
-                         *zip(range(len(data)), f.tolist(), wv.weights.tolist())])
+                         [f"# baseline={float(baseline)!r}"], ("index", "f", "weight"),
+                         *zip(range(len(data)), f.tolist(), weights.tolist())])
     config = {"data": args.data, "model": args.model, "baseline": args.baseline,
               "tau": args.tau if not math.isinf(args.tau) else "inf",
               "target": args.target}
@@ -569,6 +568,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: numeric failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy names the allocation that failed
+        print(f"error: out of memory ({str(exc) or type(exc).__name__})", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -527,25 +527,28 @@ def _sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(np.maximum(e, np.heaviside(x, 1.0)), 1.0 + e), e
 
 
-def policy_logits(policy: PolicySpec, features: np.ndarray) -> np.ndarray:
-    """Raw logits for a batch of feature rows (Linear/FeedForward only)."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+def _params(policy: PolicySpec) -> list[np.ndarray]:
+    """Writable copies of a policy's arrays, each layer's weights then bias."""
     if isinstance(policy, LinearPolicy):
-        if features.shape[1] != policy.weights.shape[0]:
-            raise ValidationError(
-                f"feature dimension {features.shape[1]} != policy dimension {policy.weights.shape[0]}"
-            )
-        return features @ policy.weights + policy.bias
+        return [policy.weights.copy(), np.array([policy.bias])]
     if isinstance(policy, FeedForwardPolicy):
-        if features.shape[1] != policy.weights[0].shape[1]:
-            raise ValidationError(
-                f"feature dimension {features.shape[1]} != policy input {policy.weights[0].shape[1]}"
-            )
-        h = features
-        for w, b in zip(policy.weights[:-1], policy.biases[:-1]):
-            h = np.maximum(h @ w.T + b, 0.0)
-        return (h @ policy.weights[-1].T + policy.biases[-1]).ravel()
-    raise TypeError(f"{type(policy).__name__} has no logit parameterization")
+        return [a.copy() for layer in zip(policy.weights, policy.biases) for a in layer]
+    raise TypeError(f"{type(policy).__name__} has no trainable parameters")
+
+
+def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray):
+    """Logits (R, B) of a stack of R replicas, each parameter with a leading
+    replica axis and x of shape (R, B, d), and the layer inputs the trainer's
+    backward pass needs. Each replica gets bitwise the numbers it gets alone."""
+    if kind == "linear":
+        return (x @ params[0][:, :, None])[..., 0] + params[1], (x,)
+    acts = [x]
+    h = x
+    for w, b in zip(params[0:-2:2], params[1:-2:2]):
+        h = np.maximum(h @ w.transpose(0, 2, 1) + b[:, None, :], 0.0)
+        acts.append(h)
+    u = (h @ params[-2].transpose(0, 2, 1) + params[-1][:, None, :])[..., 0]
+    return u, tuple(acts)
 
 
 def policy_prob(policy: PolicySpec, instance: Instance) -> float:
@@ -562,7 +565,13 @@ def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:
             return np.array([policy.table[i] for i in data.ids], dtype=np.float64)
         except KeyError as exc:
             raise ValidationError(f"unknown context id {exc.args[0]!r}") from None
-    return sigmoid(policy_logits(policy, data.features))
+    linear, params = isinstance(policy, LinearPolicy), _params(policy)
+    if data.n_features != params[0].shape[-1]:
+        raise ValidationError(f"feature dimension {data.n_features} != policy "
+                              f"{'dimension' if linear else 'input'} {params[0].shape[-1]}")
+    u, _ = _forward([a[None] for a in params], "linear" if linear else "feedforward",
+                    data.features[None])
+    return sigmoid(u[0])
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +613,15 @@ def counter_uniforms(seed: int, n: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def _expected(p: np.ndarray, correct: np.ndarray, cost: np.ndarray):
+    """(accuracy, realized cost, reasoning rate) of reasoning probabilities p
+    (..., n) on flags and costs (..., n, 2): row means of (1 - p) * v0 + p * v1
+    as np.add.reduce / n, bitwise ndarray.mean, per leading (replica) index."""
+    q, n = 1.0 - p, p.shape[-1]
+    return tuple(np.add.reduce(v, axis=-1) / n for v in
+                 (q * correct[..., 0] + p * correct[..., 1], q * cost[..., 0] + p * cost[..., 1], p))
+
+
 def evaluate_policy(policy: PolicySpec, data: Dataset, mode: str = "expected",
                     seed: int = 0) -> Metrics:
     """Accuracy / realized cost / reasoning rate of a policy on a dataset.
@@ -611,23 +629,14 @@ def evaluate_policy(policy: PolicySpec, data: Dataset, mode: str = "expected",
     ``expected`` averages over the policy distribution analytically;
     ``sampled`` draws one action per instance from a counter-based generator
     keyed by (seed, instance index), so it is a pure function of the seed.
+    A drawn action is a reasoning probability of exactly 0 or 1.
     """
-    if len(data) == 0:
-        raise ValidationError("dataset is empty")
-    p = policy_probs(policy, data)
-    if mode == "expected":
-        acc = np.mean((1.0 - p) * data.correct[:, 0] + p * data.correct[:, 1])
-        cost = np.mean((1.0 - p) * data.cost[:, 0] + p * data.cost[:, 1])
-        frac = np.mean(p)
-    elif mode == "sampled":
-        actions = (counter_uniforms(seed, len(data)) < p).astype(np.int64)
-        rows = np.arange(len(data))
-        acc = np.mean(data.correct[rows, actions])
-        cost = np.mean(data.cost[rows, actions])
-        frac = np.mean(actions)
-    else:
+    if mode not in ("expected", "sampled"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    return Metrics(float(acc), float(cost), float(frac))
+    p = policy_probs(policy, data)
+    if mode == "sampled":
+        p = (counter_uniforms(seed, len(data)) < p).astype(np.float64)
+    return Metrics(*map(float, _expected(p, data.correct, data.cost)))
 
 
 # ---------------------------------------------------------------------------

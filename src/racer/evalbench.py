@@ -19,10 +19,10 @@ import numpy as np
 
 from .core import (ConstantPolicy, Dataset, Metrics, ValidationError, evaluate_policy,
                    read_record, write_csv)
-from .reweight import RobustConfig
+from .reweight import MODES, RobustConfig
 from .trainer import TrainConfig, TrainResult, train
 
-LEARNABLE_METHODS = ("racer", "racer-r", "racer-c", "acer")
+LEARNABLE_METHODS = MODES  # a learnable method trains in the RobustConfig mode of its name
 CONSTANT_METHODS = ("all-instruct", "all-reasoning", "random")
 DEFAULT_BUDGETS = (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0, 7.0, 10.0)
 # What ``racer train``, ``racer sweep`` and ``run_sweep`` train with unless
@@ -354,10 +354,11 @@ class SweepResult:
 
 
 def sweep_units(budgets: Sequence[float], methods: Sequence[str], repeats: int,
-                base_seed: int) -> list[tuple[float, int]]:
+                base_seed: int, tests: Sequence[str] = ()) -> list[tuple[float, int]]:
     """The (budget, seed) units of a sweep, budget-major: ``repeats`` seeds
     from ``base_seed`` at each budget. ValidationError for an empty, unknown
-    or out-of-range argument, which would leave no unit able to run."""
+    or out-of-range argument, which would leave no unit able to run, or for
+    a repeated budget, method or test split name (the training split is train)."""
     if not budgets or not methods:
         raise ValidationError("budgets and methods must be non-empty")
     for method in methods:
@@ -365,6 +366,11 @@ def sweep_units(budgets: Sequence[float], methods: Sequence[str], repeats: int,
             raise ValidationError(f"unknown method {method!r}")
     if not all(budget > 0 for budget in budgets):
         raise ValidationError(f"budgets must be positive, got {list(budgets)}")
+    for what, values in (("budget", budgets), ("method", methods),
+                         ("split name (the training split is train)", ["train", *tests])):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValidationError(f"repeated {what}: {repeated[0]!r}")
     if repeats < 1:
         raise ValidationError(f"repeats must be at least 1, got {repeats}")
     if base_seed < 0:
@@ -440,13 +446,15 @@ def _score_unit(splits, budget, seed, methods, trained, failures):
     return cells, failures
 
 
-def run_units(train_data: Dataset, splits: Mapping[str, Dataset], units: Sequence,
+def run_units(train_data: Dataset, tests: Mapping[str, Dataset], units: Sequence,
               methods: Sequence[str], template: TrainConfig, workers: int) -> list:
-    """One (cells, failures) pair per (budget, seed) unit, in order.
+    """One (cells, failures) pair per (budget, seed) unit, in order, each
+    unit scored on the training split ``train`` and on the test splits.
 
     The units are split into ``workers`` contiguous groups, each trained as
     one stack, in its own process when there are several.
     """
+    splits = {"train": train_data, **tests}
     for name, split in splits.items():
         if split.n_features != train_data.n_features:
             raise ValidationError(f"split {name!r} has {split.n_features} features, "
@@ -474,7 +482,5 @@ def run_sweep(train_data: Dataset, tests: Mapping[str, Dataset],
     Cells are independent; failures are recorded and the sweep continues.
     ``workers`` is as in ``run_units``.
     """
-    units = sweep_units(budgets, methods, repeats, base_seed)
-    splits = {"train": train_data, **dict(tests)}
-    return SweepResult.of_units(run_units(train_data, splits, units, methods, template,
-                                          workers))
+    units = sweep_units(budgets, methods, repeats, base_seed, list(tests))
+    return SweepResult.of_units(run_units(train_data, tests, units, methods, template, workers))

@@ -27,6 +27,9 @@ from .core import (
     ParseError,
     PolicySpec,
     ValidationError,
+    _expected,
+    _forward,
+    _params,
     _sigmoid,
     decode_field,
     evaluate_policy,
@@ -40,7 +43,9 @@ from .core import (
 from .reweight import RobustConfig, WeightVector, _tilt_rows, tilt_weights, uniform_weights
 from .saddle import dual_update
 
-# The step calls the kernels _sigmoid and _tilt_rows and scores validation itself;
+POLICY_KINDS = ("linear", "feedforward")  # the trainable policies, by TrainConfig.policy_kind
+
+# The step calls the kernels _sigmoid and _tilt_rows, and validation calls _expected;
 # bench/spans.py binds sigmoid, tilt_weights, uniform_weights and evaluate_policy here.
 
 
@@ -84,10 +89,13 @@ class TrainConfig:
             raise ValueError("val_fraction must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.policy_kind not in ("linear", "feedforward"):
-            raise ValueError(f"policy_kind must be linear or feedforward, got {self.policy_kind!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        if not math.isfinite(self.init_bias):
+            raise ValueError(f"init_bias must be finite, got {self.init_bias}")
+        if self.policy_kind not in POLICY_KINDS:
+            raise ValueError(f"policy_kind must be {' or '.join(POLICY_KINDS)}, "
+                             f"got {self.policy_kind!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be {' or '.join(OPTIMIZERS)}, got {self.optimizer!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
@@ -144,18 +152,6 @@ class TrainResult:
 # the objective
 # ---------------------------------------------------------------------------
 
-def _params(policy: PolicySpec) -> list[np.ndarray]:
-    if isinstance(policy, LinearPolicy):
-        return [policy.weights.copy(), np.array([policy.bias])]
-    if isinstance(policy, FeedForwardPolicy):
-        out = []
-        for w, b in zip(policy.weights, policy.biases):
-            out.append(w.copy())
-            out.append(b.copy())
-        return out
-    raise TypeError(f"{type(policy).__name__} has no trainable parameters")
-
-
 def _rebuild(kind: str, params: Sequence[np.ndarray]) -> PolicySpec:
     if kind == "linear":
         return LinearPolicy(params[0].copy(), float(params[1][0]))
@@ -164,23 +160,7 @@ def _rebuild(kind: str, params: Sequence[np.ndarray]) -> PolicySpec:
     return FeedForwardPolicy(weights, biases)
 
 
-# The kernels below work on stacks of R replicas: every parameter has a
-# leading replica axis and x has shape (R, B, d), one batch per replica.
-# Stacked matmuls and row reductions give each replica bitwise the numbers
-# that the same operations give on that replica alone.
-
-def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray):
-    """Logits (R, B) and the layer inputs that _backward needs."""
-    if kind == "linear":
-        return (x @ params[0][:, :, None])[..., 0] + params[1], (x,)
-    acts = [x]
-    h = x
-    for w, b in zip(params[0:-2:2], params[1:-2:2]):
-        h = np.maximum(h @ w.transpose(0, 2, 1) + b[:, None, :], 0.0)
-        acts.append(h)
-    u = (h @ params[-2].transpose(0, 2, 1) + params[-1][:, None, :])[..., 0]
-    return u, tuple(acts)
-
+# The kernels below work on stacks of R replicas, as core._forward does.
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Per-layer (R, *shape) views of the columns of a flat (R, P) array."""
@@ -264,11 +244,8 @@ def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
     if wr.shape[0] != len(batch) or wc.shape[0] != len(batch):
         raise ValueError("weight vectors must align with the batch")
     kind = "linear" if isinstance(policy, LinearPolicy) else "feedforward"
-    params = _params(policy)
-    return _objective_on_params(
-        params, kind, batch.features, batch.correct, batch.cost, wr, wc,
-        dual.lam, dual.beta,
-    )
+    return _objective_on_params(_params(policy), kind, batch.features, batch.correct,
+                                batch.cost, wr, wc, dual.lam, dual.beta)
 
 
 def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
@@ -328,6 +305,9 @@ class _Sgd:
 
     def keep(self, rows):
         pass
+
+
+OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}  # by TrainConfig.optimizer
 
 
 def init_policy(kind: str, dim: int, hidden: Sequence[int],
@@ -436,8 +416,7 @@ class _Stack:
         self.shapes = [p.shape[1:] for p in stacked]
         self.flat = np.concatenate([a.reshape(len(a), -1) for a in stacked], axis=1)
         self._bind()
-        self.opt = (_Adam(self.flat, lead.primal_lr) if lead.optimizer == "adam"
-                    else _Sgd(self.flat, lead.primal_lr))
+        self.opt = OPTIMIZERS[lead.optimizer](self.flat, lead.primal_lr)
         self.slot = np.arange(len(configs))  # position of each replica in configs
         self.lam = np.zeros(len(configs))
         self.budget = np.array([cfg.budget for cfg in configs])
@@ -516,12 +495,9 @@ class _Stack:
         wr_lo, wc_lo = (np.minimum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
         wr_hi, wc_hi = (np.maximum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
 
-        # evaluate_policy's expected mode, bitwise, on each replica's own rows
+        # evaluate_policy's expected mode on each replica's own rows
         prob = _sigmoid(_forward(self.params, self.kind, self.val["x"])[0])[0]
-        q, n_val = 1.0 - prob, prob.shape[1]
-        accuracy, cost = (np.add.reduce(q * v[..., 0] + prob * v[..., 1], axis=1) / n_val
-                          for v in (self.val["correct"], self.val["cost"]))
-        reasoning = np.add.reduce(prob, axis=1) / n_val
+        accuracy, cost, reasoning = _expected(prob, self.val["correct"], self.val["cost"])
         for k, slot in enumerate(self.slot):
             snapshot = _rebuild(self.kind, [p[k] for p in self.params])
             val_metrics = Metrics(float(accuracy[k]), float(cost[k]), float(reasoning[k]))

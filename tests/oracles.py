@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from racer.core import ParseError, ValidationError, evaluate_policy, sigmoid
+from racer.core import (ConstantPolicy, LinearPolicy, Metrics, ParseError, TabularPolicy,
+                        ValidationError, _params, counter_uniforms, sigmoid)
 from racer.saddle import dual_update
 from racer.trainer import (
     Checkpoint,
     EpochRecord,
     TrainingDivergenceError,
     TrainResult,
-    _params,
     _rebuild,
     init_policy,
     select_checkpoint,
@@ -412,6 +412,40 @@ def row_save(instances, path, format) -> None:
             )
 
 
+# Reference scoring: evaluate_policy as it ran with a 2-d forward pass per
+# policy, numpy's mean and sampled actions gathered by fancy indexing. Tests
+# hold `racer.core.evaluate_policy` bitwise equal to `row_evaluate`, and the
+# reference trainer below scores its checkpoints with it.
+
+def row_logits(policy, features):
+    if isinstance(policy, LinearPolicy):
+        return features @ policy.weights + policy.bias
+    h = features
+    for w, b in zip(policy.weights[:-1], policy.biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    return (h @ policy.weights[-1].T + policy.biases[-1]).ravel()
+
+
+def row_evaluate(policy, data, mode="expected", seed=0):
+    if isinstance(policy, ConstantPolicy):
+        p = np.full(len(data), policy.p_reason)
+    elif isinstance(policy, TabularPolicy):
+        p = np.array([policy.table[i] for i in data.ids], dtype=np.float64)
+    else:
+        p = sigmoid(row_logits(policy, data.features))
+    if mode == "expected":
+        acc = np.mean((1.0 - p) * data.correct[:, 0] + p * data.correct[:, 1])
+        cost = np.mean((1.0 - p) * data.cost[:, 0] + p * data.cost[:, 1])
+        frac = np.mean(p)
+    else:
+        actions = (counter_uniforms(seed, len(data)) < p).astype(np.int64)
+        rows = np.arange(len(data))
+        acc = np.mean(data.correct[rows, actions])
+        cost = np.mean(data.cost[rows, actions])
+        frac = np.mean(actions)
+    return Metrics(float(acc), float(cost), float(frac))
+
+
 # Reference trainer step: the stacked primal-dual trainer as it ran with a
 # fancy-index gather per batch (features[idx], correct[idx], cost[idx]), one
 # Adam update per parameter array, numpy's mean/max/all wrappers and running
@@ -596,7 +630,7 @@ class _RefStack:
         st = self.stats
         for k, slot in enumerate(self.slot):
             snapshot = _rebuild(self.kind, [p[k] for p in self.params])
-            val_metrics = evaluate_policy(snapshot, self.val_sets[k], mode="expected")
+            val_metrics = row_evaluate(snapshot, self.val_sets[k])
             lam = float(self.lam[k])
             self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
             self.histories[slot].append(EpochRecord(

@@ -20,9 +20,9 @@ from racer.cli import main
 from racer.core import Dataset, LinearPolicy, evaluate_policy, load_dataset, save_dataset
 from racer.evalbench import (CONSTANT_METHODS, LEARNABLE_METHODS, PRESET_SCENARIOS,
                              gen_synthetic, load_scenario, run_sweep, shift_scenarios)
-from racer.reweight import RobustConfig, tilt_weights
+from racer.reweight import MODES, RobustConfig, tilt_weights
 from racer.saddle import random_problem
-from racer.trainer import TrainConfig, load_model, save_model
+from racer.trainer import OPTIMIZERS, POLICY_KINDS, TrainConfig, load_model, save_model
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -475,6 +475,9 @@ class TestTrain:
         ('{"beta": Infinity}', "field 'beta': beta must be non-negative and finite"),
         ('{"lr": Infinity}', "field 'lr': learning rates must be positive and finite"),
         ('{"dual_lr": Infinity}', "field 'dual_lr': learning rates must be positive and finite"),
+        # a non-finite initial logit used to train and exit 3
+        ('{"init_bias": NaN}', "field 'init_bias': init_bias must be finite, got nan"),
+        ('{"init_bias": -Infinity}', "field 'init_bias': init_bias must be finite, got -inf"),
     ])
     def test_non_finite_rate_in_config_file_is_data_error(self, data_file, tmp_path, capsys,
                                                           text, message):
@@ -483,6 +486,21 @@ class TestTrain:
         assert run("train", "--data", data_file, "--budget", 2, "--config", cfg,
                    "--out", tmp_path / "o") == 2
         assert f"config file {cfg}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, vocabulary", [
+        ("--mode", "robust", MODES), ("--policy", "tree", POLICY_KINDS),
+        ("--optimizer", "rmsprop", tuple(OPTIMIZERS)),
+    ])
+    def test_flag_choices_are_the_library_vocabularies(self, data_file, tmp_path, capsys,
+                                                       flag, value, vocabulary):
+        assert run("train", "--data", data_file, "--budget", 2, flag, value,
+                   "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid choice: {value!r} (choose from " \
+            f"{', '.join(map(repr, vocabulary))})" in err
+        for name in vocabulary:  # every name a flag offers is one the library trains
+            assert run_quietly("train", "--data", data_file, "--budget", 2, "--epochs", 1,
+                               flag, name, "--out", tmp_path / "o")[0] == 0
 
     def test_infinite_budget_is_an_unconstrained_run(self, data_file, tmp_path):
         assert run("train", "--data", data_file, "--budget", "inf", "--epochs", 2,
@@ -956,6 +974,59 @@ class TestSweep:
             ("all-instruct", "1.5"), ("all-instruct", "100.0"), ("racer", "100.0")]
         assert len(list((out / "cells").glob("*.json"))) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--test-data", "train={data}"],
+         "repeated split name (the training split is train): 'train'"),
+        (["--test-data", "a={data}", "--test-data", "a={data}"],
+         "repeated split name (the training split is train): 'a'"),
+        (["--budgets", "3,3"], "repeated budget: 3.0"),
+        (["--methods", "all-instruct,all-instruct"], "repeated method: 'all-instruct'"),
+    ], ids=["train-split", "split", "budget", "method"])
+    def test_repeated_plan_entry_fails_before_training(self, data_file, tmp_path, capsys,
+                                                        monkeypatch, flags, message):
+        # these used to score the test file as train, drop the first split,
+        # or write one cell several times over (n = 4 in sweep_agg.csv)
+        def train(*args, **kwargs):
+            raise AssertionError("a unit trained")
+
+        monkeypatch.setattr("racer.evalbench.train", train)
+        out = tmp_path / "sw"
+        assert run("sweep", "--train-data", data_file, "--repeats", 2, "--budgets", 3,
+                   "--methods", "racer,all-instruct",  # flags given again override these
+                   *(f.format(data=data_file) for f in flags), "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_renamed_test_split_is_recomputed_on_resume(self, data_file, tmp_path):
+        # the cell digest keyed a test file by its path alone, so a renamed
+        # split reused the cells written under the old name
+        args = ["sweep", "--train-data", data_file, "--budgets", "2.0", "--repeats", "1",
+                "--methods", "all-instruct", "--out", tmp_path / "sw"]
+        assert run(*args, "--test-data", f"a={data_file}") == 0
+        assert run(*args, "--test-data", f"b={data_file}", "--resume") == 0
+        with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+            assert [r["split"] for r in csv.DictReader(fh)] == ["b", "train"]
+        assert len(list((tmp_path / "sw" / "cells").glob("*.json"))) == 2
+
+    @pytest.mark.parametrize("source, cell", [
+        (["--scenario", "s.json"],
+         "aa8e43f34cdc3d83eb336cd94bd8b28379e16054a775dbdefa664aa9af165352"),
+        (["--train-data", "d.jsonl"],
+         "6953cdda3ab57f1dfff99926b88afae747c39e343bcb23c23d4ab852a5420319"),
+    ], ids=["scenario", "train-data"])
+    def test_cell_file_names_without_test_files_are_kept(self, tmp_path, monkeypatch,
+                                                         source, cell):
+        # the names earlier versions wrote, so --resume still finds their cells;
+        # inputs are keyed by the path as given, hence the relative paths
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(SCENARIOS / "shift_up.json", "s.json")
+        assert run("gen-synth", "--regime", "offsetbias", "--n", 80, "--seed", 2,
+                   "--out", "d.jsonl") == 0
+        assert run("sweep", *source, "--budgets", "2", "--repeats", "1",
+                   "--methods", "all-instruct", "--out", "sw") == 0
+        assert [p.name for p in Path("sw", "cells").iterdir()] == [f"{cell}.json"]
+
     def test_all_cells_failing_gives_nonzero_exit(self, data_file, tmp_path):
         # random without a paired racer run fails in every cell
         assert run("sweep", "--train-data", data_file, "--budgets", "2.0",
@@ -1134,16 +1205,21 @@ class TestAtomicOutputs:
 
 
 class TestInspectWeights:
-    def test_infinite_tau_gives_unit_weights(self, data_file, tmp_path):
+    @pytest.mark.parametrize("target, direction", [("cost", "worst_high"),
+                                                   ("reward", "worst_low")])
+    def test_infinite_tau_gives_unit_weights(self, data_file, tmp_path, target, direction):
         out = tmp_path / "w.csv"
         assert run("inspect-weights", "--data", data_file, "--baseline", "random:0.5",
-                   "--tau", "inf", "--target", "cost", "--out", out) == 0
+                   "--tau", "inf", "--target", target, "--out", out) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "# tau=inf"
-        assert lines[1] == "# direction=worst_high"
+        assert lines[1] == f"# direction={direction}"
         assert lines[3] == "index,f,weight"
         weights = [float(line.split(",")[2]) for line in lines[4:]]
         assert all(w == 1.0 for w in weights)
+        # the anchor is the mean of the written f, as a finite tau's is
+        f = np.array([float(line.split(",")[1]) for line in lines[4:]])
+        assert lines[2] == f"# baseline={float(f.mean())!r}"
 
     def test_reward_target_direction(self, data_file, tmp_path):
         out = tmp_path / "wr.csv"
@@ -1204,3 +1280,23 @@ class TestInspectWeights:
                    "--out", tmp_path / "w.csv") == 1
         assert "exactly one of --model or --baseline" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("callee, argv", [
+        ("random_problem", ["saddle-demo", "--iters", 10**12]),
+        ("gen_synthetic", ["gen-synth", "--regime", "magpie-ultra", "--n", 10**12]),
+    ], ids=["saddle-demo", "gen-synth"])
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch, callee, argv):
+        # a real allocation this large would take the machine's memory: the
+        # callee raises what numpy raises instead (it used to escape, exit 1)
+        message = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                   "and data type float64")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"racer.cli.{callee}", exhausted)
+        assert run(*argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: out of memory ({message})\n"
+        assert list(tmp_path.iterdir()) == []

@@ -1,14 +1,19 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_instance, mean412_dataset, random_dataset
+from oracles import row_evaluate
 
 from racer.core import (
     ConstantPolicy,
     Dataset,
+    FeedForwardPolicy,
     LinearPolicy,
     ParseError,
     TabularPolicy,
@@ -251,3 +256,38 @@ class TestInvariants:
         for i, inst in enumerate(data.instances):
             # batch and single-row matmuls may differ in the last ulp
             assert vec[i] == pytest.approx(policy_prob(policy, inst), rel=1e-14)
+
+
+@st.composite
+def scored_policies(draw):
+    """(policy, dataset) of each policy kind, on random shapes and values."""
+    n = draw(st.one_of(st.integers(1, 70), st.integers(70, 5000)))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = Dataset.from_columns([f"r{i}" for i in range(n)], [None] * n,
+                                rng.standard_normal((n, d)) * 3, rng.integers(0, 2, (n, 2)),
+                                rng.uniform(0.1, 50.0, (n, 2)))
+    kind = draw(st.sampled_from(["linear", "feedforward", "constant", "tabular"]))
+    if kind == "linear":
+        return LinearPolicy(rng.standard_normal(d), float(rng.standard_normal())), data
+    if kind == "feedforward":
+        widths = [d, *draw(st.lists(st.integers(1, 9), max_size=3)), 1]
+        return FeedForwardPolicy(
+            tuple(rng.standard_normal((w_out, w_in)) for w_in, w_out in zip(widths, widths[1:])),
+            tuple(rng.standard_normal(w) for w in widths[1:])), data
+    if kind == "constant":
+        return ConstantPolicy(draw(st.sampled_from([0.0, 1.0, float(rng.uniform())]))), data
+    return TabularPolicy(dict(zip(data.ids, rng.uniform(size=n).tolist()))), data
+
+
+class TestScoringKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(case=scored_policies(), mode=st.sampled_from(["expected", "sampled"]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_evaluate_policy_is_bitwise_the_row_oracle(self, case, mode, seed):
+        # one stacked forward pass and one reduction score every kind and mode;
+        # the oracle keeps the 2-d forward, np.mean and indexed sampled actions
+        policy, data = case
+        got = evaluate_policy(policy, data, mode=mode, seed=seed)
+        want = row_evaluate(policy, data, mode=mode, seed=seed)
+        assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]

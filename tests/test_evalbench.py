@@ -9,6 +9,7 @@ from helpers import mean412_dataset
 from racer.core import ParseError, ValidationError, evaluate_policy
 from racer.evalbench import (
     DEFAULT_BUDGETS,
+    LEARNABLE_METHODS,
     PRESET_SCENARIOS,
     DomainSpec,
     ScenarioConfig,
@@ -20,7 +21,7 @@ from racer.evalbench import (
     shift_scenarios,
     split_units,
 )
-from racer.reweight import RobustConfig
+from racer.reweight import MODES, RobustConfig
 from racer.trainer import TrainConfig
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -259,6 +260,27 @@ class TestRunSweep:
         kw = dict(budgets=[2.0], methods=["racer", "random"], repeats=1, base_seed=0)
         with pytest.raises(ValidationError, match=message):
             run_sweep(train, {}, **{**kw, **bad})
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(budgets=[2.0, 3.0, 2]), "repeated budget: 2"),
+        (dict(methods=["all-instruct", "racer", "all-instruct"]),
+         "repeated method: 'all-instruct'"),
+        (dict(split="train"), "repeated split name (the training split is train): 'train'"),
+    ], ids=["budget", "method", "train-split"])
+    def test_repeated_plan_entry_rejected(self, bad, message):
+        # a test split named train replaced the training split's rows, and a
+        # repeated budget or method wrote one cell several times over
+        train = gen_synthetic(two_domain(seed=12, n=200))
+        kw = dict(budgets=[2.0], methods=["all-instruct"], repeats=1, base_seed=0)
+        bad, tests = dict(bad), {}
+        if "split" in bad:
+            tests[bad.pop("split")] = gen_synthetic(two_domain(seed=13, n=200))
+        with pytest.raises(ValidationError) as caught:
+            run_sweep(train, tests, **{**kw, **bad})
+        assert str(caught.value) == message
+
+    def test_learnable_methods_are_the_robust_modes(self):
+        assert LEARNABLE_METHODS is MODES
 
     def test_default_budget_grid(self):
         assert DEFAULT_BUDGETS == (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0, 7.0, 10.0)

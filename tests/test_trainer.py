@@ -257,6 +257,17 @@ class TestTrain:
         with pytest.raises(ValidationError, match="batch_size"):
             train(data, TrainConfig(budget=2.0, batch_size=64))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("policy_kind", "tree", "policy_kind must be linear or feedforward, got 'tree'"),
+        ("optimizer", "rmsprop", "optimizer must be adam or sgd, got 'rmsprop'"),
+        ("init_bias", math.nan, "init_bias must be finite, got nan"),
+        ("init_bias", math.inf, "init_bias must be finite, got inf"),
+    ])
+    def test_config_rejects_an_unknown_name_or_a_non_finite_bias(self, field, value, message):
+        with pytest.raises(ValueError) as caught:
+            TrainConfig(budget=2.0, **{field: value})
+        assert str(caught.value) == message
+
 
 def result_bits(result):
     """Every number a TrainResult holds, as exact bytes or reprs."""
