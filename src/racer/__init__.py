@@ -5,7 +5,6 @@ from .core import (
     ConstantPolicy,
     Dataset,
     FeedForwardPolicy,
-    Instance,
     LinearPolicy,
     Metrics,
     ParseError,
@@ -14,7 +13,6 @@ from .core import (
     ValidationError,
     evaluate_policy,
     load_dataset,
-    policy_prob,
     policy_probs,
     save_dataset,
 )

@@ -80,6 +80,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a flag is its full name: --budget is not --budgets
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
@@ -94,11 +97,12 @@ def _sha256(path) -> str:
 
 def _write_manifest(path, command: str, config: dict, inputs, outputs, seed,
                     started: float) -> None:
+    """inputs: the paths to hash, or a {path: digest} dict of digests taken."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs if isinstance(inputs, dict) else {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "seed": seed,
         "duration_s": time.time() - started,
@@ -300,8 +304,9 @@ def cmd_sweep(args) -> int:
     budgets = _parse_floats(args.budgets) if args.budgets else DEFAULT_BUDGETS
     methods = tuple(m for m in (args.methods or "").split(",") if m) or (
         "racer", "all-instruct", "all-reasoning", "random")
-    # [name, path] of each --test-data item; a scenario sweep has none
-    items = [item.split("=", 1) for item in args.test_data or [] if args.scenario is None]
+    if args.scenario is not None and (args.train_data is not None or args.test_data):
+        raise UsageError("--scenario excludes --train-data and --test-data")
+    items = [item.split("=", 1) for item in args.test_data or []]  # [name, path] each
     for item in items:
         if len(item) < 2:
             raise UsageError(f"--test-data expects name=path, got {item[0]!r}")
@@ -320,10 +325,10 @@ def cmd_sweep(args) -> int:
 
     # a test file is keyed by its name=path item, so a renamed split gets new cells
     keys = [inputs[0], *map("=".join, items)]
-    input_digests = {key: _sha256(path) for key, path in zip(keys, inputs)}
+    digests = [_sha256(path) for path in inputs]
     base_blob = json.dumps(
         {"template": template.to_dict(), "methods": list(methods),
-         "inputs": input_digests}, sort_keys=True)
+         "inputs": dict(zip(keys, digests))}, sort_keys=True)
 
     def cell_path(unit) -> tuple[Path, str]:
         budget, seed = unit
@@ -355,7 +360,8 @@ def cmd_sweep(args) -> int:
               "budgets": list(budgets), "repeats": args.repeats,
               "base_seed": args.base_seed, "scenario": args.scenario,
               "train_data": args.train_data, "test_data": args.test_data}
-    _write_manifest(out / "manifest.json", "sweep", config, inputs,
+    _write_manifest(out / "manifest.json", "sweep", config,
+                    dict(zip(map(str, inputs), digests)),
                     [raw_path, agg_path], args.base_seed, started)
 
     for failure in result.failures:
@@ -513,7 +519,6 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", action="store_true",
                    help="reuse per-cell outputs whose digests match")
     p.add_argument("--workers", type=int, default=os.environ.get("RACER_WORKERS", "1"))
-    p.add_argument("--budget", type=float, help=argparse.SUPPRESS)
     _add_train_flags(p)
     p.set_defaults(handler=cmd_sweep)
 

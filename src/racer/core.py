@@ -8,6 +8,7 @@ All types are immutable after construction and every function here is pure.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import csv
@@ -38,36 +39,8 @@ class ValidationError(ValueError):
 # instances and datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instance:
-    """One routing example.
-
-    correct[a] is 1 when judge mode a agrees with the ground-truth label,
-    cost_raw[a] is that mode's raw token consumption (strictly positive).
-    """
-
-    id: str
-    features: np.ndarray
-    correct: tuple[int, int]
-    cost_raw: tuple[float, float]
-    tag: str | None = None
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1:
-            raise ValidationError(f"instance {self.id!r}: features must be a 1-d vector")
-        if not np.all(np.isfinite(feats)):
-            raise ValidationError(f"instance {self.id!r}: non-finite feature value")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        correct = (self.correct[0], self.correct[1])
-        if any(c not in (0, 1) for c in correct):
-            raise ValidationError(f"instance {self.id!r}: correct flags must be 0 or 1")
-        object.__setattr__(self, "correct", (int(correct[0]), int(correct[1])))
-        cost = (float(self.cost_raw[0]), float(self.cost_raw[1]))
-        if not all(math.isfinite(c) and c > 0 for c in cost):
-            raise ValidationError(f"instance {self.id!r}: costs must be positive and finite")
-        object.__setattr__(self, "cost_raw", cost)
+# A Dataset row as Dataset(rows) takes it and Dataset.instances gives it
+Row = collections.namedtuple("Row", "id features correct cost_raw tag")
 
 
 def _frozen(values) -> np.ndarray:
@@ -87,22 +60,11 @@ class Dataset:
     ``with_cost_scale`` puts several splits on one cost scale.
     """
 
-    def __init__(self, instances: Iterable[Instance], instruct_cost_mean: float | None = None):
-        instances = tuple(instances)
-        if not instances:
-            raise ValidationError("dataset is empty")
-        dim = instances[0].features.shape[0]
-        for inst in instances:
-            if inst.features.shape[0] != dim:
-                raise ValidationError(
-                    f"instance {inst.id!r}: feature dimension {inst.features.shape[0]} != {dim}"
-                )
-        self.__dict__.update(vars(Dataset.from_columns(
-            [inst.id for inst in instances], [inst.tag for inst in instances],
-            np.stack([inst.features for inst in instances]),
-            [inst.correct for inst in instances], [inst.cost_raw for inst in instances],
-            instruct_cost_mean,
-        )))
+    def __init__(self, rows: Iterable[tuple], instruct_cost_mean: float | None = None):
+        """Dataset of (id, features, correct, cost_raw, tag) rows, such as
+        ``instances`` gives, converted and checked as ``load_dataset``'s rows."""
+        self.__dict__.update(vars(_from_rows(
+            ((f"instance {i!r}", t, i, f, *c, *k) for i, f, c, k, t in rows), instruct_cost_mean)))
 
     @classmethod
     def from_columns(cls, ids, tags, features, correct, cost_raw,
@@ -142,9 +104,9 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def instances(self) -> tuple[Instance, ...]:
-        """The rows as Instance objects, built on each access."""
-        return tuple(map(Instance, self.ids, self.features, self.correct.astype(np.int64).tolist(),
+    def instances(self) -> tuple[Row, ...]:
+        """The rows Dataset(rows) takes, built on each access."""
+        return tuple(map(Row, self.ids, self.features, self.correct.astype(np.int64).tolist(),
                          self.cost_raw.tolist(), self.tags))
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
@@ -328,7 +290,7 @@ def load_dataset(path, format: str | None = None) -> Dataset:
     try:
         blocks = _column_blocks(loader(path))
         if not blocks:  # decode every record before converting any, row by row
-            return Dataset(_row_instance(*row) for row in list(loader(path)))  # the first error
+            return _from_rows((f"line {n}", *row) for n, *row in list(loader(path)))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -359,17 +321,45 @@ def _column_blocks(rows: Iterator[tuple]) -> list[tuple] | None:
     return blocks
 
 
-def _row_instance(lineno, tag, id_, *fields) -> Instance:
-    """One decoded row as an Instance; a value that is not a number is a
-    ParseError naming the line and field."""
-    values = []
-    for name, value in zip(_REQUIRED_FIELDS[1:], fields):
-        try:
-            values.append(np.asarray(value, dtype=np.float64) if name == "features"
-                          else float(value))  # a null would become nan in np.array
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"line {lineno}: field {name!r} is not numeric") from None
-    return Instance(str(id_), values[0], values[1:3], values[3:], tag)
+def _from_rows(rows, instruct_cost_mean: float | None = None) -> Dataset:
+    """Dataset of decoded rows (where, tag, id, features, correct_0, correct_1,
+    cost_0, cost_1), faults taken in row order: a value that is not a number
+    is a ParseError naming ``where`` and the field, features that are not a
+    1-d vector or a ``from_columns`` fault a ValidationError naming the row.
+    A feature width other than the first row's comes after every row's own."""
+    ids, tags, features, values, fault = [], [], [], [], None
+    try:
+        for where, tag, id_, *fields in rows:
+            id_, row = str(id_), []
+            for name, value in zip(_REQUIRED_FIELDS[1:], fields):
+                try:
+                    row.append(np.asarray(value, dtype=np.float64) if name == "features"
+                               else float(value))  # a null would become nan in np.array
+                except (TypeError, ValueError, OverflowError):
+                    raise ParseError(f"{where}: field {name!r} is not numeric") from None
+            if row[0].ndim != 1:
+                raise ValidationError(f"instance {id_!r}: features must be a 1-d vector")
+            ids.append(id_)
+            tags.append(tag)
+            features.append(row[0])
+            values.append(row[1:])
+    except (ParseError, ValidationError) as exc:
+        fault = exc
+    widths = [len(f) for f in features]
+    if len(set(widths)) > 1:
+        # not an (n, widest) array: each row as its largest magnitude, finite
+        # exactly when the row is, so from_columns still finds the row's fault
+        features = [[np.abs(f).max(initial=0.0)] for f in features]
+    values = np.array(values, dtype=np.float64).reshape(-1, 4)
+    if ids or fault is None:  # each earlier row's own fault first
+        data = Dataset.from_columns(ids, tags, np.array(features, dtype=np.float64),
+                                    values[:, :2], values[:, 2:], instruct_cost_mean)
+    if fault is not None:
+        raise fault
+    for i, width in enumerate(widths):
+        if width != widths[0]:
+            raise ValidationError(f"instance {ids[i]!r}: feature dimension {width} != {widths[0]}")
+    return data
 
 
 def _load_jsonl(path: str) -> Iterator[tuple]:
@@ -464,6 +454,9 @@ class TabularPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.table))  # which write_json can write
+        for key, p in self.table.items():
+            if not 0.0 <= p <= 1.0:
+                raise ValidationError(f"context {key!r}: probability must lie in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -549,11 +542,6 @@ def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray):
         acts.append(h)
     u = (h @ params[-2].transpose(0, 2, 1) + params[-1][:, None, :])[..., 0]
     return u, tuple(acts)
-
-
-def policy_prob(policy: PolicySpec, instance: Instance) -> float:
-    """Probability of choosing the reasoning mode, pi(1|z), for one instance."""
-    return float(policy_probs(policy, Dataset([instance]))[0])
 
 
 def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from racer.core import Dataset, Instance
+from racer.core import Dataset
 
 
 def make_instance(i, features, correct, cost_raw, tag=None):
-    return Instance(id=f"z{i}", features=np.asarray(features, dtype=float),
-                    correct=correct, cost_raw=cost_raw, tag=tag)
+    """The row (id, features, correct, cost_raw, tag) that Dataset(rows) takes."""
+    return (f"z{i}", np.asarray(features, dtype=float), correct, cost_raw, tag)
 
 
 def random_dataset(seed, n=50, d=4, ratio_scale=4.0):

@@ -1,12 +1,18 @@
-"""The benchmark's tracer wraps functions by module and attribute name;
-every name it lists must exist, or a traced run fails (a KeyError) while
-untraced runs and the rest of this suite still pass."""
+"""The benchmark's tracer wraps functions by module and attribute name, and
+its workloads import racer names and call them: every such name must exist,
+or every benchmark operation fails while the rest of this suite passes."""
 
+import ast
+import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from racer.core import Dataset
+from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -28,3 +34,41 @@ def test_every_traced_binding_exists(module_name, path):
     owner, attr = spans._owner(module_name, path)
     assert attr in vars(owner), f"{module_name}.{path} is gone"
     assert callable(vars(owner)[attr])
+
+
+WORKLOADS = SPANS.with_name("workloads.py")
+
+
+def _racer_names(tree):
+    """(module, attribute) of each racer name a module imports or reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("racer"):
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.startswith("racer"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and isinstance(node.value.value, ast.Name) and node.value.value.id == "racer"):
+            yield f"racer.{node.value.attr}", node.attr
+
+
+@pytest.mark.parametrize("module_name, attr",
+                         sorted(set(_racer_names(ast.parse(WORKLOADS.read_text()))),
+                                key=str))
+def test_every_racer_name_the_workloads_use_exists(module_name, attr):
+    module = importlib.import_module(module_name)
+    assert attr is None or hasattr(module, attr), f"{module_name}.{attr} is gone"
+
+
+def test_rows_rebuild_the_dataset_on_another_cost_scale():
+    # the ff-train check rebuilds its held-out split as Dataset(rows, scale)
+    data = gen_synthetic(replace(PRESET_SCENARIOS["magpie-ultra"], n=300, seed=3))
+    for scale in (data.instruct_cost_mean, 0.37, 1234.5):
+        rebuilt = Dataset(data.instances, instruct_cost_mean=scale)
+        scaled = data.with_cost_scale(scale)
+        assert (rebuilt.ids, rebuilt.tags) == (scaled.ids, scaled.tags)
+        assert rebuilt.instruct_cost_mean.hex() == scaled.instruct_cost_mean.hex()
+        for name in ("features", "correct", "cost_raw", "cost"):
+            got, want = getattr(rebuilt, name), getattr(scaled, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import racer.cli
 from helpers import make_instance
 from racer.cli import main
 from racer.core import Dataset, LinearPolicy, evaluate_policy, load_dataset, save_dataset
@@ -675,6 +676,24 @@ class TestEval:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["eval"], ["inspect-weights", "--tau", 1, "--target",
+                                                    "cost"]], ids=["eval", "inspect-weights"])
+    @pytest.mark.parametrize("value", [2.0, -0.5, "inf", math.nan])
+    def test_tabular_probability_outside_unit_interval_is_data_error(self, tmp_path, capsys,
+                                                                      command, value):
+        # 2.0 used to score accuracy 1.67, "inf" to write NaN into metrics.json
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps(RECORD) + "\n")
+        model = json.loads(MODEL_TEXT)
+        model["policy"] = {"kind": "tabular", "table": {"a": value}}
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        assert run(*command, "--model", tmp_path / "model.json", "--data", data,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: context 'a': probability must lie in [0, 1]")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "model.json"]
+
     @settings(max_examples=150, deadline=None)
     @given(data_text=dataset_texts(), model_text=model_texts())
     def test_fuzzed_data_and_model_files_never_escape(self, data_text, model_text):
@@ -798,6 +817,7 @@ class TestSweep:
         ("--budgets=,", "must be non-empty"),
         ("--repeats=0", "repeats must be at least 1"),
         ("--workers=0", "--workers must be at least 1"),
+        ("--budget=2", "unrecognized arguments: --budget=2"),  # each cell sets its own
     ])
     def test_bad_sweep_flag_is_usage_error(self, data_file, tmp_path, capsys, flag, message):
         out = tmp_path / "sw"
@@ -807,6 +827,27 @@ class TestSweep:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sources", [["--train-data", "{}"], ["--test-data", "held={}"],
+                                         ["--train-data", "{}", "--test-data", "held={}"]])
+    def test_scenario_excludes_data_files(self, data_file, tmp_path, capsys, sources):
+        # the data files used to be ignored: exit 0 and no `held` split
+        out = tmp_path / "sw"
+        assert run("sweep", "--scenario", SCENARIOS / "offsetbias.json",
+                   *(a.format(data_file) for a in sources), "--out", out) == 1
+        assert "--scenario excludes --train-data and --test-data" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_input_file_is_hashed_once(self, data_file, tmp_path, monkeypatch):
+        hashed, sha256 = [], racer.cli._sha256
+        monkeypatch.setattr(racer.cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        out = tmp_path / "sw"
+        assert run_quietly("sweep", "--train-data", data_file, "--test-data",
+                           f"held={data_file}", "--budgets", "2.0", "--repeats", "1",
+                           "--methods", "all-instruct", "--out", out)[0] == 0
+        assert list(map(str, hashed)) == [str(data_file)] * 2  # cell keys; the manifest reuses
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(data_file): sha256(data_file)}
 
     def test_bad_workers_variable_is_usage_error_of_sweep_only(self, tmp_path, monkeypatch,
                                                                 capsys):

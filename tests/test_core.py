@@ -21,7 +21,6 @@ from racer.core import (
     counter_uniforms,
     evaluate_policy,
     load_dataset,
-    policy_prob,
     policy_probs,
     save_dataset,
     sigmoid,
@@ -105,14 +104,15 @@ class TestPolicyProb:
     def test_zero_linear_policy_is_half(self):
         inst = make_instance(0, [0.3, -0.7, 2.0], (1, 1), (10.0, 20.0))
         policy = LinearPolicy(np.zeros(3), 0.0)
-        assert policy_prob(policy, inst) == 0.5
+        assert policy_probs(policy, Dataset([inst]))[0] == 0.5
 
     def test_unit_logit_matches_independent_sigmoid(self):
         inst = make_instance(0, [1.0], (1, 1), (10.0, 20.0))
         policy = LinearPolicy(np.array([1.0]), 0.0)
         expected = 1.0 / (1.0 + math.exp(-1.0))
-        assert policy_prob(policy, inst) == pytest.approx(expected, abs=1e-12)
-        assert round(policy_prob(policy, inst), 5) == 0.73106
+        p = float(policy_probs(policy, Dataset([inst]))[0])
+        assert p == pytest.approx(expected, abs=1e-12)
+        assert round(p, 5) == 0.73106
 
     def test_sigmoid_edge_values_pinned(self):
         x = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, math.inf, -math.inf,
@@ -144,21 +144,21 @@ class TestPolicyProb:
 
     def test_mirrored_logits_sum_to_one(self):
         policy = LinearPolicy(np.array([1.0]), 0.0)
-        plus = policy_prob(policy, make_instance(0, [1.0], (1, 1), (1.0, 2.0)))
-        minus = policy_prob(policy, make_instance(1, [-1.0], (1, 1), (1.0, 2.0)))
+        plus, minus = policy_probs(policy, Dataset([make_instance(0, [1.0], (1, 1), (1.0, 2.0)),
+                                                    make_instance(1, [-1.0], (1, 1), (1.0, 2.0))]))
         assert plus + minus == pytest.approx(1.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
         policy = LinearPolicy(np.zeros(3), 0.0)
         inst = make_instance(0, [1.0, 2.0], (1, 1), (1.0, 2.0))
         with pytest.raises(ValidationError, match="dimension"):
-            policy_prob(policy, inst)
+            policy_probs(policy, Dataset([inst]))
 
     def test_unknown_tabular_id(self):
         policy = TabularPolicy({"other": 0.4})
         inst = make_instance(0, [1.0], (1, 1), (1.0, 2.0))
         with pytest.raises(ValidationError, match="unknown context id"):
-            policy_prob(policy, inst)
+            policy_probs(policy, Dataset([inst]))
 
 
 class TestEvaluatePolicy:
@@ -249,13 +249,13 @@ class TestInvariants:
         assert sub.instruct_cost_mean == data.instruct_cost_mean
         assert np.array_equal(sub.cost[0], data.cost[3])
 
-    def test_policy_probs_matches_policy_prob(self):
+    def test_policy_probs_matches_single_rows(self):
         data = random_dataset(8, n=10)
         policy = LinearPolicy(np.linspace(-1, 1, data.n_features), 0.2)
         vec = policy_probs(policy, data)
-        for i, inst in enumerate(data.instances):
+        for i in range(len(data)):
             # batch and single-row matmuls may differ in the last ulp
-            assert vec[i] == pytest.approx(policy_prob(policy, inst), rel=1e-14)
+            assert vec[i] == pytest.approx(policy_probs(policy, data.subset([i]))[0], rel=1e-14)
 
 
 @st.composite

@@ -28,7 +28,6 @@ from oracles import (
 )
 from racer.core import (
     Dataset,
-    Instance,
     ParseError,
     ValidationError,
     atomic_open,
@@ -150,8 +149,8 @@ def test_writers_match_row_writer_and_round_trip(instances, fmt):
 
 
 def test_jsonl_line_is_json_dumps_of_the_record(tmp_path):
-    data = Dataset([RowInstance("a\"b\\é", np.array([-0.0, 5e-324]), (1, 0), (0.1, 2.5), None),
-                    RowInstance("x", np.array([1.0, 2.0]), (0, 1), (3.0, 7.0), "t")])
+    data = to_columns([RowInstance("a\"b\\é", np.array([-0.0, 5e-324]), (1, 0), (0.1, 2.5), None),
+                       RowInstance("x", np.array([1.0, 2.0]), (0, 1), (3.0, 7.0), "t")])
     path = tmp_path / "d.jsonl"
     save_dataset(data, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -372,6 +371,37 @@ def test_feature_width_change_in_a_later_block_names_the_row(tmp_path, wide):
         load_dataset(path)
 
 
+def test_row_faults_come_in_row_order_and_before_a_feature_width(tmp_path):
+    wide, bad_cost, bad_text = (record_line(1, features=[0.0, 1.0, 2.0]),
+                                record_line(2, cost_0=-1.0), record_line(3, features="xy"))
+    for lines, error, message in [
+            ([wide, bad_cost, bad_text], ValidationError, "instance 'r2': costs must be positive"),
+            ([wide, record_line(2), bad_text], ParseError,
+             "line 4: field 'features' is not numeric"),
+            ([wide, record_line(2), record_line(3)], ValidationError,
+             "instance 'r1': feature dimension 3 != 2")]:
+        path = write_records(tmp_path / "d.jsonl", [record_line(0), *lines])
+        with pytest.raises(error, match=message):
+            load_dataset(path)
+    with pytest.raises(ParseError, match="instance 'a': field 'features' is not numeric"):
+        Dataset([("a", "xy", (1, 1), (1.0, 2.0), None)])
+
+
+def test_one_wide_row_does_not_widen_every_row(tmp_path):
+    # rows of several widths padded to the widest would take 40 MB here
+    import tracemalloc
+    lines = [record_line(i) for i in range(1000)] + [record_line(1000, features=[0.5] * 5000)]
+    path = write_records(tmp_path / "d.jsonl", lines)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="instance 'r1000': feature dimension 5000 != 2"):
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, peak
+
+
 @pytest.mark.parametrize("block", [2, 4096])
 def test_value_numpy_may_reject_in_a_later_block_loads_as_the_row_loader(tmp_path, block):
     # numpy before 2.0 does not convert these strings, which float() reads
@@ -501,17 +531,18 @@ def test_subset_and_scale_match_instance_rebuilds(instances, data):
 def test_instances_are_built_from_the_columns():
     data = gen_synthetic(replace(PRESET_SCENARIOS["separable3"], n=50))
     rows = data.instances
-    assert all(isinstance(r, Instance) for r in rows)
-    assert tuple(r.id for r in rows) == data.ids
-    assert tuple(r.tag for r in rows) == data.tags
-    assert all(type(c) is int for r in rows for c in r.correct)
+    assert all(isinstance(r, tuple) and len(r) == 5 for r in rows)
+    assert tuple(r[0] for r in rows) == data.ids
+    assert tuple(r[4] for r in rows) == data.tags
+    assert all(type(c) is int for r in rows for c in r[2])
     assert_columns_equal(Dataset(rows), columns_of(data))
 
 
-def test_instance_rejects_non_integral_flags():
-    with pytest.raises(ValidationError, match="correct flags"):
-        Instance("a", np.zeros(2), (0.5, 1), (1.0, 2.0))
-    assert Instance("a", np.zeros(2), (1.0, True), (1.0, 2.0)).correct == (1, 1)
+def test_rows_reject_non_integral_flags():
+    with pytest.raises(ValidationError, match="instance 'a': correct flags"):
+        Dataset([("a", np.zeros(2), (0.5, 1), (1.0, 2.0), None)])
+    assert Dataset([("a", np.zeros(2), (1.0, True), (1.0, 2.0), None)]).correct.tolist() == [
+        [1.0, 1.0]]
 
 
 def test_atomic_open_keeps_previous_file_on_failure(tmp_path):
