@@ -42,17 +42,14 @@ from .saddle import (
     InfeasibleProblemError,
     SaddleSolution,
     TabularProblem,
-    closed_form_policy,
     dual_function,
     primal_dual_iterate,
     solve_saddle,
 )
 from .trainer import (
     Checkpoint,
-    DualState,
     TrainConfig,
     TrainingDivergenceError,
-    batch_objective,
     load_model,
     save_model,
     select_checkpoint,

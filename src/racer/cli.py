@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import typing
@@ -131,26 +130,28 @@ _TRAIN_FIELDS = {
 }
 
 
-def _train_config(args, budget_required: bool = True) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     """DEFAULT_TEMPLATE with the --config file's values over it and the
-    flags over those.
+    flags over those. A command takes (and requires) a budget exactly when
+    it has a --budget flag.
 
-    Every config-file value decodes by the type of the field it sets; a
-    key that is no flag name is a ParseError. Each value is checked on its own,
-    against a valid base config, so a bad one is blamed on where it came
-    from: a UsageError for a flag, a ParseError naming the file and the key
-    for the config file.
+    Every config-file value decodes by the type of the field it sets; a key
+    that is no flag name of the command is a ParseError. Each value is
+    checked on its own, against a valid base config, so a bad one is blamed
+    on where it came from: a UsageError for a flag, a ParseError naming the
+    file and the key for the config file.
     """
     file_cfg = {} if args.config is None else read_json_object(args.config, "config file")
     where = f"config file {args.config}: "
+    fields = {k: v for k, v in _TRAIN_FIELDS.items() if k != "budget" or hasattr(args, k)}
     for key in file_cfg:
-        if key not in _TRAIN_FIELDS:
+        if key not in fields:
             raise ParseError(f"{where}unknown key {key!r}")
-        file_cfg[key] = decode_field(file_cfg, key, _FIELD_TYPES[_TRAIN_FIELDS[key]], where)
-    if budget_required and args.budget is None and "budget" not in file_cfg:
+        file_cfg[key] = decode_field(file_cfg, key, _FIELD_TYPES[fields[key]], where)
+    if "budget" in fields and args.budget is None and "budget" not in file_cfg:
         raise UsageError("--budget is required")
     config = DEFAULT_TEMPLATE
-    for key, name in _TRAIN_FIELDS.items():
+    for key, name in fields.items():
         value = getattr(args, key, None)
         from_file = value is None and key in file_cfg
         if from_file:
@@ -300,7 +301,7 @@ def _read_cell(path: Path, digest: str):
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    template = _train_config(args, budget_required=False)  # budget set per cell
+    template = _train_config(args)  # budget set per cell
     budgets = _parse_floats(args.budgets) if args.budgets else DEFAULT_BUDGETS
     methods = tuple(m for m in (args.methods or "").split(",") if m) or (
         "racer", "all-instruct", "all-reasoning", "random")
@@ -444,6 +445,8 @@ def cmd_gen_synth(args) -> int:
         scenario = replace(scenario, n=args.n)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
+    if args.apply_shift and not scenario.shift:
+        raise UsageError("--apply-shift: the scenario has no shift map")
     data = gen_synthetic(scenario, apply_shift=args.apply_shift)
     save_dataset(data, args.out)
     config = {"scenario": args.scenario, "regime": args.regime, "n": scenario.n,
@@ -518,7 +521,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="sweep")
     p.add_argument("--resume", action="store_true",
                    help="reuse per-cell outputs whose digests match")
-    p.add_argument("--workers", type=int, default=os.environ.get("RACER_WORKERS", "1"))
+    p.add_argument("--workers", type=int, default=1)
     _add_train_flags(p)
     p.set_defaults(handler=cmd_sweep)
 

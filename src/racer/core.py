@@ -275,18 +275,15 @@ _record_fields = operator.itemgetter(*_REQUIRED_FIELDS)
 _BLOCK_ROWS = 4096
 
 
-def load_dataset(path, format: str | None = None) -> Dataset:
-    """Read a JSONL or CSV routing dataset and return it cost-normalized.
+def load_dataset(path) -> Dataset:
+    """Read a routing dataset, CSV for a ``.csv`` path and else JSONL, cost-normalized.
 
     Record order is preserved. Raises ParseError naming the line (and field)
     for undecodable records, ValidationError for invariant violations. A file
     numpy cannot convert block by block is read again and converted by row.
     """
     path = str(path)
-    loader = {"jsonl": _load_jsonl, "csv": _load_csv}.get(
-        format or ("csv" if path.endswith(".csv") else "jsonl"))
-    if loader is None:
-        raise ValueError(f"unknown format {format!r}")
+    loader = _load_csv if path.endswith(".csv") else _load_jsonl
     try:
         blocks = _column_blocks(loader(path))
         if not blocks:  # decode every record before converting any, row by row
@@ -413,16 +410,13 @@ def _json_text(value) -> str:
     return json.encoder.encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
 
 
-def save_dataset(data: Dataset, path, format: str | None = None) -> None:
-    """Write raw (unnormalized) records atomically; load_dataset round-trips
-    bitwise. Each JSONL line is the ``json.dumps`` of its record."""
-    path = str(path)
-    if format is None:
-        format = "csv" if path.endswith(".csv") else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown format {format!r}")
-    with atomic_open(path, newline="" if format == "csv" else None) as fh:
-        if format == "csv":
+def save_dataset(data: Dataset, path) -> None:
+    """Write raw (unnormalized) records atomically, as CSV for a ``.csv`` path,
+    else JSONL; load_dataset round-trips bitwise. Each JSONL line is the
+    ``json.dumps`` of its record."""
+    as_csv = str(path).endswith(".csv")
+    with atomic_open(path, newline="" if as_csv else None) as fh:
+        if as_csv:
             writer = csv.writer(fh)
             writer.writerow(["id", *(f"feat_{j}" for j in range(data.n_features)),
                              "correct_0", "correct_1", "cost_0", "cost_1", "tag"])
@@ -431,7 +425,7 @@ def save_dataset(data: Dataset, path, format: str | None = None) -> None:
             rows = zip(data.ids[block], data.features[block].tolist(),
                        data.correct[block].astype(np.int64).tolist(),
                        data.cost_raw[block].tolist(), data.tags[block])
-            if format == "csv":
+            if as_csv:
                 writer.writerows([i, *map(repr, f), c0, c1, repr(k0), repr(k1), t or ""]
                                  for i, f, (c0, c1), (k0, k1), t in rows)
                 continue

@@ -357,8 +357,9 @@ def sweep_units(budgets: Sequence[float], methods: Sequence[str], repeats: int,
                 base_seed: int, tests: Sequence[str] = ()) -> list[tuple[float, int]]:
     """The (budget, seed) units of a sweep, budget-major: ``repeats`` seeds
     from ``base_seed`` at each budget. ValidationError for an empty, unknown
-    or out-of-range argument, which would leave no unit able to run, or for
-    a repeated budget, method or test split name (the training split is train)."""
+    or out-of-range argument, which would leave no unit able to run, for an
+    empty test split name, or for a repeated budget, method or test split
+    name (the training split is train)."""
     if not budgets or not methods:
         raise ValidationError("budgets and methods must be non-empty")
     for method in methods:
@@ -371,6 +372,8 @@ def sweep_units(budgets: Sequence[float], methods: Sequence[str], repeats: int,
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValidationError(f"repeated {what}: {repeated[0]!r}")
+    if "" in tests:
+        raise ValidationError("test split names must be non-empty")
     if repeats < 1:
         raise ValidationError(f"repeats must be at least 1, got {repeats}")
     if base_seed < 0:

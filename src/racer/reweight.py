@@ -160,8 +160,7 @@ def _tilted_distribution(f: np.ndarray, log_rho: np.ndarray, tau: float,
     return w / w.sum()
 
 
-def exact_tilt(values, rho, delta: float, direction: str,
-               tol: float = 1e-13) -> ExactTilt:
+def exact_tilt(values, rho, delta: float, direction: str) -> ExactTilt:
     """Worst-case distribution with KL(rho_tilde || rho) exactly delta.
 
     Bisects (in log space) on the temperature: along the tilt path the KL
@@ -214,7 +213,7 @@ def exact_tilt(values, rho, delta: float, direction: str,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= 1e-13 * hi:
             break
     tau_star = math.sqrt(lo * hi)
 

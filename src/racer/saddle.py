@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TabularPolicy, ValidationError
+from .core import ValidationError
 
 
 class InfeasibleProblemError(ValueError):
@@ -126,14 +126,6 @@ def _softmax_columns(problem: TabularProblem, lam: float):
 def policy_matrix(problem: TabularProblem, lam: float) -> np.ndarray:
     """(n, 2) matrix of the closed-form softmax policy at multiplier lam."""
     return np.stack(_softmax_columns(problem, lam)[:2], axis=1)
-
-
-def closed_form_policy(problem: TabularProblem, lam: float) -> TabularPolicy:
-    """Closed-form primal maximizer as a tabular policy keyed by context index."""
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    p1 = _softmax_columns(problem, lam)[1]
-    return TabularPolicy(dict(zip(map(str, range(p1.shape[0])), p1.tolist())))
 
 
 def dual_function(problem: TabularProblem, lam: float) -> tuple[float, float, float]:

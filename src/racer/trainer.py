@@ -40,7 +40,7 @@ from .core import (
     write_csv,
     write_json,
 )
-from .reweight import RobustConfig, WeightVector, _tilt_rows, tilt_weights, uniform_weights
+from .reweight import RobustConfig, _tilt_rows, tilt_weights, uniform_weights
 from .saddle import dual_update
 
 POLICY_KINDS = ("linear", "feedforward")  # the trainable policies, by TrainConfig.policy_kind
@@ -110,14 +110,6 @@ class TrainConfig:
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-@dataclass
-class DualState:
-    """Budget multiplier and entropy regularization strength."""
-
-    lam: float = 0.0
-    beta: float = 0.005
 
 
 @dataclass(frozen=True)
@@ -231,25 +223,10 @@ def _lam_safe(batch_size: int, c_max: float, beta: float, tau_r: float, tau_c: f
     return min((1e307 - b * b - b * beta) / (1.01 * b * b * c_max), 1e307 / b) if ok else -1.0
 
 
-def batch_objective(policy: PolicySpec, batch: Dataset, weights_r: WeightVector,
-                    weights_c: WeightVector, dual: DualState):
-    """Reweighted, entropy-regularized batch objective and its gradient.
-
-    value = mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ]
-    with the action expectation enumerated exactly. The tilt weights are
-    treated as constants: no gradient flows through them.
-    """
-    wr = weights_r.weights
-    wc = weights_c.weights
-    if wr.shape[0] != len(batch) or wc.shape[0] != len(batch):
-        raise ValueError("weight vectors must align with the batch")
-    kind = "linear" if isinstance(policy, LinearPolicy) else "feedforward"
-    return _objective_on_params(_params(policy), kind, batch.features, batch.correct,
-                                batch.cost, wr, wc, dual.lam, dual.beta)
-
-
 def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
-    """The objective of one policy on one batch: a stack of one replica."""
+    """Value and gradient of one policy's batch objective (a stack of one):
+    mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ], the
+    action expectation enumerated exactly and the tilt weights constant."""
     stacked = [p[None] for p in params]
     u, acts = _forward(stacked, kind, x[None])
     if not np.all(np.isfinite(u)):

@@ -1,16 +1,21 @@
 """The benchmark's tracer wraps functions by module and attribute name, and
 its workloads import racer names and call them: every such name must exist,
-or every benchmark operation fails while the rest of this suite passes."""
+or every benchmark operation fails while the rest of this suite passes. The
+demos' racer names must exist too, and the README's API list must name the
+public surface of the racer package."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import racer
 from racer.core import Dataset
 from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
 
@@ -72,3 +77,26 @@ def test_rows_rebuild_the_dataset_on_another_cost_scale():
             got, want = getattr(rebuilt, name), getattr(scaled, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
+
+
+DEMOS = sorted(SPANS.parent.parent.glob("demos/*.py"))
+
+
+@pytest.mark.parametrize("module_name, attr",
+                         sorted({name for demo in DEMOS
+                                 for name in _racer_names(ast.parse(demo.read_text()))},
+                                key=str))
+def test_every_racer_name_the_demos_use_exists(module_name, attr):
+    module = importlib.import_module(module_name)
+    assert attr is None or hasattr(module, attr), f"{module_name}.{attr} is gone"
+
+
+def test_readme_api_list_is_the_public_surface():
+    readme = (SPANS.parent.parent / "README.md").read_text()
+    start = readme.index("re-exports the Python API")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    listed = re.findall(r"`(\w+)`", paragraph)
+    public = {name for name, value in vars(racer).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == public

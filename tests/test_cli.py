@@ -301,6 +301,15 @@ class TestGenSynth:
     def test_unknown_regime(self, tmp_path):
         assert run("gen-synth", "--regime", "nope", "--out", tmp_path / "x") == 1
 
+    @pytest.mark.parametrize("regime", sorted(PRESET_SCENARIOS))
+    def test_apply_shift_without_shift_map_is_usage_error(self, tmp_path, capsys, regime):
+        # it used to write the unshifted rows and record apply_shift: true
+        out = tmp_path / "d.jsonl"
+        assert run("gen-synth", "--regime", regime, "--n", 20, "--apply-shift",
+                   "--out", out) == 1
+        assert "--apply-shift" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--n=0", "--seed=-1"])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, flag):
         assert run("gen-synth", "--regime", "separable3", flag, "--out", tmp_path / "x") == 1
@@ -442,10 +451,26 @@ class TestTrain:
         cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
         source = (["--data", data_file, "--budget", 2] if command == "train"
                   else ["--train-data", data_file, "--budgets", 2, "--repeats", 1])
+        if command == "sweep" and '"budget"' in text:  # a budget is a train key only
+            message = "unknown key 'budget'"
         assert run(command, *source, "--config", cfg, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert f"config file {cfg}" in err and message in err
         assert "Traceback" not in err
+
+    def test_budget_is_a_train_config_key_only(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": 5}))
+        out = tmp_path / "sw"
+        assert run("sweep", "--train-data", data_file, "--budgets", 2, "--repeats", 1,
+                   "--methods", "all-instruct", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: unknown key 'budget'" in err
+        assert not list(out.glob("cells/*.json"))
+        assert run("train", "--data", data_file, "--epochs", 2, "--config", cfg,
+                   "--out", tmp_path / "tr") == 0
+        manifest = json.loads((tmp_path / "tr" / "manifest.json").read_text())
+        assert manifest["config"]["budget"] == 5.0
 
     @pytest.mark.parametrize("flag", ["--budget=-1", "--epochs=0", "--seed=-1",
                                       "--hidden=3,x", "--val-fraction=1"])
@@ -849,15 +874,20 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["inputs"] == {str(data_file): sha256(data_file)}
 
-    def test_bad_workers_variable_is_usage_error_of_sweep_only(self, tmp_path, monkeypatch,
-                                                                capsys):
+    def test_workers_variable_is_ignored(self, finished_sweep, tmp_path, monkeypatch):
+        args, done = finished_sweep
         monkeypatch.setenv("RACER_WORKERS", "x")
-        data = tmp_path / "d.jsonl"
-        assert run("gen-synth", "--regime", "offsetbias", "--n", 80, "--out", data) == 0
-        assert run("sweep", "--train-data", data, "--out", tmp_path / "sw") == 1
-        err = capsys.readouterr().err
-        assert "--workers" in err
-        assert "Traceback" not in err
+        assert run_quietly(*args, "--out", tmp_path)[0] == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == (done / "sweep.csv").read_bytes()
+
+    def test_empty_test_split_name_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(racer.cli, "load_dataset", loaded.append)
+        out = tmp_path / "sw"
+        assert run("sweep", "--train-data", tmp_path / "d.jsonl", "--test-data",
+                   f"={tmp_path / 'd.jsonl'}", "--out", out) == 1
+        assert "test split names must be non-empty" in capsys.readouterr().err
+        assert not loaded and not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cli_sweep_writes_the_library_sweep(self, tmp_path, workers):

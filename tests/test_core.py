@@ -86,8 +86,8 @@ class TestLoadDataset:
         scenario = replace(PRESET_SCENARIOS["offsetbias"], n=100, seed=7)
         data = gen_synthetic(scenario)
         path = tmp_path / f"d.{fmt}"
-        save_dataset(data, path, format=fmt)
-        back = load_dataset(path, format=fmt)
+        save_dataset(data, path)
+        back = load_dataset(path)
         assert back.ids == data.ids
         assert back.tags == data.tags
         assert np.array_equal(back.features, data.features)

@@ -279,6 +279,13 @@ class TestRunSweep:
             run_sweep(train, tests, **{**kw, **bad})
         assert str(caught.value) == message
 
+    def test_empty_split_name_rejected(self):
+        # it used to run and write cells with an empty split name
+        train = gen_synthetic(two_domain(seed=12, n=200))
+        with pytest.raises(ValidationError, match="test split names must be non-empty"):
+            run_sweep(train, {"": train}, budgets=[2.0], methods=["all-instruct"],
+                      repeats=1, base_seed=0)
+
     def test_learnable_methods_are_the_robust_modes(self):
         assert LEARNABLE_METHODS is MODES
 

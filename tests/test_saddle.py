@@ -18,7 +18,6 @@ from racer.saddle import (
     ConvergenceConstants,
     InfeasibleProblemError,
     TabularProblem,
-    closed_form_policy,
     dual_function,
     dual_update,
     lagrangian,
@@ -97,9 +96,6 @@ class TestColumnKernels:
             lam = sol.lambda_star
             assert _bits(sol.pi_matrix) == _bits(saddle_policy_matrix(prob, lam))
             assert _bits(sol.dual_value) == _bits(saddle_dual_function(prob, lam)[0])
-        table = closed_form_policy(prob, sol.lambda_star).table
-        assert list(table) == [str(i) for i in range(n)]
-        assert _bits(list(table.values())) == _bits(sol.pi_matrix[:, 1])
 
         trace = primal_dual_iterate(prob, lams[0], 25, solution=sol)
         lambdas, _, kls = saddle_iterate(prob, lams[0], 25, trace.constants.eta, sol.pi_matrix)
@@ -156,12 +152,6 @@ class TestClosedFormPolicy:
         a = policy_matrix(prob, 0.4)
         b = policy_matrix(shifted, 0.4)
         assert np.allclose(a, b, atol=1e-12)
-
-    def test_tabular_output_keys(self):
-        prob = tiny_problem()
-        policy = closed_form_policy(prob, 0.0)
-        assert set(policy.table) == {"0"}
-        assert 0.0 < policy.table["0"] < 1.0
 
 
 class TestDualFunction:

@@ -17,15 +17,13 @@ from racer.core import (ConstantPolicy, Dataset, FeedForwardPolicy, LinearPolicy
 from racer.evalbench import (DEFAULT_TEMPLATE, PRESET_SCENARIOS, gen_synthetic, load_scenario,
                              scenario_splits)
 import racer.trainer
-from racer.reweight import MODES, RobustConfig, _tilt_rows, uniform_weights
+from racer.reweight import MODES, RobustConfig, _tilt_rows
 from racer.saddle import dual_update
 from racer.trainer import (
     Checkpoint,
-    DualState,
     TrainConfig,
     TrainingDivergenceError,
     TrainResult,
-    batch_objective,
     init_policy,
     load_model,
     save_model,
@@ -61,13 +59,18 @@ def routing_dataset(seed=0, n=300, ratio=4.0, p_gain=0.9, p_helps=0.5):
     return Dataset(instances)
 
 
+def linear_objective(policy, data, lam, beta):
+    """(value, gradient) of a linear policy's batch objective, untilted."""
+    ones = np.ones(len(data))
+    return _objective_on_params(_params(policy), "linear", data.features, data.correct,
+                                data.cost, ones, ones, lam, beta)
+
+
 def objective_entropy(logit):
     """The batch objective with beta = 1, lambda = 0 and no reward: the
     binary entropy H(sigma(logit)) in nats."""
     data = Dataset([make_instance(0, [1.0], (0, 0), (10.0, 20.0))])
-    value, _ = batch_objective(LinearPolicy(np.array([logit]), 0.0), data,
-                               uniform_weights(1), uniform_weights(1),
-                               DualState(lam=0.0, beta=1.0))
+    value, _ = linear_objective(LinearPolicy(np.array([logit]), 0.0), data, 0.0, 1.0)
     return value
 
 
@@ -93,9 +96,7 @@ class TestBatchObjective:
         data = Dataset([make_instance(i, [0.5 * i, 1.0], (1, 1), (10.0, 20.0))
                         for i in range(4)])
         policy = LinearPolicy(np.array([0.3, -0.2]), 0.1)
-        dual = DualState(lam=0.0, beta=0.0)
-        value, grads = batch_objective(policy, data, uniform_weights(4),
-                                       uniform_weights(4), dual)
+        value, grads = linear_objective(policy, data, 0.0, 0.0)
         assert value == pytest.approx(1.0, abs=1e-12)
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-12)
@@ -104,9 +105,7 @@ class TestBatchObjective:
         # single instance, logit 1: H(sigma(1)) = H(0.73106) = 0.58220
         data = Dataset([make_instance(0, [1.0], (0, 0), (10.0, 20.0))])
         policy = LinearPolicy(np.array([1.0]), 0.0)
-        dual = DualState(lam=0.0, beta=1.0)
-        value, _ = batch_objective(policy, data, uniform_weights(1),
-                                   uniform_weights(1), dual)
+        value, _ = linear_objective(policy, data, 0.0, 1.0)
         p = 1.0 / (1.0 + math.exp(-1.0))
         assert value == pytest.approx(-p * math.log(p) - (1 - p) * math.log(1 - p),
                                       abs=1e-12)
@@ -143,17 +142,9 @@ class TestBatchObjective:
         data = Dataset([make_instance(i, [2.0, 2.0], (1, 0), (10.0, 20.0))
                         for i in range(3)])
         policy = LinearPolicy(np.full(2, 1e308), 0.0)  # logit overflows to inf
-        dual = DualState()
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingDivergenceError, match="index"):
-                batch_objective(policy, data, uniform_weights(3), uniform_weights(3), dual)
-
-    def test_weight_alignment_checked(self):
-        data = routing_dataset(seed=4, n=8)
-        policy = LinearPolicy(np.zeros(data.n_features), 0.0)
-        with pytest.raises(ValueError, match="align"):
-            batch_objective(policy, data, uniform_weights(5), uniform_weights(8),
-                            DualState())
+                linear_objective(policy, data, 0.0, 0.005)
 
 
 class TestTrain:
