@@ -117,6 +117,19 @@ def _widths(text: str) -> tuple[int, ...]:
     return tuple(int(h) for h in text.split(",") if h)
 
 
+# the most float64 values one array can hold (numpy's size limit in bytes / 8)
+_MAX_VALUES = sys.maxsize // 8
+
+
+def _require_allocatable(name: str, *sizes: int) -> None:
+    """A size beyond any array cannot be allocated: a MemoryError, so the
+    command exits 2 as out of memory instead of failing inside numpy."""
+    for size in sizes:
+        if size > _MAX_VALUES:
+            raise MemoryError(f"{name} {size} exceeds the {_MAX_VALUES} float64 values "
+                              f"an array can hold")
+
+
 _ROBUST_FIELDS = typing.get_type_hints(RobustConfig)
 _FIELD_TYPES = {**typing.get_type_hints(TrainConfig), **_ROBUST_FIELDS}
 
@@ -167,6 +180,8 @@ def _train_config(args) -> TrainConfig:
             if from_file:
                 raise ParseError(f"{where}field {key!r}: {exc}") from None
             raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
+    if config.policy_kind == "feedforward":
+        _require_allocatable("hidden width", *config.hidden)
     return config
 
 
@@ -387,11 +402,13 @@ def cmd_saddle_demo(args) -> int:
         raise UsageError(f"--beta must be positive and finite, got {args.beta}")
     if not 0.0 <= args.lambda0 < math.inf:
         raise UsageError(f"--lambda0 must be non-negative and finite, got {args.lambda0}")
+    _require_allocatable("--iters", args.iters)
     inputs = []
     if args.problem is not None:
         problem = read_record(TabularProblem, args.problem, "problem file")
         inputs.append(args.problem)
     else:
+        _require_allocatable("--contexts", args.contexts)
         problem = random_problem(args.seed, n_contexts=args.contexts,
                                  beta=args.beta, budget=args.budget)
     # an overflow (say, of the envelope) is a FloatingPointError: exit 3
@@ -447,6 +464,7 @@ def cmd_gen_synth(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     if args.apply_shift and not scenario.shift:
         raise UsageError("--apply-shift: the scenario has no shift map")
+    _require_allocatable("scenario n", scenario.n)
     data = gen_synthetic(scenario, apply_shift=args.apply_shift)
     save_dataset(data, args.out)
     config = {"scenario": args.scenario, "regime": args.regime, "n": scenario.n,

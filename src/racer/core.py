@@ -254,11 +254,33 @@ def read_record(cls, path, what: str):
         raise type(exc)(f"{what} {path}: {exc}") from None
 
 
+def _indented(value, pad: str = "") -> str:
+    """json.dumps(value, indent=1, default=np.ndarray.tolist) for a value at
+    indentation pad. A list of plain numbers goes through the C encoder,
+    which json.dumps bypasses when it indents: a number's JSON is the same
+    either way, and only the separators differ."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    inner, sep = pad + " ", ",\n" + pad + " "
+    if type(value) in (list, tuple) and value:
+        if all(type(v) is float or type(v) is int for v in value):
+            items = json.dumps(value)[1:-1].replace(", ", sep)
+        else:
+            items = sep.join(_indented(v, inner) for v in value)
+        return f"[\n{inner}{items}\n{pad}]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = sep.join(f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}{items}\n{pad}}}"
+    if value is None or type(value) in (str, int, float, bool):
+        return json.dumps(value)  # json's cached encoder; a scalar has no indent
+    return json.dumps(value, indent=1, default=np.ndarray.tolist).replace("\n", "\n" + pad)
+
+
 def write_json(path, payload) -> None:
-    """Write payload atomically as indented JSON ending in a newline; an
-    array is written as its list."""
+    """Write payload atomically as indented JSON ending in a newline, the
+    bytes of json.dumps(payload, indent=1); an array is written as its list."""
     with atomic_open(path) as fh:
-        fh.write(json.dumps(payload, indent=1, default=np.ndarray.tolist) + "\n")
+        fh.write(_indented(payload) + "\n")
 
 
 def write_csv(path, rows: Iterable[Sequence]) -> None:

@@ -11,6 +11,7 @@ can be calibrated to reported corpus statistics (e.g. medians 11.2 / 3.4 /
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -455,7 +456,8 @@ def run_units(train_data: Dataset, tests: Mapping[str, Dataset], units: Sequence
     unit scored on the training split ``train`` and on the test splits.
 
     The units are split into ``workers`` contiguous groups, each trained as
-    one stack, in its own process when there are several.
+    one stack, in its own process when there are several; at most one
+    process per usable CPU runs at a time.
     """
     splits = {"train": train_data, **tests}
     for name, split in splits.items():
@@ -466,7 +468,8 @@ def run_units(train_data: Dataset, tests: Mapping[str, Dataset], units: Sequence
     work = [(train_data, splits, group, tuple(methods), template)
             for group in split_units(units, workers)]
     if len(work) > 1:
-        with ProcessPoolExecutor(max_workers=len(work)) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(len(work), cpus or 1)) as pool:
             results = list(pool.map(_run_sweep_cell, work))
     else:
         results = [_run_sweep_cell(w) for w in work]

@@ -334,15 +334,10 @@ def train(data: Dataset,
     return _Stack(data, list(config)).run()
 
 
-def _batch_means(a: np.ndarray, size: int) -> np.ndarray:
-    """Row means of each run of `size` columns, the last run possibly shorter:
-    bitwise the means of the batches those columns held."""
-    n_rep, n = a.shape
-    full = n - n % size
-    means = [np.add.reduce(a[:, :full].reshape(n_rep, -1, size), axis=2) / size]
-    if full < n:
-        means.append(np.add.reduce(a[:, full:], axis=1, keepdims=True) / (n - full))
-    return np.concatenate(means, axis=1)
+def _kept(step1, keep: np.ndarray):
+    """The logits, layer inputs, probabilities and e of a step 1 for the kept replicas."""
+    u, acts, p, e = step1
+    return u[keep], tuple(a[keep] for a in acts), p[keep], e[keep]
 
 
 class _Stack:
@@ -352,8 +347,16 @@ class _Stack:
     diverges leaves the stack with its error; the others go on unchanged.
     The parameters of all replicas live in one (R, P) array and their
     gradient in another; the per-layer arrays are views of them. Each epoch
-    gathers its shuffled rows once, its batches are slices of them, and one
-    stacked forward pass scores each replica's validation rows, gathered once.
+    gathers its shuffled rows once, batch-major, into parts (x, gaps, out):
+    the full batches' features x of shape (n_full, R, B, d), their r0, dr,
+    c0 and dc in gaps and the step's exp_r, exp_c, w_r and w_c in out, both
+    of shape (4, n_full, R, B); a short last batch is a second part with
+    tail for B. Batch j of a part reads and writes the contiguous blocks
+    x[j], gaps[:, j] and out[:, j]. Step 4 of a batch that has a successor
+    in its part runs one forward pass over both batches' rows, x[j:j + 2],
+    and hands the successor its logits, probabilities and layer inputs as
+    its step 1. One stacked forward pass scores each replica's validation
+    rows, gathered once.
     """
 
     def __init__(self, data: Dataset, configs: list[TrainConfig]):
@@ -372,7 +375,9 @@ class _Stack:
         data.require_finite_cost()  # the tilt needs it
 
         self.config, self.kind = lead, lead.policy_kind
-        self.features, self.correct, self.cost = data.features, data.correct, data.cost
+        self.features = data.features
+        # each row's r0, dr, c0 and dc (see _gaps), one contiguous row each
+        self.gaps = np.stack(_gaps(data.correct, data.cost))
         self.outcomes: list[Outcome | None] = [None] * len(configs)
         self.histories: list[list[EpochRecord]] = [[] for _ in configs]
         self.checkpoints: list[list[Checkpoint]] = [[] for _ in configs]
@@ -434,43 +439,52 @@ class _Stack:
         self.train_idx, self.flat = self.train_idx[keep], self.flat[keep]
         self._bind()
         self.opt.keep(keep)
-        self.rows = {name: value[keep] for name, value in self.rows.items()}
+        self.parts = [(x[:, keep], gaps[:, :, keep], out[:, :, keep])
+                      for x, gaps, out in self.parts]
         self.val = {name: value[keep] for name, value in self.val.items()}
         self.shuffle_rngs = [self.shuffle_rngs[k] for k in np.flatnonzero(keep)]
         return keep
 
     def _epoch(self, epoch: int) -> None:
-        cfg = self.config
+        size = self.config.batch_size
         n_rep, n_train = self.train_idx.shape
         order = np.stack([idx[rng.permutation(n_train)]
                           for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
-        r0, dr, c0, dc = _gaps(self.correct.take(order, axis=0),
-                               self.cost.take(order, axis=0))
-        n_batches = -(-n_train // cfg.batch_size)
+        n_full, tail = divmod(n_train, size)
+        full = n_full * size * n_rep
         # a side on which every tau is inf keeps weight 1 on every row and is
         # not tilted in this epoch; the flags hold until the epoch ends, also
         # if a drop leaves only tau = inf on a side
         self.tilt_r, self.tilt_c = (not np.logical_and.reduce(np.isinf(tau), axis=None)
                                     for tau in (self.tau_r, self.tau_c))
-        # every replica's training rows in this epoch's order; each batch
-        # reads a slice and fills its slice of exp_r, exp_c and of the tilted
-        # sides' w_r and w_c, whose statistics are reduced once the epoch is done
-        self.rows = {
-            "x": self.features.take(order, axis=0), "r0": r0, "dr": dr, "c0": c0, "dc": dc,
-            "exp_r": np.empty((n_rep, n_train)), "exp_c": np.empty((n_rep, n_train)),
-            "w_r": (np.empty if self.tilt_r else np.ones)((n_rep, n_train)),
-            "w_c": (np.empty if self.tilt_c else np.ones)((n_rep, n_train)),
-        }
-        for b in range(n_batches):
-            self._batch(epoch, b)
-            if not self.slot.size:
-                return
-        rows = self.rows
-        # the running sum of per-batch means, in batch order
-        train_reward = np.cumsum(_batch_means(rows["exp_r"], cfg.batch_size), axis=1)[:, -1]
-        train_cost = np.cumsum(_batch_means(rows["exp_c"], cfg.batch_size), axis=1)[:, -1]
-        wr_lo, wc_lo = (np.minimum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
-        wr_hi, wc_hi = (np.maximum.reduce(rows[w], axis=1) for w in ("w_r", "w_c"))
+        # every replica's training rows in this epoch's order, batch-major:
+        # the full batches' (n_full, R, B) rows, then the tail's (R, tail)
+        index = np.concatenate([order[:, :n_full * size].reshape(n_rep, n_full, size)
+                                .transpose(1, 0, 2).ravel(), order[:, n_full * size:].ravel()])
+        x, gaps = self.features.take(index, axis=0), self.gaps.take(index, axis=1)
+        # each batch fills its block of exp_r, exp_c and of the tilted sides'
+        # w_r and w_c, whose statistics are reduced once the epoch is done
+        filled = np.empty((4, index.size))
+        self.parts = [(x[start:stop].reshape(-1, n_rep, width, x.shape[1]),
+                       gaps[:, start:stop].reshape(4, -1, n_rep, width),
+                       filled[:, start:stop].reshape(4, -1, n_rep, width))
+                      for start, stop, width in ((0, full, size), (full, index.size, tail))
+                      if stop > start]
+        b = 0
+        for i in range(len(self.parts)):
+            step1 = None  # a part's first batch runs its own forward pass
+            for j in range(len(self.parts[i][0])):
+                step1 = self._batch(f"epoch {epoch} batch {b}", i, j, step1)
+                b += 1
+                if not self.slot.size:
+                    return
+        # the running sums of per-batch means of exp_r and exp_c in batch
+        # order, and the ranges of w_r and w_c
+        train_reward, train_cost = np.cumsum(np.concatenate(
+            [np.add.reduce(out[:2], axis=3) / out.shape[3] for _, _, out in self.parts],
+            axis=1), axis=1)[:, -1]
+        (wr_lo, wr_hi), (wc_lo, wc_hi) = (self._weight_range(2, self.tilt_r),
+                                          self._weight_range(3, self.tilt_c))
 
         # evaluate_policy's expected mode on each replica's own rows
         prob = _sigmoid(_forward(self.params, self.kind, self.val["x"])[0])[0]
@@ -482,8 +496,8 @@ class _Stack:
             self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
             self.histories[slot].append(EpochRecord(
                 epoch=epoch,
-                train_reward=float(train_reward[k] / n_batches),
-                train_cost=float(train_cost[k] / n_batches),
+                train_reward=float(train_reward[k] / b),
+                train_cost=float(train_cost[k] / b),
                 lam=lam,
                 val_accuracy=val_metrics.accuracy,
                 val_cost=val_metrics.realized_cost,
@@ -492,32 +506,43 @@ class _Stack:
                 cost_weight_range=(float(wc_lo[k]), float(wc_hi[k])),
             ))
 
-    def _batch(self, epoch: int, b: int) -> None:
+    def _weight_range(self, side: int, tilted: bool):
+        """Each replica's lowest and highest weight in row side of the epoch's
+        outputs (2: w_r, 3: w_c); an untilted side's weights are all 1."""
+        if not tilted:
+            return np.ones(self.slot.size), np.ones(self.slot.size)
+        return tuple(reduce([reduce(out[side], axis=(0, 2)) for _, _, out in self.parts])
+                     for reduce in (np.minimum.reduce, np.maximum.reduce))
+
+    def _batch(self, where: str, i: int, j: int, step1):
+        """Batch j of part i. step1 is None or the (u, acts, p, e, checked)
+        of this batch that the previous batch's step 4 computed; the return
+        value is the next batch's."""
         cfg = self.config
-        cut = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
 
         # step 1: per-instance reward/cost summaries under the current policy
-        u, acts = _forward(self.params, self.kind, self.rows["x"][:, cut])
-        if not np.logical_and.reduce(np.isfinite(u), axis=None):
+        if step1 is None:
+            u, acts = _forward(self.params, self.kind, self.parts[i][0][j])
+            step1 = (u, acts, *_sigmoid(u), False)
+        u, acts, p, e, checked = step1
+        if not checked and not np.logical_and.reduce(np.isfinite(u), axis=None):
             finite = np.logical_and.reduce(np.isfinite(u), axis=1)
-            keep = self._drop({k: f"non-finite logit in epoch {epoch} batch {b}"
-                               for k in np.flatnonzero(~finite)})
+            keep = self._drop({k: f"non-finite logit in {where}" for k in np.flatnonzero(~finite)})
             if not self.slot.size:
-                return
-            u, acts = u[keep], tuple(a[keep] for a in acts)
-        rows = self.rows
-        dr, c0, dc = rows["dr"][:, cut], rows["c0"][:, cut], rows["dc"][:, cut]
+                return None
+            u, acts, p, e = _kept((u, acts, p, e), keep)
+        x, gaps, out = self.parts[i]
+        r0, dr, c0, dc = gaps[:, j]
         # u is finite (checked above), and so are the flags and the costs
         # (checked in __init__): the tilt's inputs need no check
-        p, e = _sigmoid(u)
-        exp_r = np.add(rows["r0"][:, cut], p * dr, out=rows["exp_r"][:, cut])
-        exp_c = np.add(c0, p * dc, out=rows["exp_c"][:, cut])
+        exp_r = np.add(r0, p * dr, out=out[0, j])
+        exp_c = np.add(c0, p * dc, out=out[1, j])
 
         # step 2: adversarial tilts, written into the epoch's weights; an
         # untilted side (None) keeps weight 1
-        w_r = (_tilt_rows(exp_r, self.tau_r, "worst_low", out=rows["w_r"][:, cut])[0]
+        w_r = (_tilt_rows(exp_r, self.tau_r, "worst_low", out=out[2, j])[0]
                if self.tilt_r else None)
-        w_c = (_tilt_rows(exp_c, self.tau_c, "worst_high", out=rows["w_c"][:, cut])[0]
+        w_c = (_tilt_rows(exp_c, self.tau_c, "worst_high", out=out[3, j])[0]
                if self.tilt_c else None)
 
         # step 3: one ascent step on the reweighted objective; the parameters
@@ -530,23 +555,36 @@ class _Stack:
         self.opt.ascend(self.flat, self.grad)
 
         # step 4: projected dual step on the tilt-weighted cost of the
-        # updated policy
-        u_new, _ = _forward(self.params, self.kind, acts[0])
-        p_new = _sigmoid(u_new)[0]
+        # updated policy; with a next batch in this part, one forward pass
+        # over both batches' rows is also that batch's step 1 (only lambda
+        # changes in between)
+        fused = j + 1 < len(x)
+        block, acts_new = _forward(self.params, self.kind, x[j:j + 2] if fused else acts[0])
+        p_new, e_new = _sigmoid(block)
+        u_new = block
+        if fused:
+            step1 = (block[1], tuple(a[1] for a in acts_new), p_new[1], e_new[1])
+            u_new, p_new = block[0], p_new[0]
         cost = c0 + p_new * dc
         weighted_cost = np.add.reduce(cost if w_c is None else w_c * cost, axis=1) / u.shape[1]
         self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
 
         # checked last: a failed replica leaves the stack here and what it
         # computed after its failure goes with it, so its outcome is the
-        # error its solo run raises at this point
+        # error its solo run raises at this point; a finite block also
+        # passes the next batch's step-1 check
         bad_value = () if value is None else np.flatnonzero(~np.isfinite(value))
-        if not len(bad_value) and np.logical_and.reduce(np.isfinite(u_new), axis=None):
-            return
-        where = f"epoch {epoch} batch {b}"
+        if not len(bad_value) and np.logical_and.reduce(np.isfinite(block), axis=None):
+            return (*step1, True) if fused else None
         bad_logit = np.flatnonzero(~np.logical_and.reduce(np.isfinite(u_new), axis=1))
-        self._drop({**{k: f"non-finite logit after update in {where}" for k in bad_logit},
-                    **{k: f"non-finite objective value in {where}" for k in bad_value}})
+        if len(bad_logit) or len(bad_value):
+            keep = self._drop({**{k: f"non-finite logit after update in {where}"
+                                  for k in bad_logit},
+                               **{k: f"non-finite objective value in {where}"
+                                  for k in bad_value}})
+            if fused:
+                step1 = _kept(step1, keep)
+        return (*step1, False) if fused else None
 
 
 def select_checkpoint(checkpoints: Sequence[Checkpoint], budget: float) -> Checkpoint:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -1371,3 +1372,25 @@ class TestOutOfMemory:
         assert run(*argv, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"error: out of memory ({message})\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, name", [
+        (["train", "--budget", 2, "--policy", "feedforward", "--hidden", 99999999999999999999],
+         "hidden width 99999999999999999999"),
+        (["saddle-demo", "--contexts", 99999999999999999999], "--contexts 99999999999999999999"),
+        (["saddle-demo", "--contexts", 10, "--iters", 2**63], f"--iters {2**63}"),
+        (["gen-synth", "--regime", "magpie-ultra", "--n", 99999999999999999999],
+         "scenario n 99999999999999999999"),
+    ], ids=["train-hidden", "saddle-demo-contexts", "saddle-demo-iters", "gen-synth-n"])
+    def test_size_beyond_any_array_is_out_of_memory(self, data_file, tmp_path, capsys,
+                                                    argv, name):
+        # sizes of at least 2**63 fail before anything is allocated; numpy
+        # used to raise a ValueError (a traceback) and gen-synth an
+        # OverflowError (exit 3)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        extra = ["--data", data_file] if argv[0] == "train" else []
+        assert run(*argv, *extra, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: out of memory ({name} exceeds the {sys.maxsize // 8} float64 "
+                       "values an array can hold)\n")
+        assert set(tmp_path.iterdir()) == before

@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from racer.core import (
     policy_probs,
     save_dataset,
     sigmoid,
+    write_json,
     _sigmoid,
 )
 from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
@@ -291,3 +294,38 @@ class TestScoringKernel:
         got = evaluate_policy(policy, data, mode=mode, seed=seed)
         want = row_evaluate(policy, data, mode=mode, seed=seed)
         assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+    st.lists(st.floats(), max_size=4), st.lists(st.integers(-3, 3), max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=4),
+    st.builds(np.array, st.lists(st.floats(allow_nan=False), max_size=3)),
+    st.builds(np.float64, st.floats()))
+json_payloads = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                            st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=12)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=json_payloads)
+    def test_bytes_are_json_dumps_indented(self, payload):
+        # lists of numbers go through the C encoder; the file stays the
+        # bytes of json.dumps(payload, indent=1) and a newline
+        expected = json.dumps(payload, indent=1, default=np.ndarray.tolist) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.json"
+            write_json(path, payload)
+            assert path.read_bytes() == expected.encode()
+
+    def test_model_payload_bytes(self, tmp_path):
+        policy = FeedForwardPolicy((np.arange(6.0).reshape(2, 3) / 7, np.array([[-0.0, 1e300]])),
+                                   (np.array([1.5, -2.0]), np.array([0.1])))
+        payload = {"policy": {"kind": "feedforward", **vars(policy)}, "digest": None, "n": 3}
+        write_json(tmp_path / "m.json", payload)
+        expected = json.dumps(payload, indent=1, default=np.ndarray.tolist) + "\n"
+        assert (tmp_path / "m.json").read_bytes() == expected.encode()

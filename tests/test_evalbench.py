@@ -6,6 +6,7 @@ import pytest
 
 from helpers import mean412_dataset
 
+import racer.evalbench
 from racer.core import ParseError, ValidationError, evaluate_policy
 from racer.evalbench import (
     DEFAULT_BUDGETS,
@@ -215,6 +216,34 @@ class TestRunSweep:
         seq = run_sweep(train, {}, workers=1, **kw)
         par = run_sweep(train, {}, workers=2, **kw)
         assert seq.cells == par.cells
+
+    def test_pool_is_bounded_by_the_usable_cpus(self, monkeypatch):
+        # four groups on two usable CPUs: four stacks, two processes at a
+        # time; the executor is replaced, so no process starts
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(racer.evalbench, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(racer.evalbench.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        train = gen_synthetic(two_domain(seed=10, n=400))
+        kw = dict(budgets=[2.0, 3.0], methods=["racer", "all-instruct"], repeats=2,
+                  base_seed=1, template=quick_template(epochs=2))
+        pooled = run_sweep(train, {}, workers=4, **kw)
+        assert pools == [2]
+        assert pooled.cells == run_sweep(train, {}, workers=1, **kw).cells
 
     def test_units_split_into_contiguous_groups(self):
         units = list(range(7))

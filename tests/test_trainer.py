@@ -310,6 +310,17 @@ def diverging_group(cause):
                            dual_lr=0.05, robust=RobustConfig(tau_reward=1.0))
         return data, [*(replace(base, seed=s) for s in range(4)),
                       replace(base, seed=4, budget=1e304)]
+    if cause == "update":
+        # a plain gradient step on a huge feature overflows the updated logit
+        # of a replica that meets it in its first batch, which is followed by
+        # a full batch: step 4 drops it from both batches of the seam. Seed 7
+        # fails at step 4 of batch 2 and seeds 6 and 8 at step 1 of batch 3,
+        # whose logits batch 2's step 4 computed
+        data = Dataset([*routing_dataset(seed=4, n=99).instances,
+                        make_instance(99, [1e308, 0.0, 0.0], (1, 0), (100.0, 300.0))])
+        base = TrainConfig(budget=2.0, epochs=2, batch_size=16, primal_lr=10.0,
+                           optimizer="sgd", dual_lr=0.05, val_fraction=0.3)
+        return data, [replace(base, seed=s) for s in range(10)]
     # one huge feature overflows the logit of every replica that trains on
     # it; the others hold it out for validation
     data = Dataset([*routing_dataset(seed=4, n=99).instances,
@@ -319,7 +330,7 @@ def diverging_group(cause):
     return data, [replace(base, seed=s) for s in range(8)]
 
 
-DIVERGENCE_CAUSES = ["objective", "logit", "overflow"]
+DIVERGENCE_CAUSES = ["objective", "logit", "overflow", "update"]
 
 
 def outcome_bits(outcome):
@@ -404,11 +415,12 @@ class TestLeanStep:
     @given(replicas=st.lists(replica_draws, min_size=1, max_size=5),
            kind=st.sampled_from(["linear", "feedforward"]),
            optimizer=st.sampled_from(["adam", "sgd"]),
-           batch_size=st.sampled_from([8, 22, 24, 50]),
+           batch_size=st.sampled_from([7, 8, 22, 24, 50, 64, 100]),
            n_val=st.one_of(st.just(312), st.integers(1, 312)))
     def test_bitwise_equal_to_reference(self, replicas, kind, optimizer, batch_size, n_val):
         # 1 to 312 validation rows; at 312 the 88 training rows are divided
-        # by batch sizes 8 and 22 and leave a tail at 24 and 50
+        # by batch sizes 8 and 22, leave a tail at 7, 24, 50 and 64, and are
+        # a tail alone at 100
         base = TrainConfig(budget=2.0, epochs=2, batch_size=batch_size, primal_lr=2e-2,
                            dual_lr=0.1, policy_kind=kind, hidden=(5, 3),
                            optimizer=optimizer, val_fraction=n_val / len(LEAN_DATA))
@@ -496,6 +508,38 @@ class TestLeanStep:
         train(data, config)
         n_train = len(data) - int(round(config.val_fraction * len(data)))
         assert len(calls) == config.epochs * math.ceil(n_train / config.batch_size) == 12
+
+    @pytest.mark.parametrize("batch_size, per_epoch", [(27, 4 + 2), (32, 3 + 4)])
+    def test_one_forward_pass_per_seam(self, monkeypatch, batch_size, per_epoch):
+        # 108 training rows: 4 full batches, or 3 and a tail of 12. Each
+        # part's first batch runs its own step 1, the step 4 of a batch with
+        # a successor in its part is also that successor's step 1, and
+        # validation is one more pass
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return racer.core._forward(*args)
+
+        monkeypatch.setattr(racer.trainer, "_forward", counted)
+        base = TrainConfig(budget=2.0, epochs=3, batch_size=batch_size)
+        outcomes = train(routing_dataset(seed=3, n=120), [replace(base, seed=s) for s in range(3)])
+        assert all(isinstance(o, TrainResult) for o in outcomes)
+        assert len(calls) == base.epochs * per_epoch
+
+    def test_update_failure_leaves_the_seam(self):
+        # the "update" group fails replicas at step 4 of a batch followed by
+        # a full batch, and at step 1 of a batch whose logits that step 4
+        # computed, while others survive
+        data, configs = diverging_group("update")
+        outcomes = train(data, configs)
+        messages = [str(o) for o in outcomes if isinstance(o, TrainingDivergenceError)]
+        assert "non-finite logit after update in epoch 0 batch 0" in messages
+        assert [str(outcomes[s]) for s in (6, 7, 8)] == [
+            "non-finite logit in epoch 0 batch 3",
+            "non-finite logit after update in epoch 0 batch 2",
+            "non-finite logit in epoch 0 batch 3"]
+        assert any(isinstance(o, TrainResult) for o in outcomes)
 
     def test_value_is_computed_only_above_the_certified_bound(self, monkeypatch):
         calls = []
