@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
     decode,
     decode_field,
+    encode_float,
     evaluate_policy,
     load_dataset,
     policy_probs,
@@ -326,6 +327,7 @@ def cmd_sweep(args) -> int:
     for item in items:
         if len(item) < 2:
             raise UsageError(f"--test-data expects name=path, got {item[0]!r}")
+    _require_allocatable("sweep units (budgets x --repeats)", len(budgets) * args.repeats)
     try:
         units = sweep_units(budgets, methods, args.repeats, args.base_seed,
                             [name for name, _ in items])
@@ -359,11 +361,12 @@ def cmd_sweep(args) -> int:
         payload = {
             "digest": digest,
             "cells": [
-                {"method": c.method, "budget": c.budget, "seed": c.seed,
+                {"method": c.method, "budget": encode_float(c.budget), "seed": c.seed,
                  "split": c.split, **c.metrics.to_dict()}
                 for c in got_cells
             ],
-            "failures": [asdict(f) for f in got_failures],
+            "failures": [{**asdict(f), "budget": encode_float(f.budget)}
+                         for f in got_failures],
         }
         write_json(path, payload)
 
@@ -373,7 +376,7 @@ def cmd_sweep(args) -> int:
     result.to_csv(raw_path)
     result.aggregate_csv(agg_path)
     config = {"template": template.to_dict(), "methods": list(methods),
-              "budgets": list(budgets), "repeats": args.repeats,
+              "budgets": [encode_float(b) for b in budgets], "repeats": args.repeats,
               "base_seed": args.base_seed, "scenario": args.scenario,
               "train_data": args.train_data, "test_data": args.test_data}
     _write_manifest(out / "manifest.json", "sweep", config,
@@ -396,21 +399,35 @@ def cmd_sweep(args) -> int:
 
 def cmd_saddle_demo(args) -> int:
     started = time.time()
-    if args.contexts < 1 or args.iters < 1 or args.seed < 0:
+    given = [flag for flag, value in (("--contexts", args.contexts), ("--seed", args.seed),
+                                      ("--beta", args.beta), ("--budget", args.budget))
+             if value is not None]
+    if args.problem is not None and given:
+        raise UsageError(f"--problem excludes {', '.join(given)}")
+    if (args.iters < 1 or (args.contexts is not None and args.contexts < 1)
+            or (args.seed is not None and args.seed < 0)):
         raise UsageError("--contexts and --iters must be >= 1 and --seed >= 0")
-    if not 0.0 < args.beta < math.inf:
+    if args.beta is not None and not 0.0 < args.beta < math.inf:
         raise UsageError(f"--beta must be positive and finite, got {args.beta}")
+    if args.budget is not None and not math.isfinite(args.budget):
+        raise UsageError(f"--budget must be finite, got {args.budget}")
     if not 0.0 <= args.lambda0 < math.inf:
         raise UsageError(f"--lambda0 must be non-negative and finite, got {args.lambda0}")
     _require_allocatable("--iters", args.iters)
-    inputs = []
     if args.problem is not None:
         problem = read_record(TabularProblem, args.problem, "problem file")
-        inputs.append(args.problem)
+        inputs, config, seed = [args.problem], {}, None
     else:
-        _require_allocatable("--contexts", args.contexts)
-        problem = random_problem(args.seed, n_contexts=args.contexts,
-                                 beta=args.beta, budget=args.budget)
+        _require_allocatable("--contexts", args.contexts or 0)
+        # a flag not given keeps random_problem's default
+        kwargs = {name: value for name, value in (("n_contexts", args.contexts),
+                                                   ("beta", args.beta), ("budget", args.budget))
+                  if value is not None}
+        seed = args.seed or 0
+        problem = random_problem(seed, **kwargs)
+        inputs = []
+        config = {"contexts": problem.rho.shape[0], "seed": seed, "beta": problem.beta,
+                  "budget": args.budget}
     # an overflow (say, of the envelope) is a FloatingPointError: exit 3
     with np.errstate(over="raise", invalid="raise"):
         constants = ConvergenceConstants.from_problem(problem)
@@ -426,11 +443,9 @@ def cmd_saddle_demo(args) -> int:
     write_csv(trace_path, [("t", "lambda_t", "kl_to_star", "bound_t"),
                            *zip(range(bound.shape[0]), trace.lambdas.tolist(),
                                 trace.kl_to_star.tolist(), bound.tolist())])
-    config = {"contexts": args.contexts, "seed": args.seed, "beta": args.beta,
-              "budget": args.budget, "problem": args.problem,
-              "lambda0": args.lambda0, "iters": args.iters}
+    config.update(problem=args.problem, lambda0=args.lambda0, iters=args.iters)
     _write_manifest(out / "manifest.json", "saddle-demo", config, inputs,
-                    [trace_path], args.seed, started)
+                    [trace_path], seed, started)
 
     print(f"lambda* {_fmt(solution.lambda_star)}  kappa {_fmt(constants.kappa)}  "
           f"eta {_fmt(constants.eta)}  M {_fmt(constants.M)}  K {_fmt(constants.K)}")
@@ -494,7 +509,7 @@ def cmd_inspect_weights(args) -> int:
                          [f"# baseline={float(baseline)!r}"], ("index", "f", "weight"),
                          *zip(range(len(data)), f.tolist(), weights.tolist())])
     config = {"data": args.data, "model": args.model, "baseline": args.baseline,
-              "tau": args.tau if not math.isinf(args.tau) else "inf",
+              "tau": encode_float(args.tau),
               "target": args.target}
     _write_manifest(str(args.out) + ".manifest.json", "inspect-weights", config,
                     inputs, [args.out], 0, started)
@@ -544,9 +559,10 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("saddle-demo", help="verify the linear-convergence bound")
-    p.add_argument("--contexts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=0.05)
+    # the random problem's flags; --problem excludes them
+    p.add_argument("--contexts", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--beta", type=float)
     p.add_argument("--budget", type=float)
     p.add_argument("--problem", help="JSON tabular problem file")
     p.add_argument("--lambda0", type=float, default=1.0)

@@ -276,6 +276,12 @@ def _indented(value, pad: str = "") -> str:
     return json.dumps(value, indent=1, default=np.ndarray.tolist).replace("\n", "\n" + pad)
 
 
+def encode_float(value):
+    """value as a JSON field: infinity is the string "inf", which decode
+    reads back as a float; any other value is itself."""
+    return "inf" if value == math.inf else value
+
+
 def write_json(path, payload) -> None:
     """Write payload atomically as indented JSON ending in a newline, the
     bytes of json.dumps(payload, indent=1); an array is written as its list."""

@@ -51,22 +51,16 @@ class RobustConfig:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Mean-1 density ratios for one batch plus the tilt anchor used.
-
-    A stack of batches holds one row of weights per batch and one anchor
-    per row.
-    """
+    """Mean-1 density ratios for one batch plus the tilt anchor used."""
 
     weights: np.ndarray
-    baseline: float | np.ndarray
+    baseline: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        baseline = np.asarray(self.baseline, dtype=np.float64)
-        object.__setattr__(self, "baseline",
-                           float(baseline) if baseline.ndim == 0 else baseline)
+        object.__setattr__(self, "baseline", float(self.baseline))
 
 
 def uniform_weights(shape, baseline: float = 0.0) -> WeightVector:
@@ -74,37 +68,25 @@ def uniform_weights(shape, baseline: float = 0.0) -> WeightVector:
     return WeightVector(np.ones(shape), baseline)
 
 
-def tilt_weights(values, tau, direction: str) -> WeightVector:
-    """Batch-mean exponential tilt of a value vector, or of each row of a
-    2-d array about that row's own mean.
+def tilt_weights(values, tau: float, direction: str) -> WeightVector:
+    """Batch-mean exponential tilt of a value vector.
 
     worst_low downweights samples above the batch mean (adversary shrinks
     the reward), worst_high upweights samples above it (adversary inflates
     the cost). Weights are normalized to mean 1 so reweighted batch
     averages stay on the unweighted scale; exponentials are max-subtracted
-    for overflow safety. A vector needs a positive finite tau; a 2-d array
-    takes one tau per row (or one for all), and rows with tau = inf get
-    weight exactly 1.
+    for overflow safety. tau must be positive and finite.
     """
     f = np.asarray(values, dtype=np.float64)
-    if f.ndim not in (1, 2) or f.size == 0:
-        raise ValueError("values must be a non-empty 1-d vector or 2-d array")
-    # ufunc reductions, not np.all/.mean/.max: bitwise the same, without
-    # their Python wrappers (this runs twice per training batch)
-    if not np.logical_and.reduce(np.isfinite(f), axis=None):
+    if f.ndim != 1 or f.size == 0:
+        raise ValueError("values must be a non-empty 1-d vector")
+    if not np.isfinite(f).all():
         raise ValueError("values contain a non-finite entry")
-    if f.ndim == 1:
-        if not (np.ndim(tau) == 0 and math.isfinite(tau) and tau > 0):
-            raise ValueError(f"tau must be a positive finite real, got {tau}")
-        t = tau
-    else:
-        t = np.asarray(tau, dtype=np.float64)
-        if t.shape not in ((), (f.shape[0],)) or not np.logical_and.reduce(t > 0, axis=None):
-            raise ValueError(f"tau must be positive (or inf) per row, got {tau}")
-        t = t.reshape(-1, 1)
+    if not (np.ndim(tau) == 0 and math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be a positive finite real, got {tau}")
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return WeightVector(*_tilt_rows(f, t, direction))
+    return WeightVector(*_tilt_rows(f, tau, direction))
 
 
 def _tilt_rows(f: np.ndarray, t, direction: str, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +134,14 @@ class ExactTilt:
     status: str
 
 
-def _tilted_distribution(f: np.ndarray, log_rho: np.ndarray, tau: float,
-                         direction: str) -> np.ndarray:
-    s = -f / tau if direction == "worst_low" else f / tau
-    logits = log_rho + s
-    w = np.exp(logits - logits.max())
-    return w / w.sum()
+def _tilt(f: np.ndarray, log_rho: np.ndarray, tau: float,
+          direction: str) -> tuple[np.ndarray, float]:
+    """The tilted distribution at tau and the log-sum-exp of its logits."""
+    logits = log_rho + (-f if direction == "worst_low" else f) / tau
+    m = logits.max()
+    w = np.exp(logits - m)
+    total = w.sum()
+    return w / total, m + math.log(total)
 
 
 def exact_tilt(values, rho, delta: float, direction: str) -> ExactTilt:
@@ -193,7 +177,7 @@ def exact_tilt(values, rho, delta: float, direction: str) -> ExactTilt:
         return ExactTilt(WeightVector(tilted / rho, float(extreme)), 0.0, "saturated")
 
     def kl_at(tau: float) -> float:
-        return kl_divergence(_tilted_distribution(f, log_rho, tau, direction), rho)
+        return kl_divergence(_tilt(f, log_rho, tau, direction)[0], rho)
 
     # bracket: KL decreases in tau, so grow tau until KL < delta and shrink
     # until KL > delta, then bisect on log tau.
@@ -217,10 +201,8 @@ def exact_tilt(values, rho, delta: float, direction: str) -> ExactTilt:
             break
     tau_star = math.sqrt(lo * hi)
 
-    tilted = _tilted_distribution(f, log_rho, tau_star, direction)
+    tilted, lse = _tilt(f, log_rho, tau_star, direction)
     # log-sum-exp anchor of the tilt: soft-min (worst_low) or soft-max
     # (worst_high) of f under rho.
-    scaled = log_rho + (-f if direction == "worst_low" else f) / tau_star
-    lse = scaled.max() + math.log(np.exp(scaled - scaled.max()).sum())
     baseline = -tau_star * lse if direction == "worst_low" else tau_star * lse
     return ExactTilt(WeightVector(tilted / rho, float(baseline)), tau_star, "active")

@@ -32,6 +32,7 @@ from .core import (
     _params,
     _sigmoid,
     decode_field,
+    encode_float,
     evaluate_policy,
     policy_from_dict,
     policy_to_dict,
@@ -101,9 +102,9 @@ class TrainConfig:
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
 
     def to_dict(self) -> dict:
-        """The fields as JSON values; an infinite tau is the string "inf"."""
-        config = asdict(self)
-        config["robust"] = {k: "inf" if v == math.inf else v for k, v in config["robust"].items()}
+        """The fields as JSON values; an infinite one is the string "inf"."""
+        config = {k: encode_float(v) for k, v in asdict(self).items()}
+        config["robust"] = {k: encode_float(v) for k, v in config["robust"].items()}
         config["hidden"] = list(self.hidden)
         return config
 

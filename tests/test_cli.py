@@ -753,6 +753,20 @@ class TestSweep:
         assert cells[0].stat().st_mtime_ns == stamp
         assert (out / "sweep.csv").read_bytes() == raw
 
+    def test_infinite_budget_is_written_as_inf_and_its_cell_reused(self, small_data, tmp_path):
+        out = tmp_path / "sw"
+        args = ["sweep", "--train-data", small_data, "--budgets", "inf", "--repeats", "1",
+                "--methods", "all-instruct,random", "--out", out]
+        assert run_quietly(*args)[0] == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["budgets"] == ["inf"]
+        (cell,) = (out / "cells").glob("*.json")
+        payload = json.loads(cell.read_text())
+        assert [c["budget"] for c in payload["cells"] + payload["failures"]] == ["inf", "inf"]
+        raw, stamp = (out / "sweep.csv").read_bytes(), cell.stat().st_mtime_ns
+        assert run_quietly(*args, "--resume")[0] == 0
+        assert cell.stat().st_mtime_ns == stamp
+        assert (out / "sweep.csv").read_bytes() == raw
+
     def test_close_budgets_get_their_own_cell_files(self, data_file, tmp_path):
         out = tmp_path / "sw_close"
         args = ["sweep", "--train-data", data_file, "--budgets", "2.0000001,2.0000002",
@@ -1155,10 +1169,38 @@ class TestSaddleDemo:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--contexts=0", "--iters=0", "--beta=0", "--beta=nan",
-                                      "--lambda0=-1", "--lambda0=inf", "--seed=-1"])
+                                      "--lambda0=-1", "--lambda0=inf", "--seed=-1",
+                                      "--budget=nan", "--budget=inf", "--budget=-inf"])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, flag):
         assert run("saddle-demo", flag, "--out", tmp_path / "sd") == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert flag.split("=")[0] in err
+
+    @pytest.mark.parametrize("flag", ["--contexts=50", "--seed=7", "--beta=0.9", "--budget=3"])
+    def test_problem_file_excludes_the_random_problem_flags(self, tmp_path, capsys, flag):
+        # the file's problem used to run while the manifest recorded the flag;
+        # the missing file shows the flags are checked before it is read
+        out = tmp_path / "sd"
+        assert run("saddle-demo", "--problem", tmp_path / "missing.json", flag,
+                   "--out", out) == 1
+        assert f"error: --problem excludes {flag.split('=')[0]}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_values_the_run_used(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(PROBLEM))
+        assert run_quietly("saddle-demo", "--problem", path, "--iters", 5,
+                           "--out", tmp_path / "file")[0] == 0
+        manifest = json.loads((tmp_path / "file" / "manifest.json").read_text())
+        assert manifest["config"] == {"problem": str(path), "lambda0": 1.0, "iters": 5}
+        assert manifest["seed"] is None
+        # a random problem records random_problem's defaults for the flags not given
+        assert run_quietly("saddle-demo", "--iters", 5, "--out", tmp_path / "random")[0] == 0
+        manifest = json.loads((tmp_path / "random" / "manifest.json").read_text())
+        assert manifest["config"] == {"contexts": 8, "seed": 0, "beta": 0.05, "budget": None,
+                                      "problem": None, "lambda0": 1.0, "iters": 5}
+        assert manifest["seed"] == 0
 
     def test_small_beta_writes_nothing_to_stderr(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -1221,6 +1263,31 @@ class TestSaddleDemo:
             code, err = run_quietly("saddle-demo", *argv, "--out", Path(tmp) / "sd")
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+class TestStrictJson:
+    def test_every_command_writes_strict_json(self, tmp_path):
+        # an infinite budget used to be written as the bare token Infinity
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        data = tmp_path / "data.jsonl"
+        for argv in (
+            ["gen-synth", "--regime", "separable3", "--n", 100, "--seed", 2, "--out", data],
+            ["train", "--data", data, "--budget", "inf", "--epochs", 1, "--out", tmp_path / "tr"],
+            ["eval", "--model", tmp_path / "tr" / "model.json", "--data", data,
+             "--out", tmp_path / "ev"],
+            ["sweep", "--train-data", data, "--budgets", "inf", "--repeats", 1,
+             "--methods", "all-instruct,random", "--out", tmp_path / "sw"],
+            ["saddle-demo", "--contexts", 3, "--iters", 5, "--out", tmp_path / "sd"],
+            ["inspect-weights", "--data", data, "--baseline", "all-instruct", "--tau", "inf",
+             "--target", "cost", "--out", tmp_path / "w.csv"],
+        ):
+            assert run_quietly(*argv)[0] == 0, argv[0]
+        written = sorted(tmp_path.rglob("*.json"))
+        assert len(written) == 9
+        for path in written:
+            json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestAtomicOutputs:
@@ -1380,7 +1447,10 @@ class TestOutOfMemory:
         (["saddle-demo", "--contexts", 10, "--iters", 2**63], f"--iters {2**63}"),
         (["gen-synth", "--regime", "magpie-ultra", "--n", 99999999999999999999],
          "scenario n 99999999999999999999"),
-    ], ids=["train-hidden", "saddle-demo-contexts", "saddle-demo-iters", "gen-synth-n"])
+        (["sweep", "--budgets", "2,3", "--repeats", 2**63],
+         f"sweep units (budgets x --repeats) {2 * 2**63}"),
+    ], ids=["train-hidden", "saddle-demo-contexts", "saddle-demo-iters", "gen-synth-n",
+            "sweep-repeats"])
     def test_size_beyond_any_array_is_out_of_memory(self, data_file, tmp_path, capsys,
                                                     argv, name):
         # sizes of at least 2**63 fail before anything is allocated; numpy

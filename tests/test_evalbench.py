@@ -324,6 +324,9 @@ class TestRunSweep:
 
 class TestScenarioFiles:
     def test_checked_in_files_match_presets(self):
+        # one file per preset and no file that is not one
+        stems = sorted(path.stem.replace("_", "-") for path in SCENARIO_DIR.glob("*.json"))
+        assert stems == sorted(PRESET_SCENARIOS)
         for name, config in PRESET_SCENARIOS.items():
             path = SCENARIO_DIR / f"{name.replace('-', '_')}.json"
             assert path.exists(), path

@@ -71,39 +71,14 @@ class TestTiltWeights:
         with pytest.raises(ValueError, match="direction"):
             tilt_weights([0.0, 1.0], 1.0, "sideways")
 
-    def test_rows_tilt_like_vectors(self):
-        rng = np.random.default_rng(8)
-        f = rng.uniform(0.0, 5.0, (4, 37))
-        tau = np.array([0.3, 1.0, 7.0, 0.05])
-        for direction in ("worst_low", "worst_high"):
-            stacked = tilt_weights(f, tau, direction)
-            for k in range(4):
-                alone = tilt_weights(f[k], float(tau[k]), direction)
-                assert np.array_equal(stacked.weights[k], alone.weights)
-                assert stacked.baseline[k] == alone.baseline
-
-    def test_infinite_tau_rows_get_unit_weights(self):
-        f = np.random.default_rng(9).uniform(0.0, 5.0, (3, 16))
-        wv = tilt_weights(f, np.array([math.inf, 0.5, math.inf]), "worst_high")
-        assert np.array_equal(wv.weights[[0, 2]], np.ones((2, 16)))
-        assert not np.array_equal(wv.weights[1], np.ones(16))
-        assert np.array_equal(tilt_weights(f, math.inf, "worst_low").weights, np.ones((3, 16)))
-
     def test_row_tau_errors(self):
-        f = np.ones((2, 3))
-        for tau in (np.array([1.0, 0.0]), np.array([1.0, math.nan]), np.array([1.0, 1.0, 1.0]),
-                    -1.0, np.array([-1.0, math.inf])):
-            with pytest.raises(ValueError, match="tau"):
-                tilt_weights(f, tau, "worst_high")
+        # one tau per row is the trainer kernel's form only: tilt_weights refuses it
         with pytest.raises(ValueError, match="tau"):
             tilt_weights([0.0, 1.0], np.array([1.0]), "worst_high")
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="non-finite"):
-                tilt_weights(np.array([[0.0, 1.0], [2.0, bad]]), np.array([1.0, math.inf]),
-                             "worst_high")
-        with pytest.raises(ValueError, match="direction"):
-            tilt_weights(f, np.array([1.0, math.inf]), "sideways")
-        with pytest.raises(ValueError, match="non-empty"):
+        for tau in (1.0, np.array([1.0, 0.5]), np.array([1.0, math.inf])):
+            with pytest.raises(ValueError, match="non-empty 1-d vector"):
+                tilt_weights(np.ones((2, 3)), tau, "worst_high")
+        with pytest.raises(ValueError, match="non-empty 1-d vector"):
             tilt_weights(np.ones((2, 2, 2)), 1.0, "worst_high")
 
     @settings(max_examples=200, deadline=None)
@@ -121,12 +96,15 @@ class TestTiltWeights:
             tau = np.array(data.draw(st.lists(st.one_of(taus, st.just(math.inf)),
                                               min_size=rows, max_size=rows)))
         with np.errstate(all="ignore"):
-            got = tilt_weights(f, tau, direction)
             weights, anchors = row_tilt_weights(f, tau, direction)
             # the trainer's unchecked kernel takes one tau per row as a column
             kernel = _tilt_rows(f, tau if rows == 0 else tau[:, None], direction)
-        assert got.weights.tobytes() == weights.tobytes() == kernel[0].tobytes()
-        assert np.asarray(got.baseline).tobytes() == anchors.tobytes() == kernel[1].tobytes()
+            got = tilt_weights(f, tau, direction) if rows == 0 else None
+        assert weights.tobytes() == kernel[0].tobytes()
+        assert anchors.tobytes() == kernel[1].tobytes()
+        if got is not None:
+            assert got.weights.tobytes() == weights.tobytes()
+            assert np.float64(got.baseline).tobytes() == anchors.tobytes()
 
     def test_uniform_weights_take_a_shape(self):
         assert np.array_equal(uniform_weights((2, 3)).weights, np.ones((2, 3)))

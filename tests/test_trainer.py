@@ -687,12 +687,14 @@ class TestModelRoundTrip:
 
     def test_config_round_trip(self, tmp_path):
         # a model file records its config as strict JSON ("inf" for an
-        # infinite temperature) with the digest of that record
-        config = TrainConfig(budget=3.0, robust=RobustConfig(tau_reward=1.0, mode="racer-r"),
+        # infinite budget or temperature) with the digest of that record
+        config = TrainConfig(budget=math.inf,
+                             robust=RobustConfig(tau_reward=1.0, mode="racer-r"),
                              hidden=(16, 8), optimizer="sgd")
         path = tmp_path / "model.json"
         save_model(path, LinearPolicy(np.zeros(2), 0.0), 1.0, config)
         _, _, payload = load_model(path)
         assert payload["config"] == config.to_dict()
+        assert payload["config"]["budget"] == "inf"
         assert payload["config"]["robust"]["tau_cost"] == "inf"
         assert payload["config_digest"] == config.digest()
