@@ -1,8 +1,8 @@
 """Command-line driver: training, evaluation, sweeps, the saddle demo, and
 synthetic-data utilities.
 
-Exit codes: 0 success, 1 usage, 2 data/config problem or out of memory,
-3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 data/config problem, out of memory or a
+dead worker process, 3 numeric failure.
 Every run writes a manifest (resolved config, input digests, output paths)
 alongside its outputs so it can be reproduced exactly.
 """
@@ -16,6 +16,7 @@ import math
 import sys
 import time
 import typing
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -505,8 +506,14 @@ def cmd_inspect_weights(args) -> int:
     if not np.all(np.isfinite(weights)):
         raise FloatingPointError(f"the tilt at --tau {args.tau!r} has non-finite weights")
 
+    # the tilted distribution is weights / n against the uniform one: its KL
+    # divergence (0 log 0 = 0) and its effective sample size
+    kl = float(np.add.reduce(weights * np.log(np.where(weights > 0, weights, 1.0))) / len(data))
+    ess = float(np.add.reduce(weights) ** 2 / np.add.reduce(weights * weights))
     write_csv(args.out, [[f"# tau={args.tau!r}"], [f"# direction={direction}"],
-                         [f"# baseline={float(baseline)!r}"], ("index", "f", "weight"),
+                         [f"# baseline={float(baseline)!r}"], [f"# kl={kl!r}"], [f"# ess={ess!r}"],
+                         [f"# weight_range={float(weights.min())!r}..{float(weights.max())!r}"],
+                         ("index", "f", "weight"),
                          *zip(range(len(data)), f.tolist(), weights.tolist())])
     config = {"data": args.data, "model": args.model, "baseline": args.baseline,
               "tau": encode_float(args.tau),
@@ -612,6 +619,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except MemoryError as exc:  # numpy names the allocation that failed
         print(f"error: out of memory ({str(exc) or type(exc).__name__})", file=sys.stderr)
+        return EXIT_DATA
+    except BrokenExecutor as exc:  # say, a worker the system killed for its memory
+        print(f"error: a worker process died ({exc})", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -11,7 +11,6 @@ can be calibrated to reported corpus statistics (e.g. medians 11.2 / 3.4 /
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (ConstantPolicy, Dataset, Metrics, ValidationError, evaluate_policy,
-                   read_record, write_csv)
+                   read_record, usable_cpus, write_csv)
 from .reweight import MODES, RobustConfig
 from .trainer import TrainConfig, TrainResult, train
 
@@ -468,8 +467,7 @@ def run_units(train_data: Dataset, tests: Mapping[str, Dataset], units: Sequence
     work = [(train_data, splits, group, tuple(methods), template)
             for group in split_units(units, workers)]
     if len(work) > 1:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(len(work), cpus or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(work), usable_cpus())) as pool:
             results = list(pool.map(_run_sweep_cell, work))
     else:
         results = [_run_sweep_cell(w) for w in work]

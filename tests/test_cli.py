@@ -22,7 +22,7 @@ from racer.cli import main
 from racer.core import Dataset, LinearPolicy, evaluate_policy, load_dataset, save_dataset
 from racer.evalbench import (CONSTANT_METHODS, LEARNABLE_METHODS, PRESET_SCENARIOS,
                              gen_synthetic, load_scenario, run_sweep, shift_scenarios)
-from racer.reweight import MODES, RobustConfig, tilt_weights
+from racer.reweight import MODES, RobustConfig, exact_tilt, tilt_weights
 from racer.saddle import random_problem
 from racer.trainer import OPTIMIZERS, POLICY_KINDS, TrainConfig, load_model, save_model
 
@@ -1353,11 +1353,12 @@ class TestInspectWeights:
         lines = out.read_text().splitlines()
         assert lines[0] == "# tau=inf"
         assert lines[1] == f"# direction={direction}"
-        assert lines[3] == "index,f,weight"
-        weights = [float(line.split(",")[2]) for line in lines[4:]]
-        assert all(w == 1.0 for w in weights)
+        assert lines[3:7] == ["# kl=0.0", f"# ess={300.0!r}", "# weight_range=1.0..1.0",
+                              "index,f,weight"]
+        weights = [float(line.split(",")[2]) for line in lines[7:]]
+        assert len(weights) == 300 and all(w == 1.0 for w in weights)
         # the anchor is the mean of the written f, as a finite tau's is
-        f = np.array([float(line.split(",")[1]) for line in lines[4:]])
+        f = np.array([float(line.split(",")[1]) for line in lines[7:]])
         assert lines[2] == f"# baseline={float(f.mean())!r}"
 
     def test_reward_target_direction(self, data_file, tmp_path):
@@ -1366,7 +1367,7 @@ class TestInspectWeights:
                    "--tau", "0.5", "--target", "reward", "--out", out) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "# direction=worst_low"
-        rows = [line.split(",") for line in lines[4:]]
+        rows = [line.split(",") for line in lines[7:]]
         # lower realized reward gets the larger weight
         f = np.array([float(r[1]) for r in rows])
         w = np.array([float(r[2]) for r in rows])
@@ -1381,7 +1382,7 @@ class TestInspectWeights:
         out = tmp_path / "w.csv"
         assert run("inspect-weights", "--data", data_file, "--model", tmp_path / "model.json",
                    "--tau", 1, "--target", "cost", "--out", out) == 0
-        row = out.read_text().splitlines()[4].split(",")
+        row = out.read_text().splitlines()[7].split(",")
         scaled = data.with_cost_scale(2 * data.instruct_cost_mean)
         f = scaled.cost[:, 0] + 0.5 * (scaled.cost[:, 1] - scaled.cost[:, 0])
         assert (float(row[1]), float(row[2])) == (
@@ -1411,6 +1412,27 @@ class TestInspectWeights:
         assert err.startswith("error: numeric failure") and len(err.splitlines()) == 1
         assert list(tmp_path.glob("w.csv*")) == []
 
+    @pytest.mark.parametrize("target, direction", [("cost", "worst_high"),
+                                                   ("reward", "worst_low")])
+    def test_kl_at_the_exact_tilt_temperature_is_its_radius(self, data_file, tmp_path, target,
+                                                            direction):
+        out, delta = tmp_path / "w.csv", 0.05
+        argv = ["inspect-weights", "--data", data_file, "--baseline", "random:0.5",
+                "--target", target, "--out", out]
+        assert run(*argv, "--tau", "inf") == 0
+        f = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[7:]])
+        solution = exact_tilt(f, np.full(f.size, 1 / f.size), delta, direction)
+        assert solution.status == "active"
+        assert run(*argv, "--tau", repr(solution.tau_star)) == 0
+        lines = out.read_text().splitlines()
+        w = np.array([float(line.split(",")[2]) for line in lines[7:]])
+        # the bisection stops at a relative width of 1e-13 in tau
+        assert float(lines[3].removeprefix("# kl=")) == pytest.approx(delta, rel=1e-9)
+        assert float(lines[4].removeprefix("# ess=")) == pytest.approx(
+            w.sum() ** 2 / (w * w).sum(), rel=1e-12)
+        assert lines[5] == f"# weight_range={float(w.min())!r}..{float(w.max())!r}"
+        assert 1.0 < float(lines[4].removeprefix("# ess=")) < f.size
+
     def test_model_and_baseline_together_is_usage_error(self, data_file, tmp_path, capsys):
         data = load_dataset(data_file)
         save_model(tmp_path / "model.json", LinearPolicy(np.zeros(data.n_features), 0.0), 1.0)
@@ -1419,6 +1441,43 @@ class TestInspectWeights:
                    "--out", tmp_path / "w.csv") == 1
         assert "exactly one of --model or --baseline" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
+
+
+def _die(*args):
+    """A worker process killed by the system, say for its memory."""
+    os._exit(137)
+
+
+class TestDeadWorker:
+    def expect_dead_worker(self, capsys, argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died (") and len(err.splitlines()) == 1
+
+    def test_sweep(self, small_data, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(racer.evalbench, "_run_sweep_cell", _die)
+        out = tmp_path / "sw"
+        self.expect_dead_worker(capsys, ["sweep", "--train-data", small_data, "--budgets", "2,3",
+                                         "--repeats", 1, "--methods", "all-instruct",
+                                         "--workers", 2, "--out", out])
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_save(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(racer.core, "_POOL_ROWS", 1)
+        monkeypatch.setattr(racer.core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(racer.core, "_block_text", _die)
+        self.expect_dead_worker(capsys, ["gen-synth", "--regime", "separable3", "--n", 50,
+                                         "--out", tmp_path / "d.jsonl"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load(self, data_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(racer.core, "_POOL_BYTES", 1)
+        monkeypatch.setattr(racer.core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(racer.core, "_range_blocks", _die)
+        out = tmp_path / "ev"
+        self.expect_dead_worker(capsys, ["eval", "--baseline", "all-instruct", "--data",
+                                         data_file, "--out", out])
+        assert not out.exists()
 
 
 class TestOutOfMemory:

@@ -6,8 +6,10 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -210,6 +212,27 @@ def _non_integral_flag(path):
                 if not isinstance(value, str) and value != int(value):
                     return True
     return False
+
+
+@contextlib.contextmanager
+def io_pool(pooled: bool, workers: int = 2):
+    """Inside it, load_dataset and save_dataset use worker processes at
+    every size, as on ``workers`` CPUs, or never. Yields the number of tasks
+    of each pool map."""
+    tasks = []
+
+    class Pool(ProcessPoolExecutor):
+        def map(self, fn, *iterables):
+            args = list(zip(*iterables))
+            tasks.append(len(args))
+            return super().map(fn, *zip(*args))
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_POOL_ROWS", "_POOL_BYTES"):
+            mp.setattr(racer.core, name, 1 if pooled else math.inf)
+        mp.setattr(racer.core, "usable_cpus", lambda: workers)
+        mp.setattr(racer.core, "ProcessPoolExecutor", Pool)
+        yield tasks
 
 
 @contextlib.contextmanager
@@ -460,7 +483,7 @@ def test_line_decoding_keeps_the_json_loads_outcome(tmp_path, line, outcome):
     assert str(caught.value).startswith(outcome)
 
 
-def test_io_memory_does_not_hold_every_row(tmp_path):
+def check_io_memory(tmp_path):
     # A row held as Python lists costs ~0.4 kB: with all 50k alive at once
     # (every row before numpy converts any) the peaks were 23 MB on save and
     # 31 / 43 MB on JSONL / CSV load. The loaded dataset itself holds 11 MB.
@@ -479,6 +502,17 @@ def test_io_memory_does_not_hold_every_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peaks["save"] <= 6e6 and peaks["jsonl"] <= 20e6 and peaks["csv"] <= 20e6, peaks
+
+
+def test_io_memory_does_not_hold_every_row(tmp_path):
+    # 50k rows are written, and the JSONL file read, by worker processes
+    with io_pool(True):
+        check_io_memory(tmp_path)
+
+
+def test_io_memory_does_not_hold_every_row_in_process(tmp_path):
+    with io_pool(False):
+        check_io_memory(tmp_path)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -558,3 +592,157 @@ def test_atomic_open_keeps_previous_file_on_failure(tmp_path):
         fh.write("new")
     assert path.read_text() == "new"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# worker processes: the pooled load and save against the in-process ones
+# ---------------------------------------------------------------------------
+
+def load_outcome(path):
+    """The dataset load_dataset reads from path, or its error's type and message."""
+    try:
+        return load_dataset(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_pooled_load_equals_in_process(path, workers=2) -> list:
+    """The pool's task counts, after checking that a pooled load gives bitwise
+    the in-process load's columns, or its error type and message."""
+    with io_pool(False):
+        want = load_outcome(path)
+    with io_pool(True, workers) as tasks:
+        got = load_outcome(path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_columns_equal(got, columns_of(want))
+    return tasks
+
+
+@st.composite
+def jsonl_files(draw):
+    """Bytes of a JSONL file as record_files draws it, each line ended by
+    \\n, \\r\\n or a lone \\r, some with a BOM and some not UTF-8."""
+    lines = draw(record_files()).split("\n")[:-1]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = "\ufeff" + lines[i]
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=jsonl_files(), block=_block_sizes, workers=st.sampled_from([2, 3]))
+def test_pooled_load_equals_in_process_load(data, block, workers):
+    with tempfile.TemporaryDirectory() as tmp, block_rows(block):
+        path = Path(tmp) / "d.jsonl"
+        path.write_bytes(data)
+        assert_pooled_load_equals_in_process(path, workers)
+
+
+@pytest.mark.parametrize("line, outcome", [
+    (record_line(5, cost_1={}), "line 6: field 'cost_1' is not numeric"),
+    (record_line(5, cost_0="1_0", correct_1=" 1 ", features=["١", 2.5]), None),
+    (record_line(5, features=[0.0, 1.0, 2.0]), "instance 'r5': feature dimension 3 != 2"),
+    (record_line(5)[:-1], "line 6: invalid JSON"),
+], ids=["numpy-rejects", "numpy-may-reject", "wider-range", "bad-json"])
+def test_pooled_load_of_a_fault_in_a_later_range(tmp_path, line, outcome):
+    path = write_records(tmp_path / "d.jsonl", [record_line(i) for i in range(5)] + [line])
+    assert max(assert_pooled_load_equals_in_process(path)) >= 2
+    if outcome is None:
+        assert_columns_equal(load_dataset(path), row_load(path, "jsonl"))
+    else:
+        with pytest.raises((ParseError, ValidationError), match=outcome):
+            load_dataset(path)
+
+
+def test_pooled_load_json_fault_in_a_later_range_beats_a_bad_value(tmp_path):
+    lines = [record_line(i) for i in range(6)]
+    lines[0] = record_line(0, features="xy")
+    lines[4] = lines[4][:-1]
+    path = write_records(tmp_path / "d.jsonl", lines)
+    with io_pool(True) as tasks, pytest.raises(ParseError, match="line 5: invalid JSON"):
+        load_dataset(path)
+    assert tasks and tasks[0] >= 2
+
+
+def test_equal_str_tags_load_as_one_object_across_ranges(tmp_path):
+    tags = ["math", "code", None, "math", "code", "math", 7, [1], 7, [1], "math"]
+    data = Dataset([make_instance(i, [float(i)], (0, 1), (1.0, 2.0), tag)
+                    for i, tag in enumerate(tags)])
+    save_dataset(data, tmp_path / "d.jsonl")
+    with io_pool(True) as tasks:
+        loaded = load_dataset(tmp_path / "d.jsonl")
+    assert tasks and tasks[0] >= 2
+    assert loaded.tags == data.tags
+    assert len({id(t) for t in loaded.tags if type(t) is str}) == 2
+    lists = [t for t in loaded.tags if type(t) is list]
+    assert len({id(t) for t in lists}) == len(lists)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_pooled_save_is_byte_identical_at_every_worker_count_and_block_size(tmp_path, fmt):
+    data = to_columns(
+        [RowInstance(f"r{i}", np.array([i / 3, -0.0]), (i % 2, 1), (0.1 * (i + 1), 2.5),
+                     None if i % 3 else f"t,{i}") for i in range(7)])
+    row_save(data.instances, tmp_path / f"row.{fmt}", fmt)
+    want = (tmp_path / f"row.{fmt}").read_bytes()
+    for workers in (1, 2, 3):
+        for block in (1, 2, 4096):
+            path = tmp_path / f"{workers}-{block}.{fmt}"
+            with io_pool(True, workers) as tasks, block_rows(block):
+                save_dataset(data, path)
+            assert tasks == ([] if workers == 1 else [-(-7 // block)])
+            assert path.read_bytes() == want, (workers, block)
+
+
+@OVERFLOW_OK
+@settings(max_examples=40, deadline=None)
+@given(instances=row_instances(), fmt=st.sampled_from(["jsonl", "csv"]), block=_block_sizes)
+def test_pooled_writer_matches_row_writer(instances, fmt, block):
+    with tempfile.TemporaryDirectory() as tmp, io_pool(True), block_rows(block):
+        got, want = Path(tmp) / f"got.{fmt}", Path(tmp) / f"want.{fmt}"
+        save_dataset(to_columns(instances), got)
+        row_save(instances, want, fmt)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_pooled_io_of_a_tag_too_deep_to_send_is_done_in_process(tmp_path):
+    tag = []
+    for _ in range(900):  # json reads and writes it; pickling it recurses too deep
+        tag = [tag]
+    data = Dataset.from_columns(["a", "b"], [tag, "t"], np.ones((2, 2)), [[1, 0]] * 2,
+                                [[1.0, 2.0]] * 2)
+    with io_pool(False):
+        save_dataset(data, tmp_path / "want.jsonl")
+    with io_pool(True), block_rows(1):
+        save_dataset(data, tmp_path / "got.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["got.jsonl", "want.jsonl"]
+    assert_pooled_load_equals_in_process(tmp_path / "got.jsonl")
+    assert load_dataset(tmp_path / "got.jsonl").tags == data.tags
+
+
+def test_pooled_io_does_not_depend_on_fork(tmp_path):
+    # workers that spawn starts import racer afresh: every input goes by pickle
+    data = gen_synthetic(replace(PRESET_SCENARIOS["separable3"], n=300))
+    with io_pool(False):
+        save_dataset(data, tmp_path / "want.jsonl")
+    method = multiprocessing.get_start_method()
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        with io_pool(True) as tasks, block_rows(64):
+            save_dataset(data, tmp_path / "got.jsonl")
+            loaded = load_dataset(tmp_path / "got.jsonl")
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    assert len(tasks) == 2 and min(tasks) >= 2
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert_columns_equal(loaded, columns_of(data))

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -236,8 +237,7 @@ class TestRunSweep:
                 return map(fn, work)
 
         monkeypatch.setattr(racer.evalbench, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(racer.evalbench.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         train = gen_synthetic(two_domain(seed=10, n=400))
         kw = dict(budgets=[2.0, 3.0], methods=["racer", "all-instruct"], repeats=2,
                   base_seed=1, template=quick_template(epochs=2))
