@@ -10,9 +10,11 @@ alongside its outputs so it can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -26,6 +28,7 @@ from . import __version__
 from .core import (
     ParseError,
     ValidationError,
+    _temporary_path,
     decode,
     decode_field,
     encode_float,
@@ -132,6 +135,30 @@ def _require_allocatable(name: str, *sizes: int) -> None:
                               f"an array can hold")
 
 
+def _require_out(out, directory: bool) -> None:
+    """Raise before the work the OSError that writing the output out would
+    raise after it, so a run that cannot write does no work and creates
+    nothing. An output directory is made with its parents: a file at out
+    (errno 17) or above it (20) stops it. An output file is first written
+    as its temporary (atomic_open) in its parent, which must be a directory
+    (20 under a file, 2 if missing), and then renamed over out, which must
+    not be a directory (21)."""
+    path = Path(out)
+    first = path if directory else _temporary_path(path)
+    if directory and path.exists() and not path.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+    for above in first.parents:  # the nearest that exists
+        if above.exists():
+            if not above.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(first))
+            if not directory and above != first.parent:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(first))
+            break
+    if not directory and path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(first), None,
+                                str(path))
+
+
 _ROBUST_FIELDS = typing.get_type_hints(RobustConfig)
 _FIELD_TYPES = {**typing.get_type_hints(TrainConfig), **_ROBUST_FIELDS}
 
@@ -211,6 +238,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def cmd_train(args) -> int:
     started = time.time()
     config = _train_config(args)
+    _require_out(args.out, directory=True)
     data = load_dataset(args.data)
     result = train(data, config)
 
@@ -246,15 +274,18 @@ def _parse_baseline(spec: str):
                      "(expected all-instruct, all-reasoning, or random:<p>)")
 
 
-def _policy_and_data(args):
+def _policy_and_data(args, directory: bool):
     """(policy, data, input paths) of exactly one of --model and --baseline
     and of --data: a model scores the data on the cost scale of its
-    training split, a baseline on the data's own."""
+    training split, a baseline on the data's own. The flags and --out (a
+    directory or a file) are checked before any file is read."""
     if (args.model is None) == (args.baseline is None):
         raise UsageError("exactly one of --model or --baseline is required")
+    baseline = None if args.baseline is None else _parse_baseline(args.baseline)
+    _require_out(args.out, directory)
     data = load_dataset(args.data)
-    if args.baseline is not None:
-        return _parse_baseline(args.baseline), data.require_finite_cost(), [args.data]
+    if baseline is not None:
+        return baseline, data.require_finite_cost(), [args.data]
     policy, cost_mean, _ = load_model(args.model)
     return policy, data.with_cost_scale(cost_mean).require_finite_cost(), [args.data, args.model]
 
@@ -263,7 +294,7 @@ def cmd_eval(args) -> int:
     started = time.time()
     if not 0 <= args.seed < 2**64:  # the sampler's seeds; outside, they alias
         raise UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
-    policy, data, inputs = _policy_and_data(args)
+    policy, data, inputs = _policy_and_data(args, directory=True)
     metrics = evaluate_policy(policy, data, mode=args.mode, seed=args.seed)
 
     out = Path(args.out)
@@ -415,6 +446,7 @@ def cmd_saddle_demo(args) -> int:
     if not 0.0 <= args.lambda0 < math.inf:
         raise UsageError(f"--lambda0 must be non-negative and finite, got {args.lambda0}")
     _require_allocatable("--iters", args.iters)
+    _require_out(args.out, directory=True)
     if args.problem is not None:
         problem = read_record(TabularProblem, args.problem, "problem file")
         inputs, config, seed = [args.problem], {}, None
@@ -481,6 +513,7 @@ def cmd_gen_synth(args) -> int:
     if args.apply_shift and not scenario.shift:
         raise UsageError("--apply-shift: the scenario has no shift map")
     _require_allocatable("scenario n", scenario.n)
+    _require_out(args.out, directory=False)
     data = gen_synthetic(scenario, apply_shift=args.apply_shift)
     save_dataset(data, args.out)
     config = {"scenario": args.scenario, "regime": args.regime, "n": scenario.n,
@@ -495,7 +528,7 @@ def cmd_inspect_weights(args) -> int:
     started = time.time()
     if not args.tau > 0:
         raise UsageError(f"--tau must be positive (or inf), got {args.tau}")
-    policy, data, inputs = _policy_and_data(args)
+    policy, data, inputs = _policy_and_data(args, directory=False)
     p = policy_probs(policy, data)
     v, direction = ((data.correct, "worst_low") if args.target == "reward"
                     else (data.cost, "worst_high"))

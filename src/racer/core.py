@@ -147,11 +147,16 @@ class Dataset:
 # file formats
 # ---------------------------------------------------------------------------
 
+def _temporary_path(path) -> Path:
+    """The name atomic_open writes ``path`` under until it is complete."""
+    return Path(path).with_name(Path(path).name + ".tmp")
+
+
 @contextlib.contextmanager
 def atomic_open(path, newline: str | None = None):
     """Text file written under a temporary name that replaces ``path`` only
     when the block completes: a failed run leaves the previous file intact."""
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    tmp = _temporary_path(path)
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
@@ -636,12 +641,16 @@ def sigmoid(x):
     return _sigmoid(np.asarray(x, dtype=np.float64))[0]
 
 
+# 1.0 as a 0-d float64 array: a ufunc takes it faster than the Python float
+_ONE = np.ones(())
+
+
 def _sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigmoid of a float64 array and the e = exp(-|x|) it is built from;
     log1p(e) is the softplus(-|x|) that the entropy term needs."""
     e = np.exp(np.minimum(x, -x))  # exp(-|x|); a NaN passes through unchanged
     # (1 if x >= 0 else e) / (1 + e); np.where would cost more on small arrays
-    return np.divide(np.maximum(e, np.heaviside(x, 1.0)), 1.0 + e), e
+    return np.divide(np.maximum(e, np.heaviside(x, _ONE)), _ONE + e), e
 
 
 def _params(policy: PolicySpec) -> list[np.ndarray]:
@@ -656,15 +665,18 @@ def _params(policy: PolicySpec) -> list[np.ndarray]:
 def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray):
     """Logits (R, B) of a stack of R replicas, each parameter with a leading
     replica axis and x of shape (R, B, d), and the layer inputs the trainer's
-    backward pass needs. Each replica gets bitwise the numbers it gets alone."""
-    if kind == "linear":
-        return (x @ params[0][:, :, None])[..., 0] + params[1], (x,)
+    backward pass needs. Each replica gets bitwise the numbers it gets alone.
+    Each layer's output is one array: the matmul's, to which the bias is
+    added (and, in a hidden layer, ReLU applied) in place."""
     acts = [x]
     h = x
     for w, b in zip(params[0:-2:2], params[1:-2:2]):
-        h = np.maximum(h @ w.transpose(0, 2, 1) + b[:, None, :], 0.0)
-        acts.append(h)
-    u = (h @ params[-2].transpose(0, 2, 1) + params[-1][:, None, :])[..., 0]
+        h = h @ w.transpose(0, 2, 1)
+        h += b[:, None, :]
+        acts.append(np.maximum(h, 0.0, out=h))
+    w = params[0][:, :, None] if kind == "linear" else params[-2].transpose(0, 2, 1)
+    u = (h @ w)[..., 0]
+    u += params[-1]
     return u, tuple(acts)
 
 

@@ -27,6 +27,7 @@ from .core import (
     ParseError,
     PolicySpec,
     ValidationError,
+    _ONE,
     _expected,
     _forward,
     _params,
@@ -186,14 +187,15 @@ def _gaps(correct: np.ndarray, cost: np.ndarray):
     return r0, correct[..., 1] - r0, c0, cost[..., 1] - c0
 
 
-def _gradient(params, kind, acts, u, p, dr, dc, wr, wc, lam, beta, grads) -> None:
-    """Write the stacked gradient of _value's objective into grads. A weight
-    of None is 1 on every row and is not multiplied: x * 1.0 is x."""
-    q = 1.0 - p
+def _gradient(params, kind, acts, u, p, dr, dc, wr, wc, lam, beta, n, grads) -> None:
+    """Write the stacked gradient of _value's objective into grads, n being
+    the row count u.shape[1]. A weight of None is 1 on every row and is not
+    multiplied: x * 1.0 is x."""
+    q = _ONE - p
     lam_wc = lam[:, None] if wc is None else lam[:, None] * wc
     gain = dr if wr is None else wr * dr
     # d objective / d u_i; dH/du = -u * p * (1 - p)
-    _backward(params, kind, acts, (gain - lam_wc * dc - beta * u) * p * q / u.shape[1], grads)
+    _backward(params, kind, acts, (gain - lam_wc * dc - beta * u) * p * q / n, grads)
 
 
 def _value(u, p, tail, exp_r, exp_c, wr, wc, lam, beta) -> np.ndarray:
@@ -237,7 +239,7 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
     r0, dr, c0, dc = _gaps(correct[None], cost[None])
     grads = _views(np.empty((1, sum(a.size for a in params))), [a.shape for a in params])
     wr, wc, lam = wr[None], wc[None], np.array([lam])
-    _gradient(stacked, kind, acts, u, p, dr, dc, wr, wc, lam, beta, grads)
+    _gradient(stacked, kind, acts, u, p, dr, dc, wr, wc, lam, beta, u.shape[1], grads)
     value = float(_value(u, p, np.log1p(e), r0 + p * dr, c0 + p * dc, wr, wc, lam, beta)[0])
     if not math.isfinite(value):
         raise TrainingDivergenceError("non-finite objective value in batch")
@@ -249,10 +251,15 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
 # ---------------------------------------------------------------------------
 
 class _Adam:
-    """Adaptive-moment ascent on a flat (R, P) parameter array, in place."""
+    """Adaptive-moment ascent on a flat (R, P) parameter array, in place.
+    Its scalar operands are 0-d arrays, which a ufunc takes faster than
+    Python floats; the bias corrections are written into theirs each step."""
 
     def __init__(self, flat, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.beta1, self.beta2 = beta1, beta2
+        # beta1, 1 - beta1, beta2, 1 - beta2, lr, eps and 1 - beta1**t, 1 - beta2**t
+        self.c1, self.c1m, self.c2, self.c2m, self.lr, self.eps, self.b1t, self.b2t = (
+            np.array(v) for v in (beta1, 1.0 - beta1, beta2, 1.0 - beta2, lr, eps, 1.0, 1.0))
         # moments m, v and two scratch rows a, b
         self.m, self.v, self.a, self.b = (np.zeros_like(flat) for _ in range(4))
         self.t = 0
@@ -260,14 +267,15 @@ class _Adam:
     def ascend(self, flat, g):
         self.t += 1
         m, v, a, b = self.m, self.v, self.a, self.b
+        self.b1t[()], self.b2t[()] = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
         # m = beta1*m + (1-beta1)*g and v = beta2*v + (1-beta2)*g*g
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=a)
-        v *= self.beta2
-        v += np.multiply(np.multiply(1.0 - self.beta2, g, out=b), g, out=b)
+        m *= self.c1
+        m += np.multiply(self.c1m, g, out=a)
+        v *= self.c2
+        v += np.multiply(np.multiply(self.c2m, g, out=b), g, out=b)
         # flat += lr * (m / b1t) / (sqrt(v / b2t) + eps)
-        np.multiply(self.lr, np.divide(m, 1.0 - self.beta1**self.t, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=b), out=b), self.eps, out=b)
+        np.multiply(self.lr, np.divide(m, self.b1t, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, self.b2t, out=b), out=b), self.eps, out=b)
         flat += np.divide(a, b, out=a)
 
     def keep(self, rows):
@@ -276,7 +284,7 @@ class _Adam:
 
 class _Sgd:
     def __init__(self, flat, lr):
-        self.lr = lr
+        self.lr = np.array(lr)
 
     def ascend(self, flat, g):
         flat += self.lr * g
@@ -347,17 +355,21 @@ class _Stack:
     Axis 0 of every per-replica array is the replica. A replica that
     diverges leaves the stack with its error; the others go on unchanged.
     The parameters of all replicas live in one (R, P) array and their
-    gradient in another; the per-layer arrays are views of them. Each epoch
-    gathers its shuffled rows once, batch-major, into parts (x, gaps, out):
-    the full batches' features x of shape (n_full, R, B, d), their r0, dr,
-    c0 and dc in gaps and the step's exp_r, exp_c, w_r and w_c in out, both
-    of shape (4, n_full, R, B); a short last batch is a second part with
-    tail for B. Batch j of a part reads and writes the contiguous blocks
-    x[j], gaps[:, j] and out[:, j]. Step 4 of a batch that has a successor
-    in its part runs one forward pass over both batches' rows, x[j:j + 2],
-    and hands the successor its logits, probabilities and layer inputs as
-    its step 1. One stacked forward pass scores each replica's validation
-    rows, gathered once.
+    gradient in another; the per-layer arrays are views of them. The stack
+    owns three epoch buffers, allocated once and again only when a replica
+    leaves: each epoch gathers its shuffled rows into them batch-major with
+    one ndarray.take per source, as parts (x, gaps, out): the full batches'
+    features x of shape (n_full, R, B, d), their r0, c0, dr and dc in gaps
+    and the step's exp_r, exp_c, w_r and w_c in out, both of shape
+    (4, n_full, R, B); a short last batch is a second part with tail for B.
+    Batch j of a part reads and writes the contiguous blocks x[j],
+    gaps[:, j] and out[:, j], through views built with the buffers, so
+    exp_r and exp_c are one multiply and one add over (2, R, B) blocks.
+    Step 4 of a batch that has a successor in its part runs one forward
+    pass over both batches' rows, x[j:j + 2], and hands the successor its
+    logits, probabilities and layer inputs as its step 1. The step's scalar
+    operands are 0-d arrays made once per stack. One stacked forward pass
+    scores each replica's validation rows, gathered once.
     """
 
     def __init__(self, data: Dataset, configs: list[TrainConfig]):
@@ -376,9 +388,11 @@ class _Stack:
         data.require_finite_cost()  # the tilt needs it
 
         self.config, self.kind = lead, lead.policy_kind
+        self.beta, self.dual_lr = np.array(lead.beta), np.array(lead.dual_lr)
         self.features = data.features
-        # each row's r0, dr, c0 and dc (see _gaps), one contiguous row each
-        self.gaps = np.stack(_gaps(data.correct, data.cost))
+        # each row's r0, c0, dr and dc (see _gaps), one contiguous row each
+        r0, dr, c0, dc = _gaps(data.correct, data.cost)
+        self.gaps = np.stack((r0, c0, dr, dc))
         self.outcomes: list[Outcome | None] = [None] * len(configs)
         self.histories: list[list[EpochRecord]] = [[] for _ in configs]
         self.checkpoints: list[list[Checkpoint]] = [[] for _ in configs]
@@ -399,6 +413,7 @@ class _Stack:
         self.shapes = [p.shape[1:] for p in stacked]
         self.flat = np.concatenate([a.reshape(len(a), -1) for a in stacked], axis=1)
         self._bind()
+        self._buffers()
         self.opt = OPTIMIZERS[lead.optimizer](self.flat, lead.primal_lr)
         self.slot = np.arange(len(configs))  # position of each replica in configs
         self.lam = np.zeros(len(configs))
@@ -414,6 +429,36 @@ class _Stack:
         """Per-layer views of self.flat (the parameters) and of a new self.grad."""
         self.grad = np.empty_like(self.flat)
         self.params, self.grads = _views(self.flat, self.shapes), _views(self.grad, self.shapes)
+
+    def _buffers(self) -> None:
+        """New epoch buffers for the replicas in the stack: the parts, and
+        each batch's views of them in self.batches."""
+        size = self.config.batch_size
+        n_rep, n_train = self.train_idx.shape
+        n_full, tail = divmod(n_train, size)
+        full, rows = n_full * size * n_rep, n_rep * n_train
+        # the position in the epoch's (R, n_train) row order of each
+        # batch-major row: the full batches' (n_full, R, B), then the tail's
+        order = np.arange(rows).reshape(n_rep, n_train)
+        batched = order[:, :n_full * size].reshape(n_rep, n_full, size).transpose(1, 0, 2)
+        self.layout = np.concatenate([batched.ravel(), order[:, n_full * size:].ravel()])
+        self.index = np.empty_like(self.layout)
+        self.x = np.empty((rows, self.features.shape[1]))
+        self.rows, self.out = np.empty((4, rows)), np.empty((4, rows))
+        self.parts, self.batches = [], []
+        for start, stop, width in ((0, full, size), (full, rows, tail)):
+            if stop == start:
+                continue
+            x = self.x[start:stop].reshape(-1, n_rep, width, self.x.shape[1])
+            gaps, out = (a[:, start:stop].reshape(4, -1, n_rep, width)
+                         for a in (self.rows, self.out))
+            self.parts.append((x, gaps, out))
+            n = np.array(float(width))  # the batch's row count, a divisor
+            # x[j], the pair x[j:j + 2] or None, (r0, c0), (dr, dc), c0, dr,
+            # dc, (exp_r, exp_c), exp_r, exp_c, w_r, w_c and n
+            self.batches += [(x[j], x[j:j + 2] if j + 1 < len(x) else None, gaps[:2, j],
+                              gaps[2:, j], *gaps[1:, j], out[:2, j], *out[:, j], n)
+                             for j in range(len(x))]
 
     def run(self) -> list[Outcome]:
         # a diverging replica overflows on its way to the finite checks,
@@ -440,45 +485,41 @@ class _Stack:
         self.train_idx, self.flat = self.train_idx[keep], self.flat[keep]
         self._bind()
         self.opt.keep(keep)
-        self.parts = [(x[:, keep], gaps[:, :, keep], out[:, :, keep])
-                      for x, gaps, out in self.parts]
+        # the rest of this epoch reads and writes the kept replicas' rows in
+        # new buffers, which the later epochs reuse
+        parts = self.parts
+        self._buffers()
+        for old, new in zip(parts, self.parts):
+            for a, kept, axis in zip(old, new, (1, 2, 2)):
+                np.compress(keep, a, axis=axis, out=kept)
         self.val = {name: value[keep] for name, value in self.val.items()}
         self.shuffle_rngs = [self.shuffle_rngs[k] for k in np.flatnonzero(keep)]
         return keep
 
     def _epoch(self, epoch: int) -> None:
-        size = self.config.batch_size
-        n_rep, n_train = self.train_idx.shape
+        n_train = self.train_idx.shape[1]
         order = np.stack([idx[rng.permutation(n_train)]
                           for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
-        n_full, tail = divmod(n_train, size)
-        full = n_full * size * n_rep
         # a side on which every tau is inf keeps weight 1 on every row and is
         # not tilted in this epoch; the flags hold until the epoch ends, also
         # if a drop leaves only tau = inf on a side
         self.tilt_r, self.tilt_c = (not np.logical_and.reduce(np.isinf(tau), axis=None)
                                     for tau in (self.tau_r, self.tau_c))
-        # every replica's training rows in this epoch's order, batch-major:
-        # the full batches' (n_full, R, B) rows, then the tail's (R, tail)
-        index = np.concatenate([order[:, :n_full * size].reshape(n_rep, n_full, size)
-                                .transpose(1, 0, 2).ravel(), order[:, n_full * size:].ravel()])
-        x, gaps = self.features.take(index, axis=0), self.gaps.take(index, axis=1)
+        # every replica's training rows in this epoch's order, batch-major;
+        # the indices are in range, and mode="raise" would copy through a
+        # temporary
+        order.take(self.layout, out=self.index, mode="clip")
+        self.features.take(self.index, axis=0, out=self.x, mode="clip")
+        self.gaps.take(self.index, axis=1, out=self.rows, mode="clip")
         # each batch fills its block of exp_r, exp_c and of the tilted sides'
-        # w_r and w_c, whose statistics are reduced once the epoch is done
-        filled = np.empty((4, index.size))
-        self.parts = [(x[start:stop].reshape(-1, n_rep, width, x.shape[1]),
-                       gaps[:, start:stop].reshape(4, -1, n_rep, width),
-                       filled[:, start:stop].reshape(4, -1, n_rep, width))
-                      for start, stop, width in ((0, full, size), (full, index.size, tail))
-                      if stop > start]
-        b = 0
-        for i in range(len(self.parts)):
-            step1 = None  # a part's first batch runs its own forward pass
-            for j in range(len(self.parts[i][0])):
-                step1 = self._batch(f"epoch {epoch} batch {b}", i, j, step1)
-                b += 1
-                if not self.slot.size:
-                    return
+        # w_r and w_c, whose statistics are reduced once the epoch is done;
+        # a part's first batch runs its own forward pass (step1 None)
+        step1 = None
+        n_batches = len(self.batches)
+        for b in range(n_batches):
+            step1 = self._batch(epoch, b, step1)
+            if not self.slot.size:
+                return
         # the running sums of per-batch means of exp_r and exp_c in batch
         # order, and the ranges of w_r and w_c
         train_reward, train_cost = np.cumsum(np.concatenate(
@@ -497,8 +538,8 @@ class _Stack:
             self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
             self.histories[slot].append(EpochRecord(
                 epoch=epoch,
-                train_reward=float(train_reward[k] / b),
-                train_cost=float(train_cost[k] / b),
+                train_reward=float(train_reward[k] / n_batches),
+                train_cost=float(train_cost[k] / n_batches),
                 lam=lam,
                 val_accuracy=val_metrics.accuracy,
                 val_cost=val_metrics.realized_cost,
@@ -515,60 +556,57 @@ class _Stack:
         return tuple(reduce([reduce(out[side], axis=(0, 2)) for _, _, out in self.parts])
                      for reduce in (np.minimum.reduce, np.maximum.reduce))
 
-    def _batch(self, where: str, i: int, j: int, step1):
-        """Batch j of part i. step1 is None or the (u, acts, p, e, checked)
+    def _batch(self, epoch: int, b: int, step1):
+        """Batch b of the epoch. step1 is None or the (u, acts, p, e, checked)
         of this batch that the previous batch's step 4 computed; the return
         value is the next batch's."""
-        cfg = self.config
-
         # step 1: per-instance reward/cost summaries under the current policy
         if step1 is None:
-            u, acts = _forward(self.params, self.kind, self.parts[i][0][j])
+            u, acts = _forward(self.params, self.kind, self.batches[b][0])
             step1 = (u, acts, *_sigmoid(u), False)
         u, acts, p, e, checked = step1
         if not checked and not np.logical_and.reduce(np.isfinite(u), axis=None):
             finite = np.logical_and.reduce(np.isfinite(u), axis=1)
-            keep = self._drop({k: f"non-finite logit in {where}" for k in np.flatnonzero(~finite)})
+            keep = self._drop({k: f"non-finite logit in epoch {epoch} batch {b}"
+                               for k in np.flatnonzero(~finite)})
             if not self.slot.size:
                 return None
             u, acts, p, e = _kept((u, acts, p, e), keep)
-        x, gaps, out = self.parts[i]
-        r0, dr, c0, dc = gaps[:, j]
+        _, pair, base, slope, c0, dr, dc, exp, exp_r, exp_c, out_r, out_c, n = self.batches[b]
         # u is finite (checked above), and so are the flags and the costs
         # (checked in __init__): the tilt's inputs need no check
-        exp_r = np.add(r0, p * dr, out=out[0, j])
-        exp_c = np.add(c0, p * dc, out=out[1, j])
+        np.add(np.multiply(p, slope, out=exp), base, out=exp)
 
         # step 2: adversarial tilts, written into the epoch's weights; an
         # untilted side (None) keeps weight 1
-        w_r = (_tilt_rows(exp_r, self.tau_r, "worst_low", out=out[2, j])[0]
+        w_r = (_tilt_rows(exp_r, self.tau_r, "worst_low", out=out_r, n=n)[0]
                if self.tilt_r else None)
-        w_c = (_tilt_rows(exp_c, self.tau_c, "worst_high", out=out[3, j])[0]
+        w_c = (_tilt_rows(exp_c, self.tau_c, "worst_high", out=out_c, n=n)[0]
                if self.tilt_c else None)
 
         # step 3: one ascent step on the reweighted objective; the parameters
         # are those of step 1, so its logits and probabilities are reused; its
         # value is computed only where lam_safe cannot certify it finite
-        _gradient(self.params, self.kind, acts, u, p, dr, dc, w_r, w_c, self.lam, cfg.beta,
-                  self.grads)
+        _gradient(self.params, self.kind, acts, u, p, dr, dc, w_r, w_c, self.lam, self.beta,
+                  n, self.grads)
         value = (None if np.maximum.reduce(self.lam) <= self.lam_safe else
-                 _value(u, p, np.log1p(e), exp_r, exp_c, w_r, w_c, self.lam, cfg.beta))
+                 _value(u, p, np.log1p(e), exp_r, exp_c, w_r, w_c, self.lam, self.beta))
         self.opt.ascend(self.flat, self.grad)
 
         # step 4: projected dual step on the tilt-weighted cost of the
         # updated policy; with a next batch in this part, one forward pass
         # over both batches' rows is also that batch's step 1 (only lambda
         # changes in between)
-        fused = j + 1 < len(x)
-        block, acts_new = _forward(self.params, self.kind, x[j:j + 2] if fused else acts[0])
+        fused = pair is not None
+        block, acts_new = _forward(self.params, self.kind, pair if fused else acts[0])
         p_new, e_new = _sigmoid(block)
         u_new = block
         if fused:
             step1 = (block[1], tuple(a[1] for a in acts_new), p_new[1], e_new[1])
             u_new, p_new = block[0], p_new[0]
         cost = c0 + p_new * dc
-        weighted_cost = np.add.reduce(cost if w_c is None else w_c * cost, axis=1) / u.shape[1]
-        self.lam = dual_update(self.lam, cfg.dual_lr, weighted_cost, self.budget, cfg.beta)
+        weighted_cost = np.add.reduce(cost if w_c is None else w_c * cost, axis=1) / n
+        self.lam = dual_update(self.lam, self.dual_lr, weighted_cost, self.budget, self.beta)
 
         # checked last: a failed replica leaves the stack here and what it
         # computed after its failure goes with it, so its outcome is the
@@ -579,6 +617,7 @@ class _Stack:
             return (*step1, True) if fused else None
         bad_logit = np.flatnonzero(~np.logical_and.reduce(np.isfinite(u_new), axis=1))
         if len(bad_logit) or len(bad_value):
+            where = f"epoch {epoch} batch {b}"
             keep = self._drop({**{k: f"non-finite logit after update in {where}"
                                   for k in bad_logit},
                                **{k: f"non-finite objective value in {where}"

@@ -1343,6 +1343,60 @@ class TestAtomicOutputs:
         assert manifest.read_bytes() == before
 
 
+# each command's flags before --out, the functions that do its work, and
+# whether its --out is a directory (or else a file)
+OUT_COMMANDS = {
+    "train": (["--data", "{data}", "--budget", 2, "--epochs", 2], ["load_dataset", "train"],
+              True),
+    "eval": (["--baseline", "all-instruct", "--data", "{data}"],
+             ["load_dataset", "evaluate_policy"], True),
+    "saddle-demo": (["--iters", 10], ["random_problem", "solve_saddle"], True),
+    "gen-synth": (["--regime", "magpie-ultra", "--n", 50], ["gen_synthetic", "save_dataset"],
+                  False),
+    "inspect-weights": (["--data", "{data}", "--baseline", "random:0.5", "--tau", 1,
+                         "--target", "cost"], ["load_dataset", "policy_probs"], False),
+}
+# the faults an output path can have: (--out under tmp_path, the error line)
+OUT_FAULTS = {
+    "a file": ("F", "[Errno 17] File exists: '{out}'"),
+    "directory under a file": ("F/a/b", "[Errno 20] Not a directory: '{out}'"),
+    "file under a file": ("F/a/x", "[Errno 20] Not a directory: '{out}.tmp'"),
+    "a directory": ("D", "[Errno 21] Is a directory: '{out}.tmp' -> '{out}'"),
+    "missing parent": ("none/x", "[Errno 2] No such file or directory: '{out}.tmp'"),
+}
+
+
+class TestUnwritableOut:
+    """A command whose --out cannot be written fails with exit 2 and the
+    error line the write would give, before it does any work: it used to
+    find out only when it wrote its outputs."""
+
+    @pytest.mark.parametrize("command, fault", [
+        (command, fault) for command, (_, _, directory) in OUT_COMMANDS.items()
+        for fault in (["a file", "directory under a file"] if directory else
+                      ["file under a file", "a directory", "missing parent"])])
+    def test_fails_before_the_work(self, data_file, tmp_path, capsys, monkeypatch, command,
+                                   fault):
+        flags, work, _ = OUT_COMMANDS[command]
+        path, line = OUT_FAULTS[fault]
+        (tmp_path / "F").write_text("")
+        (tmp_path / "D").mkdir()
+        out = tmp_path / path
+        argv = [command, *(str(f).format(data=data_file) for f in flags), "--out", out]
+        before = sorted(tmp_path.rglob("*"))
+        calls = []
+        with monkeypatch.context() as patched:
+            for name in work:
+                patched.setattr(racer.cli, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+            assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {line.format(out=out)}\n"
+        assert calls == [] and sorted(tmp_path.rglob("*")) == before
+        # the line is the one the write gives once the work is done
+        monkeypatch.setattr(racer.cli, "_require_out", lambda out, directory: None)
+        assert run_quietly(*argv) == (2, f"error: {line.format(out=out)}\n")
+
+
 class TestInspectWeights:
     @pytest.mark.parametrize("target, direction", [("cost", "worst_high"),
                                                    ("reward", "worst_low")])

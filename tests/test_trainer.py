@@ -480,6 +480,38 @@ class TestLeanStep:
                     expected = evaluate_policy(c.policy, val)
                 assert repr(c.metrics) == repr(expected)
 
+    def test_epochs_gather_into_one_set_of_buffers_until_a_replica_leaves(self, monkeypatch):
+        # the parts' arrays are views of one buffer per source (features,
+        # gap rows, step outputs) that the stack allocates once; a replica
+        # that leaves takes the rest of its epoch to new, smaller buffers,
+        # which the later epochs reuse
+        records = []  # (replicas, each source's buffer) before and after each epoch
+
+        def buffers(stack):
+            sources = [{id(a.base): a.base for a in arrays} for arrays in zip(*stack.parts)]
+            assert all(len(bases) == 1 for bases in sources)  # one per source
+            return stack.slot.size, [next(iter(bases.values())) for bases in sources]
+
+        def recorded(stack, epoch, run=_Stack._epoch):
+            records.append(buffers(stack))
+            run(stack, epoch)
+            records.append(buffers(stack))
+
+        monkeypatch.setattr(_Stack, "_epoch", recorded)
+        data, configs = diverging_group("logit")
+        outcomes = train(data, configs)
+        assert len(records) == 2 * configs[0].epochs
+        n_train = len(data) - int(round(configs[0].val_fraction * len(data)))
+        for (n_rep, (x, gaps, out)), (n_before, before) in zip(records[1:], records):
+            assert (x.size, gaps.size, out.size) == (n_rep * n_train * data.n_features,
+                                                     4 * n_rep * n_train, 4 * n_rep * n_train)
+            same = [a is b for a, b in zip((x, gaps, out), before)]
+            assert same == [n_rep == n_before] * 3
+        # the drops all come in epoch 0, and the survivors train on
+        failed = sum(isinstance(o, TrainingDivergenceError) for o in outcomes)
+        survivors = len(configs) - failed
+        assert records[0][0] == len(configs) > records[1][0] == records[-1][0] == survivors > 0
+
     def test_validation_is_scored_without_evaluate_policy(self, monkeypatch):
         # the stack scores each epoch's validation rows in one forward pass
         calls = []
