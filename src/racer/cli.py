@@ -3,8 +3,9 @@ synthetic-data utilities.
 
 Exit codes: 0 success, 1 usage, 2 data/config problem, out of memory or a
 dead worker process, 3 numeric failure.
-Every run writes a manifest (resolved config, input digests, output paths)
-alongside its outputs so it can be reproduced exactly.
+Every path a run writes is checked before its work, an input is never
+overwritten, and a manifest (resolved config, input digests, output paths),
+written last, lists the complete outputs so the run can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import time
 import typing
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -99,21 +101,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, command: str, config: dict, inputs, outputs, seed,
-                    started: float) -> None:
-    """inputs: the paths to hash, or a {path: digest} dict of digests taken."""
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "inputs": inputs if isinstance(inputs, dict) else {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
-        "seed": seed,
-        "duration_s": time.time() - started,
-    }
-    write_json(path, manifest)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
@@ -135,28 +122,75 @@ def _require_allocatable(name: str, *sizes: int) -> None:
                               f"an array can hold")
 
 
-def _require_out(out, directory: bool) -> None:
-    """Raise before the work the OSError that writing the output out would
+def _require_writable(path, made: bool) -> None:
+    """Raise before the work the OSError that writing the file path would
     raise after it, so a run that cannot write does no work and creates
-    nothing. An output directory is made with its parents: a file at out
-    (errno 17) or above it (20) stops it. An output file is first written
-    as its temporary (atomic_open) in its parent, which must be a directory
-    (20 under a file, 2 if missing), and then renamed over out, which must
-    not be a directory (21)."""
-    path = Path(out)
-    first = path if directory else _temporary_path(path)
-    if directory and path.exists() and not path.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
-    for above in first.parents:  # the nearest that exists
-        if above.exists():
-            if not above.is_dir():
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(first))
-            if not directory and above != first.parent:
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(first))
-            break
-    if not directory and path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(first), None,
-                                str(path))
+    nothing. The file is written as its temporary (atomic_open) in its
+    parent, which must be a directory (20 under a file, 2 if missing) or,
+    if made for the plan with its parents, not a file or a link to nowhere
+    (17) nor under a file (20), and then renamed over path: neither may be
+    a directory (21)."""
+    path = Path(path)
+    tmp, parent = _temporary_path(path), path.parent
+    above = next(p for p in tmp.parents if p.exists() or made and p.is_symlink())
+    if not above.exists():  # mkdir meets a symbolic link to nowhere
+        raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), str(above))
+    if not above.is_dir():
+        code = errno.EEXIST if made and above == parent else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(parent if made else tmp))
+    if not made and above != parent:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(tmp))
+    if tmp.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp))
+    if path.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp), None, str(path))
+
+
+class _Plan:
+    """A command's output plan: every path it writes, named once, the
+    manifest last. Each file is checked when planned, before the work, and
+    one that would overwrite an input is refused. The inputs are hashed
+    then, so the manifest's digests are of the bytes the work reads."""
+
+    def __init__(self, out, *names: str, inputs=()):
+        """names: the files under the --out directory, a name ending in "/"
+        a directory made there; none: --out is the one file, its manifest
+        beside it."""
+        self.inputs, self.files = [p for p in inputs if p is not None], []
+        if names:
+            self.dirs = [Path(out), *(Path(out, n) for n in names if n.endswith("/"))]
+            self.add(*(Path(out, n) for n in names if not n.endswith("/")),
+                     Path(out, "manifest.json"))
+        else:
+            self.dirs = []
+            self.add(out, Path(f"{out}.manifest.json"))
+        self.digests = {str(p): _sha256(p) for p in self.inputs}
+
+    def add(self, *paths) -> None:
+        """Check and plan files to be written before those planned so far:
+        the sweep's pending cells, named once their keys are known."""
+        for path in paths:
+            _require_writable(path, Path(path).parent in self.dirs)
+            for alias in (path, _temporary_path(path)):  # the write truncates, then renames
+                for source in self.inputs:
+                    if (os.path.exists(alias) and os.path.exists(source)
+                            and os.path.samefile(alias, source)):
+                        raise ValidationError(f"writing {alias} would overwrite the input "
+                                              f"{source}")
+        self.files[:0] = paths
+
+    def write(self, command: str, config: dict, seed, started: float, *writers) -> None:
+        """Make the directories, call each writer with its file's path in
+        order, and write the manifest last: it lists the files, so its
+        presence means they are complete."""
+        for directory in self.dirs:
+            directory.mkdir(parents=True, exist_ok=True)
+        *files, manifest = self.files
+        for path, write in zip(files, writers, strict=True):
+            write(path)
+        write_json(manifest, {"command": command, "version": __version__, "config": config,
+                              "inputs": self.digests, "outputs": [str(p) for p in files],
+                              "seed": seed, "duration_s": time.time() - started})
 
 
 _ROBUST_FIELDS = typing.get_type_hints(RobustConfig)
@@ -238,18 +272,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def cmd_train(args) -> int:
     started = time.time()
     config = _train_config(args)
-    _require_out(args.out, directory=True)
+    plan = _Plan(args.out, "model.json", "history.csv", inputs=[args.data])
     data = load_dataset(args.data)
     result = train(data, config)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = out / "model.json"
-    history_path = out / "history.csv"
-    save_model(model_path, result.best.policy, data.instruct_cost_mean, config)
-    history_to_csv(result.history, history_path)
-    _write_manifest(out / "manifest.json", "train", config.to_dict(),
-                    [args.data], [model_path, history_path], config.seed, started)
+    plan.write("train", config.to_dict(), config.seed, started,
+               lambda path: save_model(path, result.best.policy, data.instruct_cost_mean, config),
+               lambda path: history_to_csv(result.history, path))
 
     m = result.best.metrics
     print(f"best checkpoint: epoch {result.best.epoch}  "
@@ -274,38 +302,32 @@ def _parse_baseline(spec: str):
                      "(expected all-instruct, all-reasoning, or random:<p>)")
 
 
-def _policy_and_data(args, directory: bool):
-    """(policy, data, input paths) of exactly one of --model and --baseline
+def _policy_and_data(args, *names: str):
+    """(policy, data, output plan) of exactly one of --model and --baseline
     and of --data: a model scores the data on the cost scale of its
-    training split, a baseline on the data's own. The flags and --out (a
-    directory or a file) are checked before any file is read."""
+    training split, a baseline on the data's own. The flags, then the
+    output plan of names (see _Plan), are checked before any input is read."""
     if (args.model is None) == (args.baseline is None):
         raise UsageError("exactly one of --model or --baseline is required")
     baseline = None if args.baseline is None else _parse_baseline(args.baseline)
-    _require_out(args.out, directory)
+    plan = _Plan(args.out, *names, inputs=[args.data, args.model])
     data = load_dataset(args.data)
     if baseline is not None:
-        return baseline, data.require_finite_cost(), [args.data]
+        return baseline, data.require_finite_cost(), plan
     policy, cost_mean, _ = load_model(args.model)
-    return policy, data.with_cost_scale(cost_mean).require_finite_cost(), [args.data, args.model]
+    return policy, data.with_cost_scale(cost_mean).require_finite_cost(), plan
 
 
 def cmd_eval(args) -> int:
     started = time.time()
     if not 0 <= args.seed < 2**64:  # the sampler's seeds; outside, they alias
         raise UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
-    policy, data, inputs = _policy_and_data(args, directory=True)
-    metrics = evaluate_policy(policy, data, mode=args.mode, seed=args.seed)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / "metrics.json"
-    write_json(metrics_path, metrics.to_dict())
+    policy, data, plan = _policy_and_data(args, "metrics.json")
+    metrics = evaluate_policy(policy, data, mode=args.mode, seed=args.seed).to_dict()
     config = {"model": args.model, "baseline": args.baseline, "data": args.data,
               "mode": args.mode, "seed": args.seed}
-    _write_manifest(out / "manifest.json", "eval", config, inputs,
-                    [metrics_path], args.seed, started)
-    print(json.dumps(metrics.to_dict()))
+    plan.write("eval", config, args.seed, started, lambda path: write_json(path, metrics))
+    print(json.dumps(metrics))
     return EXIT_OK
 
 
@@ -321,16 +343,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _sweep_splits(args, items):
-    """(train_data, tests dict, input paths) from a scenario or data files."""
+    """(train_data, tests dict) from a scenario or data files."""
     if args.scenario is not None:
-        return (*scenario_splits(load_scenario(args.scenario)), [args.scenario])
-    if args.train_data is None:
-        raise UsageError("either --scenario or --train-data is required")
+        return scenario_splits(load_scenario(args.scenario))
     train_data = load_dataset(args.train_data)
     # a budget means the same compute on every split
     tests = {name: load_dataset(path).with_cost_scale(train_data.instruct_cost_mean)
              for name, path in items}
-    return train_data, tests, [args.train_data, *(path for _, path in items)]
+    return train_data, tests
 
 
 def _read_cell(path: Path, digest: str):
@@ -367,59 +387,49 @@ def cmd_sweep(args) -> int:
         raise UsageError(str(exc)) from None
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    if args.scenario is None and args.train_data is None:
+        raise UsageError("either --scenario or --train-data is required")
 
-    train_data, tests, inputs = _sweep_splits(args, items)
-    out = Path(args.out)
-    cells_dir = out / "cells"
-    cells_dir.mkdir(parents=True, exist_ok=True)
-
+    inputs = ([args.scenario] if args.scenario is not None
+              else [args.train_data, *(path for _, path in items)])
+    plan = _Plan(args.out, "cells/", "sweep.csv", "sweep_agg.csv", inputs=inputs)
     # a test file is keyed by its name=path item, so a renamed split gets new cells
     keys = [inputs[0], *map("=".join, items)]
-    digests = [_sha256(path) for path in inputs]
     base_blob = json.dumps(
         {"template": template.to_dict(), "methods": list(methods),
-         "inputs": dict(zip(keys, digests))}, sort_keys=True)
+         "inputs": {key: plan.digests[str(path)] for key, path in zip(keys, inputs)}},
+        sort_keys=True)
 
     def cell_path(unit) -> tuple[Path, str]:
         budget, seed = unit
         digest = hashlib.sha256(f"{base_blob}|{budget!r}|{seed}".encode()).hexdigest()
-        return cells_dir / f"{digest}.json", digest
+        return plan.dirs[-1] / f"{digest}.json", digest
 
     cached = [_read_cell(*cell_path(unit)) if args.resume else None for unit in units]
     pending = [unit for unit, got in zip(units, cached) if got is None]
+    plan.add(*(cell_path(unit)[0] for unit in pending))
+    train_data, tests = _sweep_splits(args, items)
     fresh = run_units(train_data, tests, pending, methods, template, args.workers)
-    for unit, (got_cells, got_failures) in zip(pending, fresh):
-        path, digest = cell_path(unit)
-        payload = {
-            "digest": digest,
-            "cells": [
-                {"method": c.method, "budget": encode_float(c.budget), "seed": c.seed,
-                 "split": c.split, **c.metrics.to_dict()}
-                for c in got_cells
-            ],
-            "failures": [{**asdict(f), "budget": encode_float(f.budget)}
-                         for f in got_failures],
-        }
-        write_json(path, payload)
-
+    payloads = [{
+        "digest": cell_path(unit)[1],
+        "cells": [{"method": c.method, "budget": encode_float(c.budget), "seed": c.seed,
+                   "split": c.split, **c.metrics.to_dict()} for c in got_cells],
+        "failures": [{**asdict(f), "budget": encode_float(f.budget)} for f in got_failures],
+    } for unit, (got_cells, got_failures) in zip(pending, fresh)]
     result = SweepResult.of_units([got for got in cached if got is not None] + fresh)
-    raw_path = out / "sweep.csv"
-    agg_path = out / "sweep_agg.csv"
-    result.to_csv(raw_path)
-    result.aggregate_csv(agg_path)
     config = {"template": template.to_dict(), "methods": list(methods),
               "budgets": [encode_float(b) for b in budgets], "repeats": args.repeats,
               "base_seed": args.base_seed, "scenario": args.scenario,
               "train_data": args.train_data, "test_data": args.test_data}
-    _write_manifest(out / "manifest.json", "sweep", config,
-                    dict(zip(map(str, inputs), digests)),
-                    [raw_path, agg_path], args.base_seed, started)
+    plan.write("sweep", config, args.base_seed, started,
+               *(partial(write_json, payload=payload) for payload in payloads),
+               result.to_csv, result.aggregate_csv)
 
     for failure in result.failures:
         print(f"warning: {failure.method} budget={failure.budget:g} "
               f"seed={failure.seed} failed: {failure.error}", file=sys.stderr)
     print(f"sweep: {len(result.cells)} cells, {len(result.failures)} failures "
-          f"-> {raw_path}")
+          f"-> {plan.files[-3]}")  # sweep.csv
     if result.cells:
         return EXIT_OK
     return EXIT_DATA
@@ -446,10 +456,10 @@ def cmd_saddle_demo(args) -> int:
     if not 0.0 <= args.lambda0 < math.inf:
         raise UsageError(f"--lambda0 must be non-negative and finite, got {args.lambda0}")
     _require_allocatable("--iters", args.iters)
-    _require_out(args.out, directory=True)
+    plan = _Plan(args.out, "trace.csv", inputs=[args.problem])
     if args.problem is not None:
         problem = read_record(TabularProblem, args.problem, "problem file")
-        inputs, config, seed = [args.problem], {}, None
+        config, seed = {}, None
     else:
         _require_allocatable("--contexts", args.contexts or 0)
         # a flag not given keeps random_problem's default
@@ -458,7 +468,6 @@ def cmd_saddle_demo(args) -> int:
                   if value is not None}
         seed = args.seed or 0
         problem = random_problem(seed, **kwargs)
-        inputs = []
         config = {"contexts": problem.rho.shape[0], "seed": seed, "beta": problem.beta,
                   "budget": args.budget}
     # an overflow (say, of the envelope) is a FloatingPointError: exit 3
@@ -469,16 +478,11 @@ def cmd_saddle_demo(args) -> int:
                                     constants=constants, solution=solution)
         bound = trace.kl_bound()
     ok = bool(np.all(trace.kl_to_star <= bound + 1e-12))
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.csv"
-    write_csv(trace_path, [("t", "lambda_t", "kl_to_star", "bound_t"),
-                           *zip(range(bound.shape[0]), trace.lambdas.tolist(),
-                                trace.kl_to_star.tolist(), bound.tolist())])
     config.update(problem=args.problem, lambda0=args.lambda0, iters=args.iters)
-    _write_manifest(out / "manifest.json", "saddle-demo", config, inputs,
-                    [trace_path], seed, started)
+    plan.write("saddle-demo", config, seed, started,
+               lambda path: write_csv(path, [("t", "lambda_t", "kl_to_star", "bound_t"),
+                                             *zip(range(bound.shape[0]), trace.lambdas.tolist(),
+                                                  trace.kl_to_star.tolist(), bound.tolist())]))
 
     print(f"lambda* {_fmt(solution.lambda_star)}  kappa {_fmt(constants.kappa)}  "
           f"eta {_fmt(constants.eta)}  M {_fmt(constants.M)}  K {_fmt(constants.K)}")
@@ -497,10 +501,8 @@ def cmd_gen_synth(args) -> int:
         raise UsageError("exactly one of --scenario or --regime is required")
     if (args.n is not None and args.n < 1) or (args.seed is not None and args.seed < 0):
         raise UsageError("--n must be >= 1 and --seed >= 0")
-    inputs = []
     if args.scenario is not None:
         scenario = load_scenario(args.scenario)
-        inputs.append(args.scenario)
     else:
         if args.regime not in PRESET_SCENARIOS:
             raise UsageError(f"unknown regime {args.regime!r} "
@@ -513,13 +515,12 @@ def cmd_gen_synth(args) -> int:
     if args.apply_shift and not scenario.shift:
         raise UsageError("--apply-shift: the scenario has no shift map")
     _require_allocatable("scenario n", scenario.n)
-    _require_out(args.out, directory=False)
+    plan = _Plan(args.out, inputs=[args.scenario])
     data = gen_synthetic(scenario, apply_shift=args.apply_shift)
-    save_dataset(data, args.out)
     config = {"scenario": args.scenario, "regime": args.regime, "n": scenario.n,
               "seed": scenario.seed, "apply_shift": args.apply_shift}
-    _write_manifest(str(args.out) + ".manifest.json", "gen-synth", config, inputs,
-                    [args.out], scenario.seed, started)
+    plan.write("gen-synth", config, scenario.seed, started,
+               lambda path: save_dataset(data, path))
     print(f"wrote {len(data)} instances -> {args.out}")
     return EXIT_OK
 
@@ -528,7 +529,7 @@ def cmd_inspect_weights(args) -> int:
     started = time.time()
     if not args.tau > 0:
         raise UsageError(f"--tau must be positive (or inf), got {args.tau}")
-    policy, data, inputs = _policy_and_data(args, directory=False)
+    policy, data, plan = _policy_and_data(args)
     p = policy_probs(policy, data)
     v, direction = ((data.correct, "worst_low") if args.target == "reward"
                     else (data.cost, "worst_high"))
@@ -543,16 +544,13 @@ def cmd_inspect_weights(args) -> int:
     # divergence (0 log 0 = 0) and its effective sample size
     kl = float(np.add.reduce(weights * np.log(np.where(weights > 0, weights, 1.0))) / len(data))
     ess = float(np.add.reduce(weights) ** 2 / np.add.reduce(weights * weights))
-    write_csv(args.out, [[f"# tau={args.tau!r}"], [f"# direction={direction}"],
-                         [f"# baseline={float(baseline)!r}"], [f"# kl={kl!r}"], [f"# ess={ess!r}"],
-                         [f"# weight_range={float(weights.min())!r}..{float(weights.max())!r}"],
-                         ("index", "f", "weight"),
-                         *zip(range(len(data)), f.tolist(), weights.tolist())])
+    rows = [[f"# tau={args.tau!r}"], [f"# direction={direction}"],
+            [f"# baseline={float(baseline)!r}"], [f"# kl={kl!r}"], [f"# ess={ess!r}"],
+            [f"# weight_range={float(weights.min())!r}..{float(weights.max())!r}"],
+            ("index", "f", "weight"), *zip(range(len(data)), f.tolist(), weights.tolist())]
     config = {"data": args.data, "model": args.model, "baseline": args.baseline,
-              "tau": encode_float(args.tau),
-              "target": args.target}
-    _write_manifest(str(args.out) + ".manifest.json", "inspect-weights", config,
-                    inputs, [args.out], 0, started)
+              "tau": encode_float(args.tau), "target": args.target}
+    plan.write("inspect-weights", config, 0, started, lambda path: write_csv(path, rows))
     print(f"wrote {len(data)} weights -> {args.out}")
     return EXIT_OK
 

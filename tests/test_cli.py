@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -991,7 +992,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "split 'held' has 3 features" in err
         assert "Traceback" not in err
-        assert not list((tmp_path / "sw" / "cells").iterdir())
+        assert not (tmp_path / "sw").exists()  # the outputs are made after the work
 
     def test_test_split_overflowing_the_training_cost_scale_fails_before_training(
             self, tmp_path, capsys, monkeypatch):
@@ -1011,7 +1012,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "split 'held': instance 'z0': costs are not finite on the cost scale 0.5" in err
         assert "Traceback" not in err
-        assert not list((tmp_path / "sw" / "cells").iterdir())
+        assert not (tmp_path / "sw").exists()  # the outputs are made after the work
 
     def test_too_few_rows_fail_every_learnable_cell(self, tmp_path, capsys):
         data = tmp_path / "few.jsonl"
@@ -1350,6 +1351,8 @@ OUT_COMMANDS = {
               True),
     "eval": (["--baseline", "all-instruct", "--data", "{data}"],
              ["load_dataset", "evaluate_policy"], True),
+    "sweep": (["--train-data", "{data}", "--budgets", 2, "--repeats", 1,
+               "--methods", "all-instruct"], ["load_dataset", "run_units"], True),
     "saddle-demo": (["--iters", 10], ["random_problem", "solve_saddle"], True),
     "gen-synth": (["--regime", "magpie-ultra", "--n", 50], ["gen_synthetic", "save_dataset"],
                   False),
@@ -1359,6 +1362,7 @@ OUT_COMMANDS = {
 # the faults an output path can have: (--out under tmp_path, the error line)
 OUT_FAULTS = {
     "a file": ("F", "[Errno 17] File exists: '{out}'"),
+    "a link to nowhere": ("L", "[Errno 17] File exists: '{out}'"),
     "directory under a file": ("F/a/b", "[Errno 20] Not a directory: '{out}'"),
     "file under a file": ("F/a/x", "[Errno 20] Not a directory: '{out}.tmp'"),
     "a directory": ("D", "[Errno 21] Is a directory: '{out}.tmp' -> '{out}'"),
@@ -1366,35 +1370,158 @@ OUT_FAULTS = {
 }
 
 
+def out_argv(command, data, out) -> list:
+    flags = OUT_COMMANDS[command][0]
+    return [command, *(str(f).format(data=data) for f in flags), "--out", out]
+
+
+class Planned(Exception):
+    """A command's work started: its output plan is complete."""
+
+
+def _planned(*args, **kwargs):
+    raise Planned
+
+
+def planned_files(command, data, out) -> list[Path]:
+    """The files of a command's output plan, in the order checked: the
+    command runs until its work starts, which its plan precedes."""
+    paths = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(racer.cli, "_require_writable",
+                        lambda path, made: paths.append(Path(path)))
+        for name in OUT_COMMANDS[command][1]:
+            patched.setattr(racer.cli, name, _planned)
+        with pytest.raises(Planned):
+            run(*out_argv(command, data, out))
+    return paths
+
+
+def plan_name(path: Path, root: Path) -> str:
+    """path under root, a sweep cell's digest written <digest>."""
+    return re.sub("[0-9a-f]{64}", "<digest>", str(path.relative_to(root)))
+
+
+def _every_planned_file() -> list[tuple[str, str]]:
+    """(command, name) of each file of each command's output plan, with
+    --out d/out: a plan needs its inputs to exist, not to hold data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "d").mkdir()
+        (root / "data.jsonl").touch()
+        return [(command, plan_name(path, root)) for command in OUT_COMMANDS
+                for path in planned_files(command, root / "data.jsonl", root / "d" / "out")]
+
+
+PLANNED_FILES = _every_planned_file()
+
+
 class TestUnwritableOut:
-    """A command whose --out cannot be written fails with exit 2 and the
-    error line the write would give, before it does any work: it used to
-    find out only when it wrote its outputs."""
+    """A command that cannot write one of its outputs fails with exit 2 and
+    the error line the write would give, before it does any work: it used to
+    find out only when it wrote its outputs, for every file but --out."""
 
     @pytest.mark.parametrize("command, fault", [
         (command, fault) for command, (_, _, directory) in OUT_COMMANDS.items()
-        for fault in (["a file", "directory under a file"] if directory else
-                      ["file under a file", "a directory", "missing parent"])])
+        for fault in (["a file", "a link to nowhere", "directory under a file"] if directory
+                      else ["file under a file", "a directory", "missing parent"])])
     def test_fails_before_the_work(self, data_file, tmp_path, capsys, monkeypatch, command,
                                    fault):
-        flags, work, _ = OUT_COMMANDS[command]
         path, line = OUT_FAULTS[fault]
         (tmp_path / "F").write_text("")
         (tmp_path / "D").mkdir()
-        out = tmp_path / path
-        argv = [command, *(str(f).format(data=data_file) for f in flags), "--out", out]
+        (tmp_path / "L").symlink_to("nowhere")
+        self.check_fails_before_the_work(tmp_path, capsys, monkeypatch, command,
+                                         out_argv(command, data_file, tmp_path / path),
+                                         line.format(out=tmp_path / path))
+
+    @pytest.mark.parametrize("command, name, fault", [
+        (*planned, fault) for planned in PLANNED_FILES
+        for fault in ("a directory", "its temporary a directory", "its directory a file")])
+    def test_every_planned_file_fails_before_the_work(self, data_file, tmp_path, capsys,
+                                                      monkeypatch, command, name, fault):
+        out = tmp_path / "d" / "out"
+        out.parent.mkdir()
+        planned = planned_files(command, data_file, out)
+        path = next(path for path in planned if plan_name(path, tmp_path) == name)
+        tmp = Path(f"{path}.tmp")
+        if fault == "a directory":
+            path.mkdir(parents=True)
+            line = f"[Errno 21] Is a directory: '{tmp}' -> '{path}'"
+        elif fault == "its temporary a directory":
+            tmp.mkdir(parents=True)
+            line = f"[Errno 21] Is a directory: '{tmp}'"
+        else:  # the plan makes that directory, or the first file written there fails
+            path.parent.parent.mkdir(parents=True, exist_ok=True)
+            shutil.rmtree(path.parent, ignore_errors=True)
+            path.parent.write_text("")
+            first = next(p for p in planned if p.parent == path.parent)
+            line = (f"[Errno 17] File exists: '{path.parent}'" if OUT_COMMANDS[command][2]
+                    else f"[Errno 20] Not a directory: '{first}.tmp'")
+        self.check_fails_before_the_work(tmp_path, capsys, monkeypatch, command,
+                                         out_argv(command, data_file, out), line)
+
+    @staticmethod
+    def check_fails_before_the_work(tmp_path, capsys, monkeypatch, command, argv, line):
         before = sorted(tmp_path.rglob("*"))
         calls = []
         with monkeypatch.context() as patched:
-            for name in work:
+            for name in OUT_COMMANDS[command][1]:
                 patched.setattr(racer.cli, name,
                                 lambda *args, name=name, **kwargs: calls.append(name))
             assert run(*argv) == 2
-        assert capsys.readouterr().err == f"error: {line.format(out=out)}\n"
+        assert capsys.readouterr().err == f"error: {line}\n"
         assert calls == [] and sorted(tmp_path.rglob("*")) == before
         # the line is the one the write gives once the work is done
-        monkeypatch.setattr(racer.cli, "_require_out", lambda out, directory: None)
-        assert run_quietly(*argv) == (2, f"error: {line.format(out=out)}\n")
+        monkeypatch.setattr(racer.cli, "_require_writable", lambda path, made: None)
+        assert run_quietly(*argv) == (2, f"error: {line}\n")
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_a_run_hashes_before_the_work_and_writes_its_plan_only(self, data_file, tmp_path,
+                                                                    monkeypatch, command):
+        # a file written outside the plan would be neither checked nor listed
+        out = tmp_path / "d" / "out"
+        out.parent.mkdir()
+        planned = planned_files(command, data_file, out)
+        calls = []
+        for name in ["_sha256", *OUT_COMMANDS[command][1]]:
+            monkeypatch.setattr(racer.cli, name, lambda *args, name=name, real=getattr(
+                racer.cli, name), **kwargs: calls.append(name) or real(*args, **kwargs))
+        assert run_quietly(*out_argv(command, data_file, out))[0] == 0
+        # the manifest's digests are of the bytes the work read
+        assert calls[:calls.count("_sha256")] == ["_sha256"] * calls.count("_sha256")
+        assert {path for path in out.parent.rglob("*") if path.is_file()} == set(planned)
+        manifest = next(path for path in planned if path.name.endswith("manifest.json"))
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert sorted(outputs) == sorted(str(path) for path in planned if path != manifest)
+
+    @pytest.mark.parametrize("argv, alias", [
+        (["inspect-weights", "--data", "alias.jsonl", "--baseline", "random:0.5", "--tau", 1,
+          "--target", "cost", "--out", "alias.jsonl"], "alias.jsonl"),
+        (["eval", "--model", "m.json", "--data", "ev2/metrics.json", "--out", "ev2"],
+         "ev2/metrics.json"),
+        (["inspect-weights", "--data", "w.csv.tmp", "--baseline", "random:0.5", "--tau", 1,
+          "--target", "cost", "--out", "w.csv"], "w.csv.tmp"),  # written, then renamed
+    ])
+    def test_an_output_that_is_an_input_is_refused(self, data_file, tmp_path, capsys,
+                                                   monkeypatch, argv, alias):
+        # the input used to be overwritten, and the manifest gave the output's digest as its
+        monkeypatch.chdir(tmp_path)
+        Path(alias).parent.mkdir(exist_ok=True)
+        shutil.copy(data_file, alias)
+        save_model("m.json", LinearPolicy(np.zeros(load_dataset(data_file).n_features), 0.0), 1.0)
+        before = {path: path.read_bytes() if path.is_file() else None
+                  for path in tmp_path.rglob("*")}
+        calls = []
+        for name in ("load_dataset", "evaluate_policy", "policy_probs"):
+            monkeypatch.setattr(racer.cli, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: writing {alias} would overwrite the input {alias}\n")
+        assert calls == []
+        assert {path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")} == before
 
 
 class TestInspectWeights:
