@@ -109,6 +109,8 @@ def kl_divergence(p, q) -> float:
     """KL(p || q) in nats with the convention 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("probabilities must be finite")
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("p and q must be 1-d vectors of equal length")
     if np.any(p < 0) or np.any(q < 0):
@@ -137,10 +139,11 @@ class ExactTilt:
     status: str
 
 
-def _tilt(f: np.ndarray, log_rho: np.ndarray, tau: float,
-          direction: str) -> tuple[np.ndarray, float]:
-    """The tilted distribution at tau and the log-sum-exp of its logits."""
-    logits = log_rho + (-f if direction == "worst_low" else f) / tau
+def _tilt(signed: np.ndarray, log_rho: np.ndarray,
+          tau: float) -> tuple[np.ndarray, float]:
+    """The tilted distribution at tau and the log-sum-exp of its logits, for
+    signed values (-f for worst_low, f for worst_high)."""
+    logits = log_rho + signed / tau
     m = logits.max()
     w = np.exp(logits - m)
     total = w.sum()
@@ -154,13 +157,18 @@ def exact_tilt(values, rho, delta: float, direction: str) -> ExactTilt:
     divergence is continuous and strictly decreasing in tau for
     non-constant values, from the point-mass limit down to 0. Returned
     weights are the density ratios rho_tilde/rho, which have mean 1 under
-    rho by construction.
+    rho by construction. The inputs are checked once, here; the bisection's
+    KL step skips kl_divergence's checks while every tilted weight is
+    positive, where it returns kl_divergence's value bitwise.
     """
     f = np.asarray(values, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
     if f.shape != rho.shape or f.ndim != 1 or f.size == 0:
         raise ValueError("values and rho must be non-empty 1-d vectors of equal length")
-    if np.any(rho <= 0) or abs(rho.sum() - 1.0) > 1e-9:
+    if not np.isfinite(f).all():
+        raise ValueError("values contain a non-finite entry")
+    # written so that NaN or inf in rho fails it
+    if not (np.all(rho > 0) and abs(rho.sum() - 1.0) <= 1e-9):
         raise ValueError("rho must be strictly positive and sum to 1")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -179,8 +187,15 @@ def exact_tilt(values, rho, delta: float, direction: str) -> ExactTilt:
         tilted = tilted / tilted.sum()
         return ExactTilt(WeightVector(tilted / rho, float(extreme)), 0.0, "saturated")
 
+    signed = -f if direction == "worst_low" else f
+
     def kl_at(tau: float) -> float:
-        return kl_divergence(_tilt(f, log_rho, tau, direction)[0], rho)
+        q = _tilt(signed, log_rho, tau)[0]
+        # kl_divergence's support mask keeps every row of a positive q, so
+        # this is its sum; a zero (underflow) or NaN weight takes its checks
+        if (q > 0).all():
+            return float(np.sum(q * np.log(q / rho)))
+        return kl_divergence(q, rho)
 
     # bracket: KL decreases in tau, so grow tau until KL < delta and shrink
     # until KL > delta, then bisect on log tau.
@@ -204,7 +219,7 @@ def exact_tilt(values, rho, delta: float, direction: str) -> ExactTilt:
             break
     tau_star = math.sqrt(lo * hi)
 
-    tilted, lse = _tilt(f, log_rho, tau_star, direction)
+    tilted, lse = _tilt(signed, log_rho, tau_star)
     # log-sum-exp anchor of the tilt: soft-min (worst_low) or soft-max
     # (worst_high) of f under rho.
     baseline = -tau_star * lse if direction == "worst_low" else tau_star * lse

@@ -15,6 +15,7 @@ import numpy as np
 
 from racer.core import (ConstantPolicy, LinearPolicy, Metrics, ParseError, TabularPolicy,
                         ValidationError, _params, counter_uniforms, sigmoid)
+from racer.reweight import DIRECTIONS, ExactTilt, WeightVector, kl_divergence, uniform_weights
 from racer.saddle import dual_update
 from racer.trainer import (
     Checkpoint,
@@ -463,6 +464,66 @@ def row_tilt_weights(values, tau, direction):
     w /= w.mean(axis=-1, keepdims=True)
     return w, mean[..., 0]
 
+
+
+def exact_tilt_reference(values, rho, delta, direction):
+    """exact_tilt as a plain bisection on log tau that checks each step's
+    distribution with the public kl_divergence and negates f inside every
+    tilt; the library's exact_tilt validates once and must equal it bitwise."""
+    f = np.asarray(values, dtype=np.float64)
+    rho = np.asarray(rho, dtype=np.float64)
+    if f.shape != rho.shape or f.ndim != 1 or f.size == 0:
+        raise ValueError("values and rho must be non-empty 1-d vectors of equal length")
+    if np.any(rho <= 0) or abs(rho.sum() - 1.0) > 1e-9:
+        raise ValueError("rho must be strictly positive and sum to 1")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    if np.ptp(f) == 0.0:
+        return ExactTilt(uniform_weights(f.size, float(f[0])), math.inf, "slack")
+
+    log_rho = np.log(rho)
+    extreme = f.min() if direction == "worst_low" else f.max()
+    on_extreme = f == extreme
+    kl_limit = -math.log(float(rho[on_extreme].sum()))
+    if delta >= kl_limit:
+        tilted = np.where(on_extreme, rho, 0.0)
+        tilted = tilted / tilted.sum()
+        return ExactTilt(WeightVector(tilted / rho, float(extreme)), 0.0, "saturated")
+
+    def tilt(tau):
+        logits = log_rho + (-f if direction == "worst_low" else f) / tau
+        m = logits.max()
+        w = np.exp(logits - m)
+        total = w.sum()
+        return w / total, m + math.log(total)
+
+    def kl_at(tau):
+        return kl_divergence(tilt(tau)[0], rho)
+
+    hi = 1.0
+    while kl_at(hi) > delta:
+        hi *= 2.0
+        if hi > 2.0**200:
+            raise ArithmeticError("tilt bracket expansion failed")
+    lo = hi
+    while kl_at(lo) < delta:
+        lo /= 2.0
+        if lo < 2.0**-200:
+            raise ArithmeticError("tilt bracket contraction failed")
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if kl_at(mid) > delta:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * hi:
+            break
+    tau_star = math.sqrt(lo * hi)
+    tilted, lse = tilt(tau_star)
+    baseline = -tau_star * lse if direction == "worst_low" else tau_star * lse
+    return ExactTilt(WeightVector(tilted / rho, float(baseline)), tau_star, "active")
 
 def _ref_softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)

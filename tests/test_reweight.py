@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import binary_tilt_oracle, grid_worst_case, row_tilt_weights
+from oracles import binary_tilt_oracle, exact_tilt_reference, grid_worst_case, row_tilt_weights
 
+import racer.reweight
 from racer.reweight import (
     RobustConfig,
     _tilt_rows,
@@ -18,6 +19,7 @@ from racer.reweight import (
     tilt_weights,
     uniform_weights,
 )
+from racer.saddle import random_problem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,6 +123,14 @@ class TestKlDivergence:
         with pytest.raises(ValueError, match="support"):
             kl_divergence([0.5, 0.5], [1.0, 0.0])
 
+    @pytest.mark.parametrize("p, q", [([math.nan, 1.0], [0.5, 0.5]),
+                                      ([0.5, 0.5], [math.nan, 1.0]),
+                                      ([math.inf, 0.0], [0.5, 0.5]),
+                                      ([0.5, 0.5], [0.0, math.inf])])
+    def test_non_finite_input_is_refused(self, p, q):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            kl_divergence(p, q)
+
     def test_gibbs_nonnegativity(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -194,6 +204,75 @@ class TestExactTilt:
             res = exact_tilt(f, rho, delta, direction)
             tilted = rho * res.weights.weights
             assert kl_divergence(tilted, rho) == pytest.approx(delta, rel=1e-8)
+
+
+def _outcome(fn, f, rho, delta, direction):
+    """Everything exact_tilt returns, as bytes, or the error it raises."""
+    try:
+        res = fn(f, rho, delta, direction)
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+    return (res.tau_star.hex(), res.status, res.weights.weights.tobytes(),
+            res.weights.baseline.hex())
+
+
+class TestExactTiltValidatesOnce:
+    @pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0],
+                                        [1.0, -math.inf, 2.0]])
+    def test_non_finite_values_are_refused(self, values):
+        with pytest.raises(ValueError, match="values contain a non-finite entry"):
+            exact_tilt(values, [1 / 3] * 3, 0.05, "worst_high")
+
+    @pytest.mark.parametrize("rho", [[math.nan, 0.5, 0.5], [math.inf, 0.5, 0.5],
+                                     [1 / 3, 1 / 3, math.nan]])
+    def test_non_finite_rho_is_refused(self, rho):
+        with pytest.raises(ValueError, match="rho must be strictly positive and sum to 1"):
+            exact_tilt([0.0, 1.0, 2.0], rho, 0.05, "worst_high")
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["normal", "normal", "ties", "constant"]),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 30.0, 1e3, 1e5]),
+           uniform_rho=st.booleans(),
+           frac=st.sampled_from([1e-9, 1e-3, 0.2, 0.7, 0.999, 1.0, 3.0]),
+           direction=st.sampled_from(["worst_low", "worst_high"]))
+    def test_equals_the_checked_bisection_bitwise(self, n, seed, shape, scale, uniform_rho,
+                                                  frac, direction):
+        # frac scales delta against the point-mass KL: below 1 the tilt is
+        # active, from 1 saturated; constant values are slack. Scales from 30
+        # up underflow some tilted weights to 0 along the bracket, 1e-300
+        # spreads too little for any tau to reach delta.
+        rng = np.random.default_rng(seed)
+        f = {"normal": rng.standard_normal(n), "ties": rng.integers(0, 3, n) * 1.0,
+             "constant": np.full(n, 2.0)}[shape] * scale
+        rho = np.full(n, 1 / n) if uniform_rho else rng.dirichlet(np.ones(n))
+        extreme = f.min() if direction == "worst_low" else f.max()
+        kl_limit = -math.log(float(rho[f == extreme].sum()))
+        delta = frac * kl_limit if kl_limit > 0 else frac
+        assert (_outcome(exact_tilt, f, rho, delta, direction)
+                == _outcome(exact_tilt_reference, f, rho, delta, direction))
+
+    def test_kl_divergence_runs_only_on_a_nonpositive_weight(self, monkeypatch):
+        calls = []
+        checked = kl_divergence
+
+        def counting(p, q):
+            calls.append(1)
+            return checked(p, q)
+
+        monkeypatch.setattr(racer.reweight, "kl_divergence", counting)
+        p = random_problem(1, n_contexts=2000)
+        for f, direction in ((p.w1 * p.reward[:, 1], "worst_low"),
+                             (p.w2 * p.cost[:, 1], "worst_high")):
+            args = (f, p.rho, 0.05, direction)
+            got = _outcome(exact_tilt, *args)
+            assert got == _outcome(exact_tilt_reference, *args) and got[1] == "active"
+        assert calls == []
+        # at tau = 1, exp(-1000) underflows: the step falls back to the checks
+        args = ([0.0, 0.5, 1000.0], [0.2, 0.3, 0.5], 0.3, "worst_high")
+        got = _outcome(exact_tilt, *args)
+        assert got == _outcome(exact_tilt_reference, *args) and got[1] == "active"
+        assert calls
 
 
 class TestProperties:
