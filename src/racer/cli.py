@@ -370,9 +370,10 @@ def _read_cell(path: Path, digest: str):
 def cmd_sweep(args) -> int:
     started = time.time()
     template = _train_config(args)  # budget set per cell
-    budgets = _parse_floats(args.budgets) if args.budgets else DEFAULT_BUDGETS
-    methods = tuple(m for m in (args.methods or "").split(",") if m) or (
-        "racer", "all-instruct", "all-reasoning", "random")
+    # an absent flag takes the defaults; an empty list reaches sweep_units' check
+    budgets = DEFAULT_BUDGETS if args.budgets is None else _parse_floats(args.budgets)
+    methods = (("racer", "all-instruct", "all-reasoning", "random") if args.methods is None
+               else tuple(m for m in args.methods.split(",") if m))
     if args.scenario is not None and (args.train_data is not None or args.test_data):
         raise UsageError("--scenario excludes --train-data and --test-data")
     items = [item.split("=", 1) for item in args.test_data or []]  # [name, path] each

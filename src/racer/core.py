@@ -662,18 +662,24 @@ def _params(policy: PolicySpec) -> list[np.ndarray]:
     raise TypeError(f"{type(policy).__name__} has no trainable parameters")
 
 
-def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray):
+def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray, *,
+             keep_inputs: bool = True):
     """Logits (R, B) of a stack of R replicas, each parameter with a leading
     replica axis and x of shape (R, B, d), and the layer inputs the trainer's
     backward pass needs. Each replica gets bitwise the numbers it gets alone.
     Each layer's output is one array: the matmul's, to which the bias is
-    added (and, in a hidden layer, ReLU applied) in place."""
-    acts = [x]
+    added (and, in a hidden layer, ReLU applied) in place. Scoring, which
+    runs no backward pass, passes keep_inputs=False and gets () for the
+    inputs: each layer's input is then dropped once its output exists, so at
+    most two adjacent layers are held at once."""
+    acts = [x] if keep_inputs else []
     h = x
     for w, b in zip(params[0:-2:2], params[1:-2:2]):
         h = h @ w.transpose(0, 2, 1)
         h += b[:, None, :]
-        acts.append(np.maximum(h, 0.0, out=h))
+        np.maximum(h, 0.0, out=h)
+        if keep_inputs:
+            acts.append(h)
     w = params[0][:, :, None] if kind == "linear" else params[-2].transpose(0, 2, 1)
     u = (h @ w)[..., 0]
     u += params[-1]
@@ -694,7 +700,7 @@ def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:
         raise ValidationError(f"feature dimension {data.n_features} != policy "
                               f"{'dimension' if linear else 'input'} {params[0].shape[-1]}")
     u, _ = _forward([a[None] for a in params], "linear" if linear else "feedforward",
-                    data.features[None])
+                    data.features[None], keep_inputs=False)
     return sigmoid(u[0])
 
 

@@ -184,16 +184,19 @@ def _gen_columns(config: ScenarioConfig):
     correct0 = (u0 < p0).astype(np.int64)
     correct1 = (u1 < p1).astype(np.int64)
 
-    base_medians = np.array([d.instruct_cost_median for d in config.domains])[dom_idx]
-    cost0 = base_medians * np.exp(rng.normal(0.0, config.instruct_cost_sigma, size=n))
-    medians = np.array([d.cost_ratio_median for d in config.domains])[dom_idx]
-    sigmas = np.array([d.cost_ratio_sigma for d in config.domains])[dom_idx]
-    ratio = medians * np.exp(sigmas * rng.standard_normal(n))
-    cost1 = cost0 * ratio
+    # huge but finite scenario values overflow to inf or nan here;
+    # Dataset.from_columns names the first such row
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_medians = np.array([d.instruct_cost_median for d in config.domains])[dom_idx]
+        cost0 = base_medians * np.exp(rng.normal(0.0, config.instruct_cost_sigma, size=n))
+        medians = np.array([d.cost_ratio_median for d in config.domains])[dom_idx]
+        sigmas = np.array([d.cost_ratio_sigma for d in config.domains])[dom_idx]
+        ratio = medians * np.exp(sigmas * rng.standard_normal(n))
+        cost1 = cost0 * ratio
 
-    means = np.array([d.feature_mean for d in config.domains])[dom_idx]
-    noise = np.array([d.feature_noise for d in config.domains])[dom_idx]
-    features = means + noise[:, None] * rng.standard_normal(means.shape)
+        means = np.array([d.feature_mean for d in config.domains])[dom_idx]
+        noise = np.array([d.feature_noise for d in config.domains])[dom_idx]
+        features = means + noise[:, None] * rng.standard_normal(means.shape)
 
     names = [d.name for d in config.domains]
     return ([f"syn-{config.seed}-{i:06d}" for i in range(n)], [names[j] for j in dom_idx.tolist()],

@@ -529,7 +529,8 @@ class _Stack:
                                           self._weight_range(3, self.tilt_c))
 
         # evaluate_policy's expected mode on each replica's own rows
-        prob = _sigmoid(_forward(self.params, self.kind, self.val["x"])[0])[0]
+        u, _ = _forward(self.params, self.kind, self.val["x"], keep_inputs=False)
+        prob = _sigmoid(u)[0]
         accuracy, cost, reasoning = _expected(prob, self.val["correct"], self.val["cost"])
         for k, slot in enumerate(self.slot):
             snapshot = _rebuild(self.kind, [p[k] for p in self.params])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import racer.cli
@@ -224,6 +224,27 @@ SCENARIO["shift"] = {"light": 0.3, "heavy": 0.7}
 DOMAIN_FIELDS = sorted(SCENARIO["domains"][0])
 
 
+def overflowing_scenario(top=None, **domain):
+    """Bytes of SCENARIO with the fields of the dict top set on the scenario
+    and the keyword fields on both domains: finite values whose draws
+    overflow in the generator."""
+    payload = {**SCENARIO, **(top or {}),
+               "domains": [{**d, **domain} for d in SCENARIO["domains"]]}
+    return json.dumps(payload).encode()
+
+
+OVERFLOWING_SCENARIOS = {
+    "cost-ratio-sigma": (overflowing_scenario(cost_ratio_sigma=1e300),
+                         "costs must be positive and finite"),
+    "instruct-cost-sigma": (overflowing_scenario({"instruct_cost_sigma": 1e300}),
+                            "costs must be positive and finite"),
+    "medians": (overflowing_scenario(cost_ratio_median=1e308, instruct_cost_median=1e308),
+                "costs must be positive and finite"),
+    "features": (overflowing_scenario(feature_noise=1e308, feature_mean=[1e308] * 3),
+                 "non-finite feature value"),
+}
+
+
 @st.composite
 def scenario_texts(draw):
     """Bytes of a scenario file: a valid two-domain scenario with some
@@ -344,8 +365,22 @@ class TestGenSynth:
         assert str(path) in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_SCENARIOS))
+    def test_overflowing_scenario_is_data_error(self, tmp_path, capsys, case):
+        # the generator's draws used to print "RuntimeWarning: overflow
+        # encountered in exp" (a traceback under the error filter)
+        text, message = OVERFLOWING_SCENARIOS[case]
+        path, out = tmp_path / "s.json", tmp_path / "d.jsonl"
+        path.write_bytes(text)
+        assert run("gen-synth", "--scenario", path, "--n", 30, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not out.exists()
+
     @settings(max_examples=150, deadline=None)
     @given(text=scenario_texts(), apply_shift=st.booleans())
+    @example(text=OVERFLOWING_SCENARIOS["cost-ratio-sigma"][0], apply_shift=False)
     def test_fuzzed_scenario_file_never_escapes(self, text, apply_shift):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.json"
@@ -855,7 +890,10 @@ class TestSweep:
         ("--base-seed=-1", "base seed must be non-negative"),
         ("--budgets=-1", "budgets must be positive"),
         ("--budgets=nan", "budgets must be positive"),
+        ("--budgets=", "must be non-empty"),  # an empty list used to run the defaults
         ("--budgets=,", "must be non-empty"),
+        ("--methods=", "must be non-empty"),
+        ("--methods=,", "must be non-empty"),
         ("--repeats=0", "repeats must be at least 1"),
         ("--workers=0", "--workers must be at least 1"),
         ("--budget=2", "unrecognized arguments: --budget=2"),  # each cell sets its own

@@ -27,6 +27,7 @@ from racer.core import (
     save_dataset,
     sigmoid,
     write_json,
+    _forward,
     _sigmoid,
 )
 from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
@@ -294,6 +295,48 @@ class TestScoringKernel:
         got = evaluate_policy(policy, data, mode=mode, seed=seed)
         want = row_evaluate(policy, data, mode=mode, seed=seed)
         assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
+
+    @pytest.mark.parametrize("widths", [(), (32, 16, 8)], ids=["linear", "feedforward"])
+    def test_scoring_forward_is_bitwise_the_training_forward(self, widths):
+        # scoring keeps no layer inputs; its arithmetic, and so every
+        # logit of every replica, is the one the training step runs
+        r, n, d = 3, 500, 5
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((r, n, d))
+        if widths:
+            kind, dims = "feedforward", [d, *widths, 1]
+            params = [rng.standard_normal((r, *shape)) for w_in, w_out in zip(dims, dims[1:])
+                      for shape in ((w_out, w_in), (w_out,))]
+        else:
+            kind, params = "linear", [rng.standard_normal((r, d)), rng.standard_normal((r, 1))]
+        u, acts = _forward(params, kind, x)
+        scored, kept = _forward(params, kind, x, keep_inputs=False)
+        assert len(acts) == len(widths) + 1 and kept == ()
+        assert scored.shape == (r, n) and scored.tobytes() == u.tobytes()
+
+    def test_scoring_holds_at_most_two_adjacent_layers(self):
+        # a (256, 128, 64) network on 10k rows peaked at 36.6 MB when every
+        # layer's input was kept for a backward pass scoring never runs;
+        # the first call is untraced, so one-time set-up does not count
+        import tracemalloc
+        n, d = 10_000, 12
+        rng = np.random.default_rng(0)
+        data = Dataset.from_columns([f"r{i}" for i in range(n)], [None] * n,
+                                    rng.standard_normal((n, d)), rng.integers(0, 2, (n, 2)),
+                                    rng.uniform(0.1, 50.0, (n, 2)))
+        dims = [d, 256, 128, 64, 1]
+        policy = FeedForwardPolicy(
+            tuple(rng.standard_normal((w_out, w_in)) / 8 for w_in, w_out in zip(dims, dims[1:])),
+            tuple(rng.standard_normal(w) for w in dims[1:]))
+        first = policy_probs(policy, data)
+        tracemalloc.start()
+        try:
+            second = policy_probs(policy, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second.tobytes() == first.tobytes()
+        assert peak <= 2**20 + 8 * n * (256 + 128), peak
 
 
 json_leaves = st.one_of(

@@ -546,18 +546,19 @@ class TestLeanStep:
         # 108 training rows: 4 full batches, or 3 and a tail of 12. Each
         # part's first batch runs its own step 1, the step 4 of a batch with
         # a successor in its part is also that successor's step 1, and
-        # validation is one more pass
+        # validation is one more pass, the only one that keeps no inputs
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return racer.core._forward(*args)
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("keep_inputs", True))
+            return racer.core._forward(*args, **kwargs)
 
         monkeypatch.setattr(racer.trainer, "_forward", counted)
         base = TrainConfig(budget=2.0, epochs=3, batch_size=batch_size)
         outcomes = train(routing_dataset(seed=3, n=120), [replace(base, seed=s) for s in range(3)])
         assert all(isinstance(o, TrainResult) for o in outcomes)
         assert len(calls) == base.epochs * per_epoch
+        assert calls.count(False) == base.epochs
 
     def test_update_failure_leaves_the_seam(self):
         # the "update" group fails replicas at step 4 of a batch followed by
