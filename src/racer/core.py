@@ -654,22 +654,22 @@ def _sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _params(policy: PolicySpec) -> list[np.ndarray]:
-    """Writable copies of a policy's arrays, each layer's weights then bias."""
+    """Writable copies of a policy's arrays, each layer's weights then bias; a
+    linear policy is one (1, d) layer, a network with no hidden layer."""
     if isinstance(policy, LinearPolicy):
-        return [policy.weights.copy(), np.array([policy.bias])]
+        return [policy.weights[None].copy(), np.array([policy.bias])]
     if isinstance(policy, FeedForwardPolicy):
         return [a.copy() for layer in zip(policy.weights, policy.biases) for a in layer]
     raise TypeError(f"{type(policy).__name__} has no trainable parameters")
 
 
-def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray, *,
-             keep_inputs: bool = True):
+def _forward(params: Sequence[np.ndarray], x: np.ndarray, *, keep_inputs: bool = True):
     """Logits (R, B) of a stack of R replicas, each parameter with a leading
     replica axis and x of shape (R, B, d), and the layer inputs the trainer's
     backward pass needs. Each replica gets bitwise the numbers it gets alone.
     Each layer's output is one array: the matmul's, to which the bias is
-    added (and, in a hidden layer, ReLU applied) in place. Scoring, which
-    runs no backward pass, passes keep_inputs=False and gets () for the
+    added (and, in a hidden layer, ReLU applied) in place. A pass that no
+    backward pass follows passes keep_inputs=False and gets () for the
     inputs: each layer's input is then dropped once its output exists, so at
     most two adjacent layers are held at once."""
     acts = [x] if keep_inputs else []
@@ -680,8 +680,7 @@ def _forward(params: Sequence[np.ndarray], kind: str, x: np.ndarray, *,
         np.maximum(h, 0.0, out=h)
         if keep_inputs:
             acts.append(h)
-    w = params[0][:, :, None] if kind == "linear" else params[-2].transpose(0, 2, 1)
-    u = (h @ w)[..., 0]
+    u = (h @ params[-2].transpose(0, 2, 1))[..., 0]
     u += params[-1]
     return u, tuple(acts)
 
@@ -699,8 +698,7 @@ def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:
     if data.n_features != params[0].shape[-1]:
         raise ValidationError(f"feature dimension {data.n_features} != policy "
                               f"{'dimension' if linear else 'input'} {params[0].shape[-1]}")
-    u, _ = _forward([a[None] for a in params], "linear" if linear else "feedforward",
-                    data.features[None], keep_inputs=False)
+    u, _ = _forward([a[None] for a in params], data.features[None], keep_inputs=False)
     return sigmoid(u[0])
 
 

@@ -393,8 +393,8 @@ def split_units(units: Sequence, workers: int) -> list[list]:
 
 
 def _run_sweep_cell(args):
-    """A group of (budget, seed) units: train every learnable (method,
-    budget, seed) of the group in one stack, then evaluate each unit.
+    """A group of sweep_units' (budget, seed) units: train every learnable
+    (method, budget, seed) of the group in one stack, then evaluate each unit.
 
     Returns one (cells, failures) pair per unit, in order.
     """
@@ -405,12 +405,8 @@ def _run_sweep_cell(args):
         for method in methods:
             if method not in LEARNABLE_METHODS:
                 continue
-            try:
-                configs.append(replace(template, budget=float(budget), seed=int(seed),
-                                       robust=replace(template.robust, mode=method)))
-            except ValueError as exc:
-                failures[u].append(SweepFailure(method, budget, seed, str(exc)))
-                continue
+            configs.append(replace(template, budget=float(budget), seed=int(seed),
+                                   robust=replace(template.robust, mode=method)))
             keys.append((u, method))
     trained: dict[tuple[int, str], object] = {}
     if configs:

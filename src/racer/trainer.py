@@ -148,7 +148,7 @@ class TrainResult:
 
 def _rebuild(kind: str, params: Sequence[np.ndarray]) -> PolicySpec:
     if kind == "linear":
-        return LinearPolicy(params[0].copy(), float(params[1][0]))
+        return LinearPolicy(params[0][0].copy(), float(params[1][0]))
     weights = tuple(p.copy() for p in params[0::2])
     biases = tuple(p.copy() for p in params[1::2])
     return FeedForwardPolicy(weights, biases)
@@ -166,36 +166,26 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _backward(params: Sequence[np.ndarray], kind: str, acts, gu: np.ndarray, grads) -> None:
-    """Write the gradient into grads, the per-layer views of one (R, P) array."""
-    if kind == "linear":
-        (x,) = acts
-        np.matmul(x.transpose(0, 2, 1), gu[..., None], out=grads[0][..., None])
-        np.add.reduce(gu, axis=1, keepdims=True, out=grads[1])
-        return
-    delta = gu[..., None]  # gradient w.r.t. the final pre-activation, (R, B, 1)
-    for i in range(len(params) // 2 - 1, -1, -1):
-        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads[2 * i])
-        np.add.reduce(delta, axis=1, out=grads[2 * i + 1])
-        if i > 0:
-            delta = (delta @ params[2 * i]) * (acts[i] > 0)
-
-
 def _gaps(correct: np.ndarray, cost: np.ndarray):
     """Instruct-action reward and cost, and the reasoning-minus-instruct gaps."""
     r0, c0 = correct[..., 0], cost[..., 0]
     return r0, correct[..., 1] - r0, c0, cost[..., 1] - c0
 
 
-def _gradient(params, kind, acts, u, p, dr, dc, wr, wc, lam, beta, n, grads) -> None:
-    """Write the stacked gradient of _value's objective into grads, n being
-    the row count u.shape[1]. A weight of None is 1 on every row and is not
-    multiplied: x * 1.0 is x."""
+def _gradient(params, acts, u, p, dr, dc, wr, wc, lam, beta, n, grads) -> None:
+    """Write the stacked gradient of _value's objective into grads, the
+    per-layer views of one (R, P) array, n being the row count u.shape[1]. A
+    weight of None is 1 on every row and is not multiplied: x * 1.0 is x."""
     q = _ONE - p
     lam_wc = lam[:, None] if wc is None else lam[:, None] * wc
     gain = dr if wr is None else wr * dr
-    # d objective / d u_i; dH/du = -u * p * (1 - p)
-    _backward(params, kind, acts, (gain - lam_wc * dc - beta * u) * p * q / n, grads)
+    # d objective / d u_i, (R, B, 1); dH/du = -u * p * (1 - p)
+    delta = ((gain - lam_wc * dc - beta * u) * p * q / n)[..., None]
+    for i in range(len(params) // 2 - 1, -1, -1):
+        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads[2 * i])
+        np.add.reduce(delta, axis=1, out=grads[2 * i + 1])
+        if i > 0:
+            delta = (delta @ params[2 * i]) * (acts[i] > 0)
 
 
 def _value(u, p, tail, exp_r, exp_c, wr, wc, lam, beta) -> np.ndarray:
@@ -226,12 +216,12 @@ def _lam_safe(batch_size: int, c_max: float, beta: float, tau_r: float, tau_c: f
     return min((1e307 - b * b - b * beta) / (1.01 * b * b * c_max), 1e307 / b) if ok else -1.0
 
 
-def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
+def _objective_on_params(params, x, correct, cost, wr, wc, lam, beta):
     """Value and gradient of one policy's batch objective (a stack of one):
     mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ], the
     action expectation enumerated exactly and the tilt weights constant."""
     stacked = [p[None] for p in params]
-    u, acts = _forward(stacked, kind, x[None])
+    u, acts = _forward(stacked, x[None])
     if not np.all(np.isfinite(u)):
         bad = int(np.argmax(~np.isfinite(u[0])))
         raise TrainingDivergenceError(f"non-finite logit at batch index {bad}")
@@ -239,7 +229,7 @@ def _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta):
     r0, dr, c0, dc = _gaps(correct[None], cost[None])
     grads = _views(np.empty((1, sum(a.size for a in params))), [a.shape for a in params])
     wr, wc, lam = wr[None], wc[None], np.array([lam])
-    _gradient(stacked, kind, acts, u, p, dr, dc, wr, wc, lam, beta, u.shape[1], grads)
+    _gradient(stacked, acts, u, p, dr, dc, wr, wc, lam, beta, u.shape[1], grads)
     value = float(_value(u, p, np.log1p(e), r0 + p * dr, c0 + p * dc, wr, wc, lam, beta)[0])
     if not math.isfinite(value):
         raise TrainingDivergenceError("non-finite objective value in batch")
@@ -529,7 +519,7 @@ class _Stack:
                                           self._weight_range(3, self.tilt_c))
 
         # evaluate_policy's expected mode on each replica's own rows
-        u, _ = _forward(self.params, self.kind, self.val["x"], keep_inputs=False)
+        u, _ = _forward(self.params, self.val["x"], keep_inputs=False)
         prob = _sigmoid(u)[0]
         accuracy, cost, reasoning = _expected(prob, self.val["correct"], self.val["cost"])
         for k, slot in enumerate(self.slot):
@@ -563,7 +553,7 @@ class _Stack:
         value is the next batch's."""
         # step 1: per-instance reward/cost summaries under the current policy
         if step1 is None:
-            u, acts = _forward(self.params, self.kind, self.batches[b][0])
+            u, acts = _forward(self.params, self.batches[b][0])
             step1 = (u, acts, *_sigmoid(u), False)
         u, acts, p, e, checked = step1
         if not checked and not np.logical_and.reduce(np.isfinite(u), axis=None):
@@ -588,8 +578,7 @@ class _Stack:
         # step 3: one ascent step on the reweighted objective; the parameters
         # are those of step 1, so its logits and probabilities are reused; its
         # value is computed only where lam_safe cannot certify it finite
-        _gradient(self.params, self.kind, acts, u, p, dr, dc, w_r, w_c, self.lam, self.beta,
-                  n, self.grads)
+        _gradient(self.params, acts, u, p, dr, dc, w_r, w_c, self.lam, self.beta, n, self.grads)
         value = (None if np.maximum.reduce(self.lam) <= self.lam_safe else
                  _value(u, p, np.log1p(e), exp_r, exp_c, w_r, w_c, self.lam, self.beta))
         self.opt.ascend(self.flat, self.grad)
@@ -599,7 +588,7 @@ class _Stack:
         # over both batches' rows is also that batch's step 1 (only lambda
         # changes in between)
         fused = pair is not None
-        block, acts_new = _forward(self.params, self.kind, pair if fused else acts[0])
+        block, acts_new = _forward(self.params, pair if fused else acts[0], keep_inputs=fused)
         p_new, e_new = _sigmoid(block)
         u_new = block
         if fused:

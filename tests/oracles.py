@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from racer.core import (ConstantPolicy, LinearPolicy, Metrics, ParseError, TabularPolicy,
-                        ValidationError, _params, counter_uniforms, sigmoid)
+from racer.core import (ConstantPolicy, FeedForwardPolicy, LinearPolicy, Metrics, ParseError,
+                        TabularPolicy, ValidationError, counter_uniforms, sigmoid)
 from racer.reweight import DIRECTIONS, ExactTilt, WeightVector, kl_divergence, uniform_weights
 from racer.saddle import dual_update
 from racer.trainer import (
@@ -22,7 +22,6 @@ from racer.trainer import (
     EpochRecord,
     TrainingDivergenceError,
     TrainResult,
-    _rebuild,
     init_policy,
     select_checkpoint,
 )
@@ -529,6 +528,23 @@ def _ref_softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
+# The reference trainer keeps a linear policy's weights as one (d,) array and
+# its own linear arithmetic, where the library's kernels see a (1, d) layer:
+# stack_train holds the one layer loop bitwise to the linear-only formulas.
+
+def _ref_params(policy):
+    if isinstance(policy, LinearPolicy):
+        return [policy.weights.copy(), np.array([policy.bias])]
+    return [a.copy() for layer in zip(policy.weights, policy.biases) for a in layer]
+
+
+def _ref_rebuild(kind, params):
+    if kind == "linear":
+        return LinearPolicy(params[0].copy(), float(params[1][0]))
+    return FeedForwardPolicy(tuple(p.copy() for p in params[0::2]),
+                             tuple(p.copy() for p in params[1::2]))
+
+
 def _ref_forward(params, kind, x):
     if kind == "linear":
         return (x @ params[0][:, :, None])[..., 0] + params[1], (x,)
@@ -636,7 +652,7 @@ class _RefStack:
                                         init_rng, bias=lead.init_bias))
             self.shuffle_rngs.append(shuffle_rng)
         self.train_idx = np.stack(train_idx)
-        self.params = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
+        self.params = [np.stack(p) for p in zip(*(_ref_params(p) for p in policies))]
         self.opt = (_RefAdam(self.params, lead.primal_lr) if lead.optimizer == "adam"
                     else _RefSgd(self.params, lead.primal_lr))
         self.slot = np.arange(len(configs))
@@ -690,7 +706,7 @@ class _RefStack:
                 return
         st = self.stats
         for k, slot in enumerate(self.slot):
-            snapshot = _rebuild(self.kind, [p[k] for p in self.params])
+            snapshot = _ref_rebuild(self.kind, [p[k] for p in self.params])
             val_metrics = row_evaluate(snapshot, self.val_sets[k])
             lam = float(self.lam[k])
             self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))

@@ -225,10 +225,10 @@ def test_c05_gradient_correctness():
                 p += rng.standard_normal(p.shape) * 0.4
 
             def value_of(ps):
-                v, _ = _objective_on_params(ps, kind, x, correct, cost, wr, wc, lam, beta)
+                v, _ = _objective_on_params(ps, x, correct, cost, wr, wc, lam, beta)
                 return v
 
-            _, grads = _objective_on_params(params, kind, x, correct, cost, wr, wc, lam, beta)
+            _, grads = _objective_on_params(params, x, correct, cost, wr, wc, lam, beta)
             fd = finite_diff_gradient(value_of, params, h=1e-5)
             for g, g_fd in zip(grads, fd):
                 rel = np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-8))

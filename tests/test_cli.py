@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import racer.cli
 from helpers import make_instance
 from racer.cli import main
-from racer.core import Dataset, LinearPolicy, evaluate_policy, load_dataset, save_dataset
+from racer.core import (Dataset, LinearPolicy, ParseError, evaluate_policy, load_dataset,
+                        save_dataset)
 from racer.evalbench import (CONSTANT_METHODS, LEARNABLE_METHODS, PRESET_SCENARIOS,
                              gen_synthetic, load_scenario, run_sweep, shift_scenarios)
 from racer.reweight import MODES, RobustConfig, exact_tilt, tilt_weights
@@ -333,6 +334,15 @@ class TestGenSynth:
         assert "--apply-shift" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sources", [[], ["--regime", "separable3", "--scenario",
+                                              SCENARIOS / "separable3.json"]],
+                             ids=["neither", "both"])
+    def test_regime_or_scenario_is_required_alone(self, tmp_path, capsys, sources):
+        out = tmp_path / "d.jsonl"
+        assert run("gen-synth", *sources, "--n", 20, "--out", out) == 1
+        assert "exactly one of --scenario or --regime is required" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--n=0", "--seed=-1"])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, flag):
         assert run("gen-synth", "--regime", "separable3", flag, "--out", tmp_path / "x") == 1
@@ -351,12 +361,15 @@ class TestGenSynth:
         (json.dumps({**SCENARIO, "domains": [
             {**SCENARIO["domains"][0], "weight": None}, SCENARIO["domains"][1]]}).encode(),
          "domain 0: field 'weight' is not a number"),
+        (json.dumps({**SCENARIO, "domains": [3, SCENARIO["domains"][1]]}).encode(),
+         "domain 0: expected a JSON object, got int"),
         (json.dumps({**SCENARIO, "domains": [SCENARIO["domains"][0]]}).encode(),
          "must sum to 1"),
         (json.dumps({**SCENARIO, "shift": {"light": 1.0}}).encode(),
          "shift gives no weight for domain 'heavy'"),
     ], ids=["not-utf8", "list", "truncated", "text-n", "negative-seed", "domains-number",
-            "text-feature-mean", "null-weight", "weights-sum", "partial-shift"])
+            "text-feature-mean", "null-weight", "number-domain", "weights-sum",
+            "partial-shift"])
     def test_bad_scenario_file_is_data_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "s.json"
         path.write_bytes(text)
@@ -711,6 +724,19 @@ class TestEval:
         assert message in err
         assert "Traceback" not in err
 
+    def test_csv_field_over_the_csv_field_limit_is_data_error(self, tmp_path, capsys):
+        # the csv module refuses a field of more than 131 072 characters
+        path = tmp_path / "d.csv"
+        path.write_text("id,feat_0,correct_0,correct_1,cost_0,cost_1\n"
+                        + "a" * 131_073 + ",0.5,1,0,1.5,4.0\n")
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}: field larger than"):
+            load_dataset(path)
+        assert run("eval", "--baseline", "all-instruct", "--data", path,
+                   "--out", tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert "field larger than field limit (131072)" in err
+        assert "Traceback" not in err and not (tmp_path / "ev").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "expected a JSON object, got list"),
         (MODEL_TEXT[:60], "JSONDecodeError"),
@@ -725,9 +751,16 @@ class TestEval:
         (model_text(kind="feedforward", weights=[[[1.0, 0.0]]], biases=[[0.0, 1.0]]),
          "layer shapes do not chain"),
         (model_text(instruct_cost_mean=-2.0), "instruct_cost_mean must be positive"),
+        (MODEL_TEXT.replace("racer-model-v1", "racer-model-v0"),
+         "unsupported model format 'racer-model-v0'"),
+        (json.dumps({"format": "racer-model-v1", "instruct_cost_mean": 2.0}),
+         "missing field 'policy'"),
+        (json.dumps({**json.loads(MODEL_TEXT), "policy": 3}),
+         "policy: expected a JSON object, got int"),
+        (model_text(kind="tree"), "unknown policy kind 'tree'"),
     ], ids=["list", "truncated", "matrix-weights", "text-bias", "numeric-text-bias",
             "bool-weights", "text-weights", "bool-scale", "unchained-layers", "bias-shape",
-            "negative-scale"])
+            "negative-scale", "old-format", "no-policy", "number-policy", "unknown-kind"])
     def test_bad_model_file_is_data_error(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.jsonl"
         data.write_text(json.dumps(RECORD) + "\n")
@@ -897,6 +930,8 @@ class TestSweep:
         ("--repeats=0", "repeats must be at least 1"),
         ("--workers=0", "--workers must be at least 1"),
         ("--budget=2", "unrecognized arguments: --budget=2"),  # each cell sets its own
+        ("--budgets=2,x", "bad numeric list '2,x'"),
+        ("--test-data=te.jsonl", "--test-data expects name=path, got 'te.jsonl'"),
     ])
     def test_bad_sweep_flag_is_usage_error(self, data_file, tmp_path, capsys, flag, message):
         out = tmp_path / "sw"
@@ -905,6 +940,12 @@ class TestSweep:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_without_training_source_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert run("sweep", "--budgets", "2.0", "--out", out) == 1
+        assert "either --scenario or --train-data is required" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sources", [["--train-data", "{}"], ["--test-data", "held={}"],

@@ -24,10 +24,12 @@ from racer.core import (
     evaluate_policy,
     load_dataset,
     policy_probs,
+    policy_to_dict,
     save_dataset,
     sigmoid,
     write_json,
     _forward,
+    _params,
     _sigmoid,
 )
 from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
@@ -163,6 +165,24 @@ class TestPolicyProb:
         inst = make_instance(0, [1.0], (1, 1), (1.0, 2.0))
         with pytest.raises(ValidationError, match="unknown context id"):
             policy_probs(policy, Dataset([inst]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FeedForwardPolicy((), ()), ValidationError,
+     "weights and biases must be non-empty and aligned"),
+    (lambda: FeedForwardPolicy((np.ones((1, 2)),), ()), ValidationError,
+     "weights and biases must be non-empty and aligned"),
+    (lambda: ConstantPolicy(1.5), ValidationError, "p_reason must lie in [0, 1]"),
+    (lambda: ConstantPolicy(math.nan), ValidationError, "p_reason must lie in [0, 1]"),
+    (lambda: _params(ConstantPolicy(0.5)), TypeError,
+     "ConstantPolicy has no trainable parameters"),
+    (lambda: policy_to_dict(object()), TypeError, "cannot serialize object"),
+], ids=["no-layer", "unaligned-layers", "constant-above-one", "constant-nan",
+        "constant-params", "serialize-object"])
+def test_invalid_policy_names_its_fault(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestEvaluatePolicy:
@@ -304,13 +324,13 @@ class TestScoringKernel:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((r, n, d))
         if widths:
-            kind, dims = "feedforward", [d, *widths, 1]
+            dims = [d, *widths, 1]
             params = [rng.standard_normal((r, *shape)) for w_in, w_out in zip(dims, dims[1:])
                       for shape in ((w_out, w_in), (w_out,))]
         else:
-            kind, params = "linear", [rng.standard_normal((r, d)), rng.standard_normal((r, 1))]
-        u, acts = _forward(params, kind, x)
-        scored, kept = _forward(params, kind, x, keep_inputs=False)
+            params = [rng.standard_normal((r, 1, d)), rng.standard_normal((r, 1))]
+        u, acts = _forward(params, x)
+        scored, kept = _forward(params, x, keep_inputs=False)
         assert len(acts) == len(widths) + 1 and kept == ()
         assert scored.shape == (r, n) and scored.tobytes() == u.tobytes()
 

@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -81,6 +82,48 @@ class TestGenSynthetic:
             ), n=10, seed=0)
 
 
+DOMAIN = {"name": "d", "weight": 1.0, "p_instruct": 0.6, "p_reasoning": 0.7,
+          "cost_ratio_median": 3.0}
+
+
+def one_domain(n=10, **fields):
+    return ScenarioConfig(domains=(DomainSpec(**DOMAIN),), n=n, **fields)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DomainSpec(**{**DOMAIN, "p_instruct": 1.5}),
+     "domain 'd': accuracies must lie in [0, 1]"),
+    (lambda: DomainSpec(**{**DOMAIN, "p_reasoning": math.nan}),
+     "domain 'd': accuracies must lie in [0, 1]"),
+    (lambda: DomainSpec(**{**DOMAIN, "cost_ratio_median": 1.0}),
+     "domain 'd': cost-ratio median must exceed 1"),
+    (lambda: DomainSpec(**{**DOMAIN, "weight": -0.5}),
+     "domain 'd': mixture weight must be non-negative and finite"),
+    (lambda: DomainSpec(**{**DOMAIN, "cost_ratio_sigma": math.inf}),
+     "domain 'd': cost-ratio sigma must be non-negative and finite"),
+    (lambda: DomainSpec(**{**DOMAIN, "instruct_cost_median": 0.0}),
+     "domain 'd': instruct cost median must be positive"),
+    (lambda: ScenarioConfig(domains=(), n=10), "scenario needs at least one domain"),
+    (lambda: ScenarioConfig(domains=(
+        DomainSpec(**{**DOMAIN, "weight": 0.5}),
+        DomainSpec(**{**DOMAIN, "weight": 0.5, "feature_mean": (0.0, 1.0)})), n=10),
+     "all domains must share one feature dimension"),
+    (lambda: one_domain(n=0), "n must be positive"),
+    (lambda: one_domain(instruct_cost_sigma=-1.0),
+     "instruct_cost_sigma must be non-negative and finite"),
+    (lambda: one_domain(agreement=1.5), "agreement must lie in [0, 1]"),
+    (lambda: shift_scenarios(one_domain()), "shift scenarios need at least two domains"),
+    (lambda: shift_scenarios(two_domain(), concentration=1.0),
+     "concentration must lie in (0, 1)"),
+], ids=["p-instruct", "nan-p-reasoning", "ratio-median", "negative-weight", "ratio-sigma",
+        "instruct-median", "no-domain", "feature-dimensions", "n", "instruct-sigma",
+        "agreement", "shift-one-domain", "shift-concentration"])
+def test_invalid_scenario_names_its_fault(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 class TestBaselinePolicy:
     def test_all_instruct_cost_one(self):
         data = gen_synthetic(two_domain())
@@ -155,6 +198,17 @@ class TestShiftScenarios:
         train, _, ood_high = shift_scenarios(up, concentration=0.95)
         assert np.median(ratios(train)) == pytest.approx(3.4, rel=0.1)
         assert np.median(ratios(ood_high)) == pytest.approx(4.7, rel=0.12)
+
+    def test_target_with_all_the_weight_keeps_every_row(self):
+        # no other domain has weight to move onto the cheap one, which
+        # already holds it all: every row of its shifted split is its own
+        base = ScenarioConfig(domains=(
+            DomainSpec("cheap", 1.0, 0.7, 0.8, 2.5, 0.3, (1.0, 0.0), 0.4),
+            DomainSpec("dear", 0.0, 0.6, 0.9, 9.0, 0.3, (-1.0, 0.5), 0.4),
+        ), n=200, seed=0)
+        _, ood_low, ood_high = shift_scenarios(base)
+        assert set(ood_low.tags) == {"cheap"} and len(ood_low) == 200
+        assert set(ood_high.tags) == {"cheap", "dear"}
 
     def test_requires_distinct_medians(self):
         same = ScenarioConfig(domains=(

@@ -112,6 +112,31 @@ class TestTiltWeights:
         assert np.array_equal(uniform_weights((2, 3)).weights, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kl_divergence([0.5, 0.5], [1.0]), "p and q must be 1-d vectors of equal length"),
+    (lambda: kl_divergence([[1.0]], [[1.0]]), "p and q must be 1-d vectors of equal length"),
+    (lambda: kl_divergence([1.5, -0.5], [0.5, 0.5]), "probabilities must be non-negative"),
+    (lambda: kl_divergence([0.5, 0.6], [0.5, 0.5]), "p must sum to 1 (got "),
+    (lambda: kl_divergence([0.5, 0.5], [0.5, 0.25]), "q must sum to 1 (got "),
+    (lambda: exact_tilt([0.0, 1.0], [1.0], 0.05, "worst_high"),
+     "values and rho must be non-empty 1-d vectors of equal length"),
+    (lambda: exact_tilt([], [], 0.05, "worst_high"),
+     "values and rho must be non-empty 1-d vectors of equal length"),
+    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], 0.0, "worst_high"),
+     "delta must be positive, got 0.0"),
+    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], math.nan, "worst_high"),
+     "delta must be positive, got nan"),
+    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], 0.05, "sideways"),
+     "direction must be one of ('worst_low', 'worst_high'), got 'sideways'"),
+], ids=["kl-lengths", "kl-matrix", "kl-negative", "kl-p-sum", "kl-q-sum", "tilt-lengths",
+        "tilt-empty", "tilt-zero-delta", "tilt-nan-delta", "tilt-direction"])
+def test_invalid_argument_names_its_fault(call, message):
+    # the sums' text is numpy's repr, which differs between numpy versions
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value).startswith(message)
+
+
 class TestKlDivergence:
     def test_identity_is_zero(self):
         assert kl_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0

@@ -63,6 +63,9 @@ class TestTabularProblem:
         ("budget", np.inf, "budget must be finite"),
         ("beta", np.inf, "beta must be positive and finite"),
         ("rho", np.float64(1.0), "non-empty 1-d"),
+        ("w1", np.ones(3), "w1 and w2 must have shape"),
+        ("cost", np.array([[1.0, 0.0], [1.0, 2.0]]), "costs must be strictly positive"),
+        ("w2", np.array([1.0, -1.0]), "density ratios must be non-negative"),
     ])
     def test_invariant_violations_are_validation_errors(self, field, value, message):
         fields = dict(rho=np.full(2, 0.5), reward=np.ones((2, 2)), cost=np.ones((2, 2)),
@@ -70,6 +73,18 @@ class TestTabularProblem:
         fields[field] = value
         with pytest.raises(ValidationError, match=message):
             TabularProblem(**fields)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_saddle(tiny_problem(), tol=0.0), "tol must be positive, got 0.0"),
+    (lambda: solve_saddle(tiny_problem(), tol=math.nan), "tol must be positive, got nan"),
+    (lambda: primal_dual_iterate(tiny_problem(), 0.0, 0), "iterations must be >= 1"),
+    (lambda: primal_dual_iterate(tiny_problem(), -0.5, 3), "lambda0 must be non-negative"),
+], ids=["zero-tol", "nan-tol", "no-iteration", "negative-lambda0"])
+def test_invalid_argument_names_its_fault(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def _bits(x) -> bytes:

@@ -13,7 +13,7 @@ from helpers import make_instance, random_dataset
 from oracles import finite_diff_gradient, stack_train
 
 from racer.core import (ConstantPolicy, Dataset, FeedForwardPolicy, LinearPolicy, Metrics,
-                        TabularPolicy, ValidationError, _sigmoid, evaluate_policy)
+                        TabularPolicy, ValidationError, _sigmoid, evaluate_policy, policy_probs)
 from racer.evalbench import (DEFAULT_TEMPLATE, PRESET_SCENARIOS, gen_synthetic, load_scenario,
                              scenario_splits)
 import racer.trainer
@@ -62,8 +62,8 @@ def routing_dataset(seed=0, n=300, ratio=4.0, p_gain=0.9, p_helps=0.5):
 def linear_objective(policy, data, lam, beta):
     """(value, gradient) of a linear policy's batch objective, untilted."""
     ones = np.ones(len(data))
-    return _objective_on_params(_params(policy), "linear", data.features, data.correct,
-                                data.cost, ones, ones, lam, beta)
+    return _objective_on_params(_params(policy), data.features, data.correct, data.cost,
+                                ones, ones, lam, beta)
 
 
 def objective_entropy(logit):
@@ -126,17 +126,33 @@ class TestBatchObjective:
             for p in params:
                 p += rng.standard_normal(p.shape) * 0.3
             _, grads = _objective_on_params(
-                params, kind, data.features, data.correct, data.cost, wr, wc, lam, beta)
+                params, data.features, data.correct, data.cost, wr, wc, lam, beta)
 
             def value_of(ps):
                 v, _ = _objective_on_params(
-                    ps, kind, data.features, data.correct, data.cost, wr, wc, lam, beta)
+                    ps, data.features, data.correct, data.cost, wr, wc, lam, beta)
                 return v
 
             fd = finite_diff_gradient(value_of, params, h=1e-5)
             for g, g_fd in zip(grads, fd):
                 denom = np.maximum(np.abs(g_fd), 1e-8)
                 assert np.max(np.abs(g - g_fd) / denom) <= 1e-4
+
+    def test_linear_policy_is_a_network_with_no_hidden_layer(self):
+        # to the kernels a linear policy is one (1, d) layer: the network
+        # of that one layer scores, and differentiates, bitwise like it
+        rng = np.random.default_rng(8)
+        data = routing_dataset(seed=4, n=40)
+        w, bias = rng.standard_normal(data.n_features), 0.3
+        linear = LinearPolicy(w, bias)
+        network = FeedForwardPolicy((w[None],), (np.array([bias]),))
+        assert policy_probs(linear, data).tobytes() == policy_probs(network, data).tobytes()
+        wr, wc = rng.uniform(0.5, 2.0, len(data)), rng.uniform(0.5, 2.0, len(data))
+        (v_lin, g_lin), (v_net, g_net) = (
+            _objective_on_params(_params(p), data.features, data.correct, data.cost,
+                                 wr, wc, 0.7, 0.05) for p in (linear, network))
+        assert v_lin.hex() == v_net.hex()
+        assert [g.tobytes() for g in g_lin] == [g.tobytes() for g in g_net]
 
     def test_nonfinite_input_raises(self):
         data = Dataset([make_instance(i, [2.0, 2.0], (1, 0), (10.0, 20.0))
@@ -155,7 +171,6 @@ class TestTrain:
         result = train(data, config)
         assert result.history[-1].lam <= 1e-6
         helps = data.features[:, 0] > 0
-        from racer.core import policy_probs
         p = policy_probs(result.best.policy, data)
         assert p[helps].mean() > 0.8
         assert p[~helps].mean() < 0.4
@@ -247,6 +262,9 @@ class TestTrain:
         data = routing_dataset(seed=9, n=30)
         with pytest.raises(ValidationError, match="batch_size"):
             train(data, TrainConfig(budget=2.0, batch_size=64))
+        # 30 rows at a fraction of 0.01 round to no validation row
+        with pytest.raises(ValidationError, match="validation split is empty"):
+            train(data, TrainConfig(budget=2.0, batch_size=8, val_fraction=0.01))
 
     @pytest.mark.parametrize("field, value, message", [
         ("policy_kind", "tree", "policy_kind must be linear or feedforward, got 'tree'"),
@@ -546,7 +564,9 @@ class TestLeanStep:
         # 108 training rows: 4 full batches, or 3 and a tail of 12. Each
         # part's first batch runs its own step 1, the step 4 of a batch with
         # a successor in its part is also that successor's step 1, and
-        # validation is one more pass, the only one that keeps no inputs
+        # validation is one more pass. Validation and the step 4 of each
+        # part's last batch, which no backward pass follows, keep no inputs
+        parts = 1 if 108 % batch_size == 0 else 2
         calls = []
 
         def counted(*args, **kwargs):
@@ -558,7 +578,7 @@ class TestLeanStep:
         outcomes = train(routing_dataset(seed=3, n=120), [replace(base, seed=s) for s in range(3)])
         assert all(isinstance(o, TrainResult) for o in outcomes)
         assert len(calls) == base.epochs * per_epoch
-        assert calls.count(False) == base.epochs
+        assert calls.count(False) == base.epochs * (1 + parts)
 
     def test_update_failure_leaves_the_seam(self):
         # the "update" group fails replicas at step 4 of a batch followed by
@@ -682,6 +702,8 @@ class TestSelectCheckpoint:
     def test_single_checkpoint(self):
         only = self.ck(0, 5.0, 0.5)
         assert select_checkpoint([only], 2.0) is only
+        with pytest.raises(ValueError, match="no checkpoints to select from"):
+            select_checkpoint([], 2.0)
 
     def test_feasible_tie_prefers_later_epoch(self):
         cks = [self.ck(0, 1.5, 0.8), self.ck(1, 1.7, 0.8)]
