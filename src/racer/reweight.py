@@ -117,7 +117,7 @@ def kl_divergence(p, q) -> float:
         raise ValueError("probabilities must be non-negative")
     for name, vec in (("p", p), ("q", q)):
         if abs(vec.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must sum to 1 (got {vec.sum()!r})")
+            raise ValueError(f"{name} must sum to 1 (got {float(vec.sum())})")
     support = p > 0
     if np.any(q[support] == 0):
         raise ValueError("support violation: p > 0 where q = 0")

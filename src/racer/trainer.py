@@ -268,9 +268,6 @@ class _Adam:
         np.add(np.sqrt(np.divide(v, self.b2t, out=b), out=b), self.eps, out=b)
         flat += np.divide(a, b, out=a)
 
-    def keep(self, rows):
-        self.m, self.v, self.a, self.b = self.m[rows], self.v[rows], self.a[rows], self.b[rows]
-
 
 class _Sgd:
     def __init__(self, flat, lr):
@@ -278,9 +275,6 @@ class _Sgd:
 
     def ascend(self, flat, g):
         flat += self.lr * g
-
-    def keep(self, rows):
-        pass
 
 
 OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}  # by TrainConfig.optimizer
@@ -333,25 +327,23 @@ def train(data: Dataset,
     return _Stack(data, list(config)).run()
 
 
-def _kept(step1, keep: np.ndarray):
-    """The logits, layer inputs, probabilities and e of a step 1 for the kept replicas."""
-    u, acts, p, e = step1
-    return u[keep], tuple(a[keep] for a in acts), p[keep], e[keep]
-
-
 class _Stack:
     """Replicas that share data and architecture, trained in lockstep.
 
-    Axis 0 of every per-replica array is the replica. A replica that
-    diverges leaves the stack with its error; the others go on unchanged.
-    The parameters of all replicas live in one (R, P) array and their
-    gradient in another; the per-layer arrays are views of them. The stack
-    owns three epoch buffers, allocated once and again only when a replica
-    leaves: each epoch gathers its shuffled rows into them batch-major with
-    one ndarray.take per source, as parts (x, gaps, out): the full batches'
-    features x of shape (n_full, R, B, d), their r0, c0, dr and dc in gaps
-    and the step's exp_r, exp_c, w_r and w_c in out, both of shape
-    (4, n_full, R, B); a short last batch is a second part with tail for B.
+    Axis 0 of every per-replica array is the replica, at its config's
+    position. A replica that diverges fails alone: _fail records its error
+    and clears its bit in the live mask, and from then on its rows are
+    still computed but no check, checkpoint or outcome reads them, so the
+    others go on unchanged; training stops once no replica is live. The
+    parameters of all replicas live in one (R, P) array and their gradient
+    in another; the per-layer arrays are views of them. These, the
+    optimizer's state and three epoch buffers are allocated once per
+    stack. Each epoch gathers its shuffled rows into the epoch buffers
+    batch-major with one ndarray.take per source, as parts (x, gaps, out):
+    the full batches' features x of shape (n_full, R, B, d), their r0, c0,
+    dr and dc in gaps and the step's exp_r, exp_c, w_r and w_c in out, both
+    of shape (4, n_full, R, B); a short last batch is a second part with
+    tail for B.
     Batch j of a part reads and writes the contiguous blocks x[j],
     gaps[:, j] and out[:, j], through views built with the buffers, so
     exp_r and exp_c are one multiply and one add over (2, R, B) blocks.
@@ -402,27 +394,28 @@ class _Stack:
         stacked = [np.stack(p) for p in zip(*(_params(p) for p in policies))]
         self.shapes = [p.shape[1:] for p in stacked]
         self.flat = np.concatenate([a.reshape(len(a), -1) for a in stacked], axis=1)
-        self._bind()
+        self.grad = np.empty_like(self.flat)
+        self.params, self.grads = _views(self.flat, self.shapes), _views(self.grad, self.shapes)
         self._buffers()
         self.opt = OPTIMIZERS[lead.optimizer](self.flat, lead.primal_lr)
-        self.slot = np.arange(len(configs))  # position of each replica in configs
+        # the replicas that have not failed, and their count
+        self.live, self.n_live = np.ones(len(configs), dtype=bool), len(configs)
         self.lam = np.zeros(len(configs))
         self.budget = np.array([cfg.budget for cfg in configs])
         # one tau per replica, as a column that broadcasts over its batch
         self.tau_r = np.array([[cfg.robust.effective_tau_reward] for cfg in configs])
         self.tau_c = np.array([[cfg.robust.effective_tau_cost] for cfg in configs])
+        # a side on which every tau is inf keeps weight 1 on every row and is
+        # not tilted; a side with a finite tau is tilted also after its last
+        # such replica fails, and the tilt at tau = inf weighs each row exactly 1
+        self.tilt_r, self.tilt_c = (not np.isinf(tau).all() for tau in (self.tau_r, self.tau_c))
         # the step skips the objective value while no lambda exceeds this bound
         self.lam_safe = _lam_safe(lead.batch_size, float(np.max(data.cost)), lead.beta,
                                   float(np.min(self.tau_r)), float(np.min(self.tau_c)))
 
-    def _bind(self) -> None:
-        """Per-layer views of self.flat (the parameters) and of a new self.grad."""
-        self.grad = np.empty_like(self.flat)
-        self.params, self.grads = _views(self.flat, self.shapes), _views(self.grad, self.shapes)
-
     def _buffers(self) -> None:
-        """New epoch buffers for the replicas in the stack: the parts, and
-        each batch's views of them in self.batches."""
+        """The epoch buffers: the parts, and each batch's views of them in
+        self.batches."""
         size = self.config.batch_size
         n_rep, n_train = self.train_idx.shape
         n_full, tail = divmod(n_train, size)
@@ -455,46 +448,27 @@ class _Stack:
         # which report it; numpy's own warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(self.config.epochs):
-                if not self.slot.size:
+                if not self.n_live:
                     break
                 self._epoch(epoch)
-        for slot in self.slot:
-            best = select_checkpoint(self.checkpoints[slot], self.configs[slot].budget)
-            self.outcomes[slot] = TrainResult(best, tuple(self.histories[slot]),
-                                              tuple(self.checkpoints[slot]))
+        for k in np.flatnonzero(self.live):
+            best = select_checkpoint(self.checkpoints[k], self.configs[k].budget)
+            self.outcomes[k] = TrainResult(best, tuple(self.histories[k]),
+                                           tuple(self.checkpoints[k]))
         return self.outcomes
 
-    def _drop(self, failed: dict[int, str]) -> np.ndarray:
-        """Record each failed replica's error, remove it, return the kept rows."""
-        keep = np.ones(self.slot.size, dtype=bool)
-        for k, message in failed.items():
-            self.outcomes[self.slot[k]] = TrainingDivergenceError(message)
-            keep[k] = False
-        self.slot, self.lam, self.budget = self.slot[keep], self.lam[keep], self.budget[keep]
-        self.tau_r, self.tau_c = self.tau_r[keep], self.tau_c[keep]
-        self.train_idx, self.flat = self.train_idx[keep], self.flat[keep]
-        self._bind()
-        self.opt.keep(keep)
-        # the rest of this epoch reads and writes the kept replicas' rows in
-        # new buffers, which the later epochs reuse
-        parts = self.parts
-        self._buffers()
-        for old, new in zip(parts, self.parts):
-            for a, kept, axis in zip(old, new, (1, 2, 2)):
-                np.compress(keep, a, axis=axis, out=kept)
-        self.val = {name: value[keep] for name, value in self.val.items()}
-        self.shuffle_rngs = [self.shuffle_rngs[k] for k in np.flatnonzero(keep)]
-        return keep
+    def _fail(self, bad: np.ndarray, message: str) -> None:
+        """Record the error message for each live replica in the mask bad,
+        which is then no longer live."""
+        for k in np.flatnonzero(bad & self.live):
+            self.outcomes[k] = TrainingDivergenceError(message)
+            self.live[k] = False
+            self.n_live -= 1
 
     def _epoch(self, epoch: int) -> None:
         n_train = self.train_idx.shape[1]
         order = np.stack([idx[rng.permutation(n_train)]
                           for idx, rng in zip(self.train_idx, self.shuffle_rngs)])
-        # a side on which every tau is inf keeps weight 1 on every row and is
-        # not tilted in this epoch; the flags hold until the epoch ends, also
-        # if a drop leaves only tau = inf on a side
-        self.tilt_r, self.tilt_c = (not np.logical_and.reduce(np.isinf(tau), axis=None)
-                                    for tau in (self.tau_r, self.tau_c))
         # every replica's training rows in this epoch's order, batch-major;
         # the indices are in range, and mode="raise" would copy through a
         # temporary
@@ -508,7 +482,7 @@ class _Stack:
         n_batches = len(self.batches)
         for b in range(n_batches):
             step1 = self._batch(epoch, b, step1)
-            if not self.slot.size:
+            if not self.n_live:
                 return
         # the running sums of per-batch means of exp_r and exp_c in batch
         # order, and the ranges of w_r and w_c
@@ -522,12 +496,12 @@ class _Stack:
         u, _ = _forward(self.params, self.val["x"], keep_inputs=False)
         prob = _sigmoid(u)[0]
         accuracy, cost, reasoning = _expected(prob, self.val["correct"], self.val["cost"])
-        for k, slot in enumerate(self.slot):
+        for k in np.flatnonzero(self.live):
             snapshot = _rebuild(self.kind, [p[k] for p in self.params])
             val_metrics = Metrics(float(accuracy[k]), float(cost[k]), float(reasoning[k]))
             lam = float(self.lam[k])
-            self.checkpoints[slot].append(Checkpoint(epoch, snapshot, val_metrics, lam))
-            self.histories[slot].append(EpochRecord(
+            self.checkpoints[k].append(Checkpoint(epoch, snapshot, val_metrics, lam))
+            self.histories[k].append(EpochRecord(
                 epoch=epoch,
                 train_reward=float(train_reward[k] / n_batches),
                 train_cost=float(train_cost[k] / n_batches),
@@ -543,7 +517,7 @@ class _Stack:
         """Each replica's lowest and highest weight in row side of the epoch's
         outputs (2: w_r, 3: w_c); an untilted side's weights are all 1."""
         if not tilted:
-            return np.ones(self.slot.size), np.ones(self.slot.size)
+            return np.ones(len(self.live)), np.ones(len(self.live))
         return tuple(reduce([reduce(out[side], axis=(0, 2)) for _, _, out in self.parts])
                      for reduce in (np.minimum.reduce, np.maximum.reduce))
 
@@ -557,15 +531,13 @@ class _Stack:
             step1 = (u, acts, *_sigmoid(u), False)
         u, acts, p, e, checked = step1
         if not checked and not np.logical_and.reduce(np.isfinite(u), axis=None):
-            finite = np.logical_and.reduce(np.isfinite(u), axis=1)
-            keep = self._drop({k: f"non-finite logit in epoch {epoch} batch {b}"
-                               for k in np.flatnonzero(~finite)})
-            if not self.slot.size:
+            self._fail(~np.logical_and.reduce(np.isfinite(u), axis=1),
+                       f"non-finite logit in epoch {epoch} batch {b}")
+            if not self.n_live:
                 return None
-            u, acts, p, e = _kept((u, acts, p, e), keep)
         _, pair, base, slope, c0, dr, dc, exp, exp_r, exp_c, out_r, out_c, n = self.batches[b]
-        # u is finite (checked above), and so are the flags and the costs
-        # (checked in __init__): the tilt's inputs need no check
+        # a live replica's u is finite (checked above), and so are the flags
+        # and the costs (checked in __init__): the tilt's inputs need no check
         np.add(np.multiply(p, slope, out=exp), base, out=exp)
 
         # step 2: adversarial tilts, written into the epoch's weights; an
@@ -598,22 +570,19 @@ class _Stack:
         weighted_cost = np.add.reduce(cost if w_c is None else w_c * cost, axis=1) / n
         self.lam = dual_update(self.lam, self.dual_lr, weighted_cost, self.budget, self.beta)
 
-        # checked last: a failed replica leaves the stack here and what it
-        # computed after its failure goes with it, so its outcome is the
-        # error its solo run raises at this point; a finite block also
-        # passes the next batch's step-1 check
-        bad_value = () if value is None else np.flatnonzero(~np.isfinite(value))
-        if not len(bad_value) and np.logical_and.reduce(np.isfinite(block), axis=None):
+        # checked last: a replica fails here, and nothing it computes after
+        # its failure is read, so its outcome is the error its solo run
+        # raises at this point; a finite block also passes the next batch's
+        # step-1 check
+        finite_value = value is None or np.logical_and.reduce(np.isfinite(value))
+        if finite_value and np.logical_and.reduce(np.isfinite(block), axis=None):
             return (*step1, True) if fused else None
-        bad_logit = np.flatnonzero(~np.logical_and.reduce(np.isfinite(u_new), axis=1))
-        if len(bad_logit) or len(bad_value):
-            where = f"epoch {epoch} batch {b}"
-            keep = self._drop({**{k: f"non-finite logit after update in {where}"
-                                  for k in bad_logit},
-                               **{k: f"non-finite objective value in {where}"
-                                  for k in bad_value}})
-            if fused:
-                step1 = _kept(step1, keep)
+        # the value first: a replica that fails both ways reports its value
+        where = f"epoch {epoch} batch {b}"
+        if not finite_value:
+            self._fail(~np.isfinite(value), f"non-finite objective value in {where}")
+        self._fail(~np.logical_and.reduce(np.isfinite(u_new), axis=1),
+                   f"non-finite logit after update in {where}")
         return (*step1, False) if fused else None
 
 

@@ -116,8 +116,8 @@ class TestTiltWeights:
     (lambda: kl_divergence([0.5, 0.5], [1.0]), "p and q must be 1-d vectors of equal length"),
     (lambda: kl_divergence([[1.0]], [[1.0]]), "p and q must be 1-d vectors of equal length"),
     (lambda: kl_divergence([1.5, -0.5], [0.5, 0.5]), "probabilities must be non-negative"),
-    (lambda: kl_divergence([0.5, 0.6], [0.5, 0.5]), "p must sum to 1 (got "),
-    (lambda: kl_divergence([0.5, 0.5], [0.5, 0.25]), "q must sum to 1 (got "),
+    (lambda: kl_divergence([0.5, 0.6], [0.5, 0.5]), "p must sum to 1 (got 1.1)"),
+    (lambda: kl_divergence([0.5, 0.5], [0.5, 0.25]), "q must sum to 1 (got 0.75)"),
     (lambda: exact_tilt([0.0, 1.0], [1.0], 0.05, "worst_high"),
      "values and rho must be non-empty 1-d vectors of equal length"),
     (lambda: exact_tilt([], [], 0.05, "worst_high"),
@@ -131,10 +131,9 @@ class TestTiltWeights:
 ], ids=["kl-lengths", "kl-matrix", "kl-negative", "kl-p-sum", "kl-q-sum", "tilt-lengths",
         "tilt-empty", "tilt-zero-delta", "tilt-nan-delta", "tilt-direction"])
 def test_invalid_argument_names_its_fault(call, message):
-    # the sums' text is numpy's repr, which differs between numpy versions
     with pytest.raises(ValueError) as caught:
         call()
-    assert str(caught.value).startswith(message)
+    assert str(caught.value) == message
 
 
 class TestKlDivergence:

@@ -331,7 +331,7 @@ def diverging_group(cause):
     if cause == "update":
         # a plain gradient step on a huge feature overflows the updated logit
         # of a replica that meets it in its first batch, which is followed by
-        # a full batch: step 4 drops it from both batches of the seam. Seed 7
+        # a full batch: step 4 fails it in both batches of the seam. Seed 7
         # fails at step 4 of batch 2 and seeds 6 and 8 at step 1 of batch 3,
         # whose logits batch 2's step 4 computed
         data = Dataset([*routing_dataset(seed=4, n=99).instances,
@@ -498,37 +498,67 @@ class TestLeanStep:
                     expected = evaluate_policy(c.policy, val)
                 assert repr(c.metrics) == repr(expected)
 
-    def test_epochs_gather_into_one_set_of_buffers_until_a_replica_leaves(self, monkeypatch):
+    def test_buffers_parameters_and_moments_are_allocated_once(self, monkeypatch):
         # the parts' arrays are views of one buffer per source (features,
-        # gap rows, step outputs) that the stack allocates once; a replica
-        # that leaves takes the rest of its epoch to new, smaller buffers,
-        # which the later epochs reuse
-        records = []  # (replicas, each source's buffer) before and after each epoch
+        # gap rows, step outputs) that the stack allocates once, as it does
+        # the flat parameters, their gradient and Adam's moments; a replica
+        # that fails keeps its rows in every one of them
+        records = []  # (replicas, live replicas, arrays) before and after each epoch
 
-        def buffers(stack):
-            sources = [{id(a.base): a.base for a in arrays} for arrays in zip(*stack.parts)]
+        def arrays(stack):
+            sources = [{id(a.base): a.base for a in views} for views in zip(*stack.parts)]
             assert all(len(bases) == 1 for bases in sources)  # one per source
-            return stack.slot.size, [next(iter(bases.values())) for bases in sources]
+            bases = [next(iter(bases.values())) for bases in sources]
+            return (len(stack.flat), int(np.count_nonzero(stack.live)),
+                    [*bases, stack.flat, stack.grad, stack.opt.m, stack.opt.v])
 
         def recorded(stack, epoch, run=_Stack._epoch):
-            records.append(buffers(stack))
+            records.append(arrays(stack))
             run(stack, epoch)
-            records.append(buffers(stack))
+            records.append(arrays(stack))
 
         monkeypatch.setattr(_Stack, "_epoch", recorded)
         data, configs = diverging_group("logit")
+        assert configs[0].optimizer == "adam"
         outcomes = train(data, configs)
         assert len(records) == 2 * configs[0].epochs
+        n_rep = len(configs)
         n_train = len(data) - int(round(configs[0].val_fraction * len(data)))
-        for (n_rep, (x, gaps, out)), (n_before, before) in zip(records[1:], records):
+        first = records[0][2]
+        for n, _, (x, gaps, out, *rest) in records:
+            assert n == n_rep
             assert (x.size, gaps.size, out.size) == (n_rep * n_train * data.n_features,
                                                      4 * n_rep * n_train, 4 * n_rep * n_train)
-            same = [a is b for a, b in zip((x, gaps, out), before)]
-            assert same == [n_rep == n_before] * 3
-        # the drops all come in epoch 0, and the survivors train on
+            assert all(a is b for a, b in zip((x, gaps, out, *rest), first))
+        # the failures all come in epoch 0, and the survivors train on
         failed = sum(isinstance(o, TrainingDivergenceError) for o in outcomes)
-        survivors = len(configs) - failed
-        assert records[0][0] == len(configs) > records[1][0] == records[-1][0] == survivors > 0
+        survivors = n_rep - failed
+        assert records[0][1] == n_rep > records[1][1] == records[-1][1] == survivors > 0
+
+    def test_training_stops_once_every_replica_has_failed(self, monkeypatch):
+        # the overflow group's budget-bound replicas all fail in epoch 0 of
+        # 3, the last at step 4 of batch 3, the tail: no forward pass follows
+        # that batch's dual step, neither a later batch's nor validation's
+        events = []
+
+        def forward(*args, **kwargs):
+            events.append("forward")
+            return racer.core._forward(*args, **kwargs)
+
+        def dual(*args):
+            events.append("dual")
+            return dual_update(*args)
+
+        monkeypatch.setattr(racer.trainer, "_forward", forward)
+        monkeypatch.setattr(racer.trainer, "dual_update", dual)
+        data, configs = diverging_group("overflow")
+        outcomes = train(data, configs[:4])
+        assert [str(o) for o in outcomes] == [
+            f"non-finite objective value in epoch 0 batch {b}" for b in (1, 3, 1, 1)]
+        assert configs[0].epochs == 3
+        # batches 0 to 3: each part's first batch runs its own step 1
+        assert events.count("dual") == 4 and events[-1] == "dual"
+        assert events.count("forward") == 2 + 1 + 1 + 2
 
     def test_validation_is_scored_without_evaluate_policy(self, monkeypatch):
         # the stack scores each epoch's validation rows in one forward pass
