@@ -148,20 +148,6 @@ def dual_function(problem: TabularProblem, lam: float) -> tuple[float, float, fl
     return d, d1, d2
 
 
-def lagrangian(problem: TabularProblem, pi: np.ndarray, lam: float) -> float:
-    """Regularized Lagrangian L_beta(pi, lambda) for an arbitrary (n,2) policy."""
-    pi = np.asarray(pi, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(pi > 0, pi * np.log(pi), 0.0)
-    entropy = -plogp.sum(axis=1)
-    reward = problem.w1 * np.sum(pi * problem.reward, axis=1)
-    cost = problem.w2 * np.sum(pi * problem.cost, axis=1)
-    return float(
-        np.sum(problem.rho * (reward - lam * cost + problem.beta * entropy))
-        + lam * problem.budget + 0.5 * problem.beta * lam**2
-    )
-
-
 def dual_update(lam, eta: float, weighted_cost, budget, beta: float):
     """One projected dual ascent step on the budget multiplier.
 

@@ -216,26 +216,6 @@ def _lam_safe(batch_size: int, c_max: float, beta: float, tau_r: float, tau_c: f
     return min((1e307 - b * b - b * beta) / (1.01 * b * b * c_max), 1e307 / b) if ok else -1.0
 
 
-def _objective_on_params(params, x, correct, cost, wr, wc, lam, beta):
-    """Value and gradient of one policy's batch objective (a stack of one):
-    mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ], the
-    action expectation enumerated exactly and the tilt weights constant."""
-    stacked = [p[None] for p in params]
-    u, acts = _forward(stacked, x[None])
-    if not np.all(np.isfinite(u)):
-        bad = int(np.argmax(~np.isfinite(u[0])))
-        raise TrainingDivergenceError(f"non-finite logit at batch index {bad}")
-    p, e = _sigmoid(u)
-    r0, dr, c0, dc = _gaps(correct[None], cost[None])
-    grads = _views(np.empty((1, sum(a.size for a in params))), [a.shape for a in params])
-    wr, wc, lam = wr[None], wc[None], np.array([lam])
-    _gradient(stacked, acts, u, p, dr, dc, wr, wc, lam, beta, u.shape[1], grads)
-    value = float(_value(u, p, np.log1p(e), r0 + p * dr, c0 + p * dc, wr, wc, lam, beta)[0])
-    if not math.isfinite(value):
-        raise TrainingDivergenceError("non-finite objective value in batch")
-    return value, [g[0] for g in grads]
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from racer.core import Dataset
+from racer.core import Dataset, FeedForwardPolicy, LinearPolicy
 
 
 def make_instance(i, features, correct, cost_raw, tag=None):
@@ -34,3 +34,19 @@ def mean412_dataset():
         make_instance(i, [float(i), 1.0], correct, cost)
         for i, (correct, cost) in enumerate(rows)
     ])
+
+
+def scoring_case(kind, n):
+    """(policy, dataset) of n random rows drawn from seed n: a linear policy
+    on 4 features, or a (256, 128, 64) network on 12."""
+    rng = np.random.default_rng(n)
+    d = 4 if kind == "linear" else 12
+    data = Dataset.from_columns([f"r{i}" for i in range(n)], [None] * n,
+                                rng.standard_normal((n, d)), rng.integers(0, 2, (n, 2)),
+                                rng.uniform(0.1, 50.0, (n, 2)))
+    if kind == "linear":
+        return LinearPolicy(rng.standard_normal(d), float(rng.standard_normal())), data
+    dims = [d, 256, 128, 64, 1]
+    return FeedForwardPolicy(
+        tuple(rng.standard_normal((w_out, w_in)) / 8 for w_in, w_out in zip(dims, dims[1:])),
+        tuple(rng.standard_normal(w) for w in dims[1:])), data

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from racer.core import (ConstantPolicy, FeedForwardPolicy, LinearPolicy, Metrics, ParseError,
-                        TabularPolicy, ValidationError, counter_uniforms, sigmoid)
+                        TabularPolicy, ValidationError, _forward, _sigmoid, counter_uniforms,
+                        sigmoid)
 from racer.reweight import DIRECTIONS, ExactTilt, WeightVector, kl_divergence, uniform_weights
 from racer.saddle import dual_update
 from racer.trainer import (
@@ -22,6 +23,10 @@ from racer.trainer import (
     EpochRecord,
     TrainingDivergenceError,
     TrainResult,
+    _gaps,
+    _gradient,
+    _value,
+    _views,
     init_policy,
     select_checkpoint,
 )
@@ -143,6 +148,43 @@ def sign_test_pvalue(wins: int, losses: int) -> float:
     for k in range(wins, n + 1):
         total += math.comb(n, k)
     return total / 2.0**n
+
+
+def objective_on_params(params, x, correct, cost, wr, wc, lam, beta):
+    """Value and gradient of one policy's batch objective (a stack of one):
+    mean_i[ wr_i * E_pi[r] - lambda * wc_i * E_pi[c] + beta * H(pi) ], the
+    action expectation enumerated exactly and the tilt weights constant. It
+    runs the trainer's own kernels, so finite differences of the value check
+    the gradient the trainer steps with."""
+    stacked = [p[None] for p in params]
+    u, acts = _forward(stacked, x[None])
+    if not np.all(np.isfinite(u)):
+        bad = int(np.argmax(~np.isfinite(u[0])))
+        raise TrainingDivergenceError(f"non-finite logit at batch index {bad}")
+    p, e = _sigmoid(u)
+    r0, dr, c0, dc = _gaps(correct[None], cost[None])
+    grads = _views(np.empty((1, sum(a.size for a in params))), [a.shape for a in params])
+    wr, wc, lam = wr[None], wc[None], np.array([lam])
+    _gradient(stacked, acts, u, p, dr, dc, wr, wc, lam, beta, u.shape[1], grads)
+    value = float(_value(u, p, np.log1p(e), r0 + p * dr, c0 + p * dc, wr, wc, lam, beta)[0])
+    if not math.isfinite(value):
+        raise TrainingDivergenceError("non-finite objective value in batch")
+    return value, [g[0] for g in grads]
+
+
+def lagrangian(problem, pi, lam: float) -> float:
+    """Regularized Lagrangian L_beta(pi, lambda) of a tabular problem for an
+    arbitrary (n, 2) policy, evaluated apart from the saddle solver."""
+    pi = np.asarray(pi, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(pi > 0, pi * np.log(pi), 0.0)
+    entropy = -plogp.sum(axis=1)
+    reward = problem.w1 * np.sum(pi * problem.reward, axis=1)
+    cost = problem.w2 * np.sum(pi * problem.cost, axis=1)
+    return float(
+        np.sum(problem.rho * (reward - lam * cost + problem.beta * entropy))
+        + lam * problem.budget + 0.5 * problem.beta * lam**2
+    )
 
 
 # Reference saddle kernels: the closed-form softmax written over the action

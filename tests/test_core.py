@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import astuple
 from pathlib import Path
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_instance, mean412_dataset, random_dataset
+from helpers import make_instance, mean412_dataset, random_dataset, scoring_case
 from oracles import row_evaluate
 
 from racer.core import (
@@ -28,6 +32,7 @@ from racer.core import (
     save_dataset,
     sigmoid,
     write_json,
+    _SCORE_ROWS,
     _forward,
     _params,
     _sigmoid,
@@ -304,6 +309,38 @@ def scored_policies(draw):
     return TabularPolicy(dict(zip(data.ids, rng.uniform(size=n).tolist()))), data
 
 
+# prints the SHA-256 of each case's probabilities, scored by the expression
+# {score} of policy and data
+_SCORE_HASHES = """
+import hashlib
+from helpers import scoring_case
+from oracles import row_logits
+from racer.core import policy_probs, sigmoid
+for case in {cases!r}:
+    policy, data = scoring_case(*case)
+    print(hashlib.sha256(({score}).tobytes()).hexdigest())
+"""
+
+
+def _child_hashes(cases, score, blas_threads):
+    """_SCORE_HASHES's lines, run in a child process on blas_threads
+    OpenBLAS threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = _SCORE_HASHES.format(cases=cases, score=score)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def _blas_name() -> str:
+    """The BLAS numpy was built against, or "" where numpy (< 1.26) does
+    not report it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:
+        return ""
+
+
 class TestScoringKernel:
     @settings(max_examples=150, deadline=None)
     @given(case=scored_policies(), mode=st.sampled_from(["expected", "sampled"]),
@@ -334,10 +371,31 @@ class TestScoringKernel:
         assert len(acts) == len(widths) + 1 and kept == ()
         assert scored.shape == (r, n) and scored.tobytes() == u.tobytes()
 
+    @pytest.mark.skipif("openblas" not in _blas_name(), reason="OpenBLAS's row bits only")
+    def test_blocked_scoring_is_the_single_threaded_whole_pass(self):
+        # the reference scores all rows in one 2-d pass on one BLAS thread.
+        # Blocks of at least _SCORE_ROWS rows give every row those bits,
+        # here (the default thread count) and on two threads; there, on a
+        # 2-core x86-64 host, one whole pass over the network's 33 333 rows
+        # splits them between the threads and gives one of them other bits.
+        # A 16-row tail scored on its own (n = b + 16) would change the
+        # network's bits too
+        b = _SCORE_ROWS
+        cases = [(kind, n) for kind in ("linear", "feedforward")
+                 for n in (b - 1, b, b + 1, b + 16, 2 * b - 1, 2 * b, 2 * b + 1, 33_333)]
+        want = _child_hashes(cases, "sigmoid(row_logits(policy, data.features))", 1)
+        assert len(want) == len(cases)
+        here = [hashlib.sha256(policy_probs(*scoring_case(*case)).tobytes()).hexdigest()
+                for case in cases]
+        assert here == want
+        assert _child_hashes(cases, "policy_probs(policy, data)", 2) == want
+
     def test_scoring_holds_at_most_two_adjacent_layers(self):
-        # a (256, 128, 64) network on 10k rows peaked at 36.6 MB when every
-        # layer's input was kept for a backward pass scoring never runs;
-        # the first call is untraced, so one-time set-up does not count
+        # scoring keeps no layer input for a backward pass it never runs,
+        # and a block holds the (256, 128, 64) network's two widest layers
+        # for at most 2 * _SCORE_ROWS - 1 rows; what grows with n are the
+        # logits and sigmoid's e and result. The first call is untraced, so
+        # one-time set-up does not count
         import tracemalloc
         n, d = 10_000, 12
         rng = np.random.default_rng(0)
@@ -356,7 +414,7 @@ class TestScoringKernel:
         finally:
             tracemalloc.stop()
         assert second.tobytes() == first.tobytes()
-        assert peak <= 2**20 + 8 * n * (256 + 128), peak
+        assert peak <= 2**20 + 8 * (2 * _SCORE_ROWS - 1) * (256 + 128) + 3 * 8 * n, peak
 
 
 json_leaves = st.one_of(

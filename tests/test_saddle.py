@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     central_difference,
+    lagrangian,
     saddle_dual_function,
     saddle_iterate,
     saddle_policy_matrix,
@@ -20,7 +21,6 @@ from racer.saddle import (
     TabularProblem,
     dual_function,
     dual_update,
-    lagrangian,
     policy_matrix,
     primal_dual_iterate,
     random_problem,

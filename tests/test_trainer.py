@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, random_dataset
-from oracles import finite_diff_gradient, stack_train
+from oracles import finite_diff_gradient, objective_on_params, stack_train
 
 from racer.core import (ConstantPolicy, Dataset, FeedForwardPolicy, LinearPolicy, Metrics,
                         TabularPolicy, ValidationError, _sigmoid, evaluate_policy, policy_probs)
@@ -32,7 +32,6 @@ from racer.trainer import (
     _Stack,
     _gaps,
     _lam_safe,
-    _objective_on_params,
     _params,
     _value,
 )
@@ -62,8 +61,8 @@ def routing_dataset(seed=0, n=300, ratio=4.0, p_gain=0.9, p_helps=0.5):
 def linear_objective(policy, data, lam, beta):
     """(value, gradient) of a linear policy's batch objective, untilted."""
     ones = np.ones(len(data))
-    return _objective_on_params(_params(policy), data.features, data.correct, data.cost,
-                                ones, ones, lam, beta)
+    return objective_on_params(_params(policy), data.features, data.correct, data.cost,
+                               ones, ones, lam, beta)
 
 
 def objective_entropy(logit):
@@ -125,11 +124,11 @@ class TestBatchObjective:
             params = _params(policy)
             for p in params:
                 p += rng.standard_normal(p.shape) * 0.3
-            _, grads = _objective_on_params(
+            _, grads = objective_on_params(
                 params, data.features, data.correct, data.cost, wr, wc, lam, beta)
 
             def value_of(ps):
-                v, _ = _objective_on_params(
+                v, _ = objective_on_params(
                     ps, data.features, data.correct, data.cost, wr, wc, lam, beta)
                 return v
 
@@ -149,8 +148,8 @@ class TestBatchObjective:
         assert policy_probs(linear, data).tobytes() == policy_probs(network, data).tobytes()
         wr, wc = rng.uniform(0.5, 2.0, len(data)), rng.uniform(0.5, 2.0, len(data))
         (v_lin, g_lin), (v_net, g_net) = (
-            _objective_on_params(_params(p), data.features, data.correct, data.cost,
-                                 wr, wc, 0.7, 0.05) for p in (linear, network))
+            objective_on_params(_params(p), data.features, data.correct, data.cost,
+                                wr, wc, 0.7, 0.05) for p in (linear, network))
         assert v_lin.hex() == v_net.hex()
         assert [g.tobytes() for g in g_lin] == [g.tobytes() for g in g_net]
 
@@ -460,9 +459,9 @@ class TestLeanStep:
         assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
 
     def test_cost_side_keeps_its_tilt_after_its_only_tilted_replica_fails(self):
-        # seed 6 is the only replica with a finite cost tau and leaves the
-        # stack in batch 1 of 4 in epoch 0; the survivors' cost weights in
-        # the rest of that epoch are the kernel's, all exactly 1
+        # seed 6 is the only replica with a finite cost tau and fails in
+        # batch 1 of 4 in epoch 0; the survivors' cost weights from then on
+        # are the kernel's at tau = inf, all exactly 1
         data, configs = diverging_group("logit")
         configs = [replace(c, robust=RobustConfig(tau_cost=0.5)) if c.seed == 6 else c
                    for c in configs]
@@ -478,13 +477,14 @@ class TestLeanStep:
 
     @pytest.mark.parametrize("cause", DIVERGENCE_CAUSES)
     def test_survivors_score_their_own_validation_rows(self, cause):
-        # a replica that leaves the stack takes its validation rows with it:
-        # every checkpoint of a survivor scores the survivor's own split
+        # a failed replica keeps its place and its validation rows, which no
+        # checkpoint reads: every checkpoint of a survivor scores the
+        # survivor's own split
         data, configs = diverging_group(cause)
         outcomes = train(data, configs)
         failed = [isinstance(o, TrainingDivergenceError) for o in outcomes]
         assert any(failed) and not all(failed)
-        # a survivor after a failed replica moves up in the stack
+        # some survivor sits after a failed replica in the stack
         assert any(failed[:k].count(True) and not f for k, f in enumerate(failed))
         n_val = int(round(configs[0].val_fraction * len(data)))
         for config, outcome in zip(configs, outcomes):
