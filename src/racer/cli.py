@@ -155,7 +155,8 @@ class _Plan:
     def __init__(self, out, *names: str, inputs=()):
         """names: the files under the --out directory, a name ending in "/"
         a directory made there; none: --out is the one file, its manifest
-        beside it."""
+        beside it. The manifest's duration runs from here."""
+        self.started = time.time()
         self.inputs, self.files = [p for p in inputs if p is not None], []
         if names:
             self.dirs = [Path(out), *(Path(out, n) for n in names if n.endswith("/"))]
@@ -179,7 +180,7 @@ class _Plan:
                                               f"{source}")
         self.files[:0] = paths
 
-    def write(self, command: str, config: dict, seed, started: float, *writers) -> None:
+    def write(self, command: str, config: dict, seed, *writers) -> None:
         """Make the directories, call each writer with its file's path in
         order, and write the manifest last: it lists the files, so its
         presence means they are complete."""
@@ -190,7 +191,7 @@ class _Plan:
             write(path)
         write_json(manifest, {"command": command, "version": __version__, "config": config,
                               "inputs": self.digests, "outputs": [str(p) for p in files],
-                              "seed": seed, "duration_s": time.time() - started})
+                              "seed": seed, "duration_s": time.time() - self.started})
 
 
 _ROBUST_FIELDS = typing.get_type_hints(RobustConfig)
@@ -270,12 +271,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_train(args) -> int:
-    started = time.time()
     config = _train_config(args)
     plan = _Plan(args.out, "model.json", "history.csv", inputs=[args.data])
     data = load_dataset(args.data)
     result = train(data, config)
-    plan.write("train", config.to_dict(), config.seed, started,
+    plan.write("train", config.to_dict(), config.seed,
                lambda path: save_model(path, result.best.policy, data.instruct_cost_mean, config),
                lambda path: history_to_csv(result.history, path))
 
@@ -319,14 +319,13 @@ def _policy_and_data(args, *names: str):
 
 
 def cmd_eval(args) -> int:
-    started = time.time()
     if not 0 <= args.seed < 2**64:  # the sampler's seeds; outside, they alias
         raise UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
     policy, data, plan = _policy_and_data(args, "metrics.json")
     metrics = evaluate_policy(policy, data, mode=args.mode, seed=args.seed).to_dict()
     config = {"model": args.model, "baseline": args.baseline, "data": args.data,
               "mode": args.mode, "seed": args.seed}
-    plan.write("eval", config, args.seed, started, lambda path: write_json(path, metrics))
+    plan.write("eval", config, args.seed, lambda path: write_json(path, metrics))
     print(json.dumps(metrics))
     return EXIT_OK
 
@@ -368,7 +367,6 @@ def _read_cell(path: Path, digest: str):
 
 
 def cmd_sweep(args) -> int:
-    started = time.time()
     template = _train_config(args)  # budget set per cell
     # an absent flag takes the defaults; an empty list reaches sweep_units' check
     budgets = DEFAULT_BUDGETS if args.budgets is None else _parse_floats(args.budgets)
@@ -422,7 +420,7 @@ def cmd_sweep(args) -> int:
               "budgets": [encode_float(b) for b in budgets], "repeats": args.repeats,
               "base_seed": args.base_seed, "scenario": args.scenario,
               "train_data": args.train_data, "test_data": args.test_data}
-    plan.write("sweep", config, args.base_seed, started,
+    plan.write("sweep", config, args.base_seed,
                *(partial(write_json, payload=payload) for payload in payloads),
                result.to_csv, result.aggregate_csv)
 
@@ -441,7 +439,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_saddle_demo(args) -> int:
-    started = time.time()
     given = [flag for flag, value in (("--contexts", args.contexts), ("--seed", args.seed),
                                       ("--beta", args.beta), ("--budget", args.budget))
              if value is not None]
@@ -480,7 +477,7 @@ def cmd_saddle_demo(args) -> int:
         bound = trace.kl_bound()
     ok = bool(np.all(trace.kl_to_star <= bound + 1e-12))
     config.update(problem=args.problem, lambda0=args.lambda0, iters=args.iters)
-    plan.write("saddle-demo", config, seed, started,
+    plan.write("saddle-demo", config, seed,
                lambda path: write_csv(path, [("t", "lambda_t", "kl_to_star", "bound_t"),
                                              *zip(range(bound.shape[0]), trace.lambdas.tolist(),
                                                   trace.kl_to_star.tolist(), bound.tolist())]))
@@ -497,7 +494,6 @@ def cmd_saddle_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synth(args) -> int:
-    started = time.time()
     if (args.scenario is None) == (args.regime is None):
         raise UsageError("exactly one of --scenario or --regime is required")
     if (args.n is not None and args.n < 1) or (args.seed is not None and args.seed < 0):
@@ -520,14 +516,12 @@ def cmd_gen_synth(args) -> int:
     data = gen_synthetic(scenario, apply_shift=args.apply_shift)
     config = {"scenario": args.scenario, "regime": args.regime, "n": scenario.n,
               "seed": scenario.seed, "apply_shift": args.apply_shift}
-    plan.write("gen-synth", config, scenario.seed, started,
-               lambda path: save_dataset(data, path))
+    plan.write("gen-synth", config, scenario.seed, lambda path: save_dataset(data, path))
     print(f"wrote {len(data)} instances -> {args.out}")
     return EXIT_OK
 
 
 def cmd_inspect_weights(args) -> int:
-    started = time.time()
     if not args.tau > 0:
         raise UsageError(f"--tau must be positive (or inf), got {args.tau}")
     policy, data, plan = _policy_and_data(args)
@@ -551,7 +545,7 @@ def cmd_inspect_weights(args) -> int:
             ("index", "f", "weight"), *zip(range(len(data)), f.tolist(), weights.tolist())]
     config = {"data": args.data, "model": args.model, "baseline": args.baseline,
               "tau": encode_float(args.tau), "target": args.target}
-    plan.write("inspect-weights", config, 0, started, lambda path: write_csv(path, rows))
+    plan.write("inspect-weights", config, 0, lambda path: write_csv(path, rows))
     print(f"wrote {len(data)} weights -> {args.out}")
     return EXIT_OK
 

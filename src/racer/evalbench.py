@@ -394,57 +394,44 @@ def split_units(units: Sequence, workers: int) -> list[list]:
 
 def _run_sweep_cell(args):
     """A group of sweep_units' (budget, seed) units: train every learnable
-    (method, budget, seed) of the group in one stack, then evaluate each unit.
+    (method, budget, seed) of the group in one stack, then score each unit.
 
     Returns one (cells, failures) pair per unit, in order.
     """
     train_data, splits, units, methods, template = args
-    failures: list[list[SweepFailure]] = [[] for _ in units]
-    keys, configs = [], []
-    for u, (budget, seed) in enumerate(units):
-        for method in methods:
-            if method not in LEARNABLE_METHODS:
-                continue
-            configs.append(replace(template, budget=float(budget), seed=int(seed),
-                                   robust=replace(template.robust, mode=method)))
-            keys.append((u, method))
-    trained: dict[tuple[int, str], object] = {}
-    if configs:
-        try:
-            outcomes = train(train_data, configs)
-        except ValueError as exc:  # e.g. too few rows: every replica fails alike
-            outcomes = [exc] * len(configs)
-        for (u, method), outcome in zip(keys, outcomes):
-            if isinstance(outcome, TrainResult):
-                trained[u, method] = outcome.best.policy
-            else:
-                budget, seed = units[u]
-                failures[u].append(SweepFailure(method, budget, seed, str(outcome)))
+    learnable = [method for method in methods if method in LEARNABLE_METHODS]
+    configs = [replace(template, budget=float(budget), seed=int(seed),
+                       robust=replace(template.robust, mode=method))
+               for budget, seed in units for method in learnable]
+    try:
+        outcomes = train(train_data, configs) if configs else []
+    except ValueError as exc:  # e.g. too few rows: every replica fails alike
+        outcomes = [exc] * len(configs)
     return [_score_unit(splits, budget, seed, methods,
-                        {m: trained[u, m] for m in methods if (u, m) in trained},
-                        failures[u])
+                        dict(zip(learnable, outcomes[u * len(learnable):])))
             for u, (budget, seed) in enumerate(units)]
 
 
-def _score_unit(splits, budget, seed, methods, trained, failures):
-    cells: list[SweepCell] = []
+def _score_unit(splits, budget, seed, methods, outcomes):
+    """(cells, failures) of one (budget, seed) unit from each learnable
+    method's training outcome, a TrainResult or its error. Each policy is
+    scored once per split, random at the racer cell's reasoning fraction."""
+    scored = {method: {name: evaluate_policy(outcome.best.policy, split, mode="expected")
+                       for name, split in splits.items()}
+              for method, outcome in outcomes.items() if isinstance(outcome, TrainResult)}
+    failures = [SweepFailure(method, budget, seed, str(outcome))
+                for method, outcome in outcomes.items() if method not in scored]
+    rates = {name: metrics.reasoning_fraction for name, metrics in scored.get("racer", {}).items()}
     for method in methods:
-        if method in LEARNABLE_METHODS and method not in trained:
-            continue  # its training failure is recorded
-        if method == "random" and "racer" not in trained:
+        if method == "random" and not rates:
             failures.append(SweepFailure(method, budget, seed,
                                          "random baseline needs a paired racer run"))
-            continue
-        for split_name, split in splits.items():
-            if method in LEARNABLE_METHODS:
-                policy = trained[method]
-            elif method == "random":
-                rate = evaluate_policy(trained["racer"], split, mode="expected").reasoning_fraction
-                policy = baseline_policy("random", rate)
-            else:
-                policy = baseline_policy(method)
-            cells.append(SweepCell(method, budget, seed, split_name,
-                                   evaluate_policy(policy, split, mode="expected")))
+        elif method in CONSTANT_METHODS:
+            scored[method] = {name: evaluate_policy(baseline_policy(method, rates.get(name)),
+                                                    split, mode="expected")
+                              for name, split in splits.items()}
+    cells = [SweepCell(method, budget, seed, name, metrics)
+             for method in methods if method in scored for name, metrics in scored[method].items()]
     return cells, failures
 
 

@@ -181,11 +181,10 @@ def solve_saddle(problem: TabularProblem, tol: float = 1e-10,
         hi = bracket_init  # then the smallest power-of-two multiple with d'(hi) > 0
         while dual_function(problem, hi)[1] <= 0.0:
             hi *= 2.0
+            # TabularProblem refused an infeasible budget, so lambda* lies past
+            # the cap, which stays far below where lambda * w2 overflows
             if hi > 2.0**60:
-                raise InfeasibleProblemError(
-                    "dual bracket expansion exceeded 2**60; the cheapest policy "
-                    "exceeds the budget under the weights"
-                )
+                raise ArithmeticError("dual bracket expansion exceeded 2**60")
         lo = 0.0
         lam = 0.5 * (lo + hi)
         for _ in range(200):

@@ -367,9 +367,11 @@ class TestGenSynth:
          "must sum to 1"),
         (json.dumps({**SCENARIO, "shift": {"light": 1.0}}).encode(),
          "shift gives no weight for domain 'heavy'"),
+        (json.dumps({**SCENARIO, "shift": [1, 2]}).encode(),
+         "field 'shift' is not an object of numbers"),
     ], ids=["not-utf8", "list", "truncated", "text-n", "negative-seed", "domains-number",
             "text-feature-mean", "null-weight", "number-domain", "weights-sum",
-            "partial-shift"])
+            "partial-shift", "list-shift"])
     def test_bad_scenario_file_is_data_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "s.json"
         path.write_bytes(text)
@@ -758,9 +760,12 @@ class TestEval:
         (json.dumps({**json.loads(MODEL_TEXT), "policy": 3}),
          "policy: expected a JSON object, got int"),
         (model_text(kind="tree"), "unknown policy kind 'tree'"),
+        (json.dumps({**json.loads(MODEL_TEXT), "policy": {"kind": "tabular", "table": ["a"]}}),
+         "policy: field 'table' is not an object of numbers"),
     ], ids=["list", "truncated", "matrix-weights", "text-bias", "numeric-text-bias",
             "bool-weights", "text-weights", "bool-scale", "unchained-layers", "bias-shape",
-            "negative-scale", "old-format", "no-policy", "number-policy", "unknown-kind"])
+            "negative-scale", "old-format", "no-policy", "number-policy", "unknown-kind",
+            "list-table"])
     def test_bad_model_file_is_data_error(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.jsonl"
         data.write_text(json.dumps(RECORD) + "\n")
@@ -1311,6 +1316,17 @@ class TestSaddleDemo:
         err = capsys.readouterr().err
         assert err.startswith("error: numeric failure") and len(err.splitlines()) == 1
         assert not (out / "trace.csv").exists()
+
+    def test_multiplier_past_the_bracket_cap_is_numeric_failure(self, tmp_path, capsys):
+        # the budget is feasible, so this is no data error: lambda* lies past 2**60
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"rho": [1.0], "reward": [[0.0, 1.0]],
+                                    "cost": [[1e-19, 2e-19]], "w1": [1.0], "w2": [1.0],
+                                    "budget": 1.5e-19, "beta": 1e-40}))
+        assert run("saddle-demo", "--problem", path, "--out", tmp_path / "sd") == 3
+        assert capsys.readouterr().err == ("error: numeric failure (ArithmeticError: "
+                                           "dual bracket expansion exceeded 2**60)\n")
+        assert not (tmp_path / "sd").exists()
 
     def test_numeric_overflow_is_numeric_failure(self, tmp_path, capsys):
         # (M K / beta)^2 of the convergence envelope overflows a float

@@ -264,6 +264,40 @@ class TestRunSweep:
         assert len(result.failures) == 1  # random with no paired racer run
         assert any(c.method == "all-instruct" for c in result.cells)
 
+    def test_unit_scores_each_policy_once_per_split(self, monkeypatch):
+        # the random baseline takes the racer cell's reasoning fraction
+        # instead of scoring the racer policy a second time
+        calls = []
+
+        def counted(policy, data, **kw):
+            calls.append(policy)
+            return evaluate_policy(policy, data, **kw)
+
+        monkeypatch.setattr(racer.evalbench, "evaluate_policy", counted)
+        train = gen_synthetic(two_domain(seed=6, n=300))
+        splits = {"train": train, "id": gen_synthetic(two_domain(seed=7, n=200))}
+        [(cells, failures)] = racer.evalbench._run_sweep_cell(
+            (train, splits, [(2.0, 0)], ("racer", "random", "all-instruct"),
+             quick_template(epochs=2)))
+        assert len(calls) == 6 and not failures
+        assert [(c.method, c.split) for c in cells] == [
+            (m, s) for m in ("racer", "random", "all-instruct") for s in ("train", "id")]
+        for racer_cell, random_cell in zip(cells[:2], cells[2:4]):
+            assert random_cell.metrics.reasoning_fraction == racer_cell.metrics.reasoning_fraction
+
+    def test_unit_failures_in_method_order_then_the_unpaired_random(self):
+        train = gen_synthetic(two_domain(seed=9, n=300))
+        units = racer.evalbench._run_sweep_cell(
+            (train, {"train": train}, [(2.0, 0), (2.0, 1)], ("racer", "random", "racer-r"),
+             quick_template(batch_size=400)))
+        for seed, (cells, failures) in enumerate(units):
+            assert cells == []
+            assert [(f.method, f.seed) for f in failures] == [
+                ("racer", seed), ("racer-r", seed), ("random", seed)]
+            assert failures[0].error == failures[1].error == (
+                "dataset size 300 must exceed batch_size 400")
+            assert failures[2].error == "random baseline needs a paired racer run"
+
     def test_worker_pool_matches_sequential(self):
         train = gen_synthetic(two_domain(seed=10, n=400))
         kw = dict(budgets=[2.0, 3.0], methods=["racer", "all-instruct"], repeats=1,

@@ -112,27 +112,34 @@ class TestTiltWeights:
         assert np.array_equal(uniform_weights((2, 3)).weights, np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: kl_divergence([0.5, 0.5], [1.0]), "p and q must be 1-d vectors of equal length"),
-    (lambda: kl_divergence([[1.0]], [[1.0]]), "p and q must be 1-d vectors of equal length"),
-    (lambda: kl_divergence([1.5, -0.5], [0.5, 0.5]), "probabilities must be non-negative"),
-    (lambda: kl_divergence([0.5, 0.6], [0.5, 0.5]), "p must sum to 1 (got 1.1)"),
-    (lambda: kl_divergence([0.5, 0.5], [0.5, 0.25]), "q must sum to 1 (got 0.75)"),
-    (lambda: exact_tilt([0.0, 1.0], [1.0], 0.05, "worst_high"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: kl_divergence([0.5, 0.5], [1.0]), ValueError,
+     "p and q must be 1-d vectors of equal length"),
+    (lambda: kl_divergence([[1.0]], [[1.0]]), ValueError,
+     "p and q must be 1-d vectors of equal length"),
+    (lambda: kl_divergence([1.5, -0.5], [0.5, 0.5]), ValueError,
+     "probabilities must be non-negative"),
+    (lambda: kl_divergence([0.5, 0.6], [0.5, 0.5]), ValueError, "p must sum to 1 (got 1.1)"),
+    (lambda: kl_divergence([0.5, 0.5], [0.5, 0.25]), ValueError, "q must sum to 1 (got 0.75)"),
+    (lambda: exact_tilt([0.0, 1.0], [1.0], 0.05, "worst_high"), ValueError,
      "values and rho must be non-empty 1-d vectors of equal length"),
-    (lambda: exact_tilt([], [], 0.05, "worst_high"),
+    (lambda: exact_tilt([], [], 0.05, "worst_high"), ValueError,
      "values and rho must be non-empty 1-d vectors of equal length"),
-    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], 0.0, "worst_high"),
+    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], 0.0, "worst_high"), ValueError,
      "delta must be positive, got 0.0"),
-    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], math.nan, "worst_high"),
+    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], math.nan, "worst_high"), ValueError,
      "delta must be positive, got nan"),
-    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], 0.05, "sideways"),
+    (lambda: exact_tilt([0.0, 1.0], [0.5, 0.5], 0.05, "sideways"), ValueError,
      "direction must be one of ('worst_low', 'worst_high'), got 'sideways'"),
+    # the tilt that reaches delta needs tau past 2**200: the values span 1e300
+    (lambda: exact_tilt([0.0, 1e300], [0.5, 0.5], 0.1, "worst_high"), ArithmeticError,
+     "tilt bracket expansion failed"),
 ], ids=["kl-lengths", "kl-matrix", "kl-negative", "kl-p-sum", "kl-q-sum", "tilt-lengths",
-        "tilt-empty", "tilt-zero-delta", "tilt-nan-delta", "tilt-direction"])
-def test_invalid_argument_names_its_fault(call, message):
-    with pytest.raises(ValueError) as caught:
+        "tilt-empty", "tilt-zero-delta", "tilt-nan-delta", "tilt-direction", "tilt-expansion"])
+def test_invalid_argument_names_its_fault(call, error, message):
+    with pytest.raises(error) as caught:
         call()
+    assert type(caught.value) is error
     assert str(caught.value) == message
 
 

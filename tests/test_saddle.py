@@ -238,6 +238,18 @@ class TestSolveSaddle:
         assert np.allclose(sol.pi_matrix.sum(axis=1), 1.0)
         assert np.all(sol.pi_matrix > 0)
 
+    def test_multiplier_past_the_bracket_cap_is_numeric_failure(self):
+        # a feasible budget (slack 5e-20) whose lambda* lies past 2**60:
+        # d'(2**60) = -4.99e-20 and d'(1e19) = +1e-21
+        prob = tiny_problem(cost=(1e-19, 2e-19), reward=((0.0, 1.0),), budget=1.5e-19,
+                            beta=1e-40)
+        assert prob.feasibility_slack > 0
+        assert dual_function(prob, 2.0**60)[1] < 0 < dual_function(prob, 1e19)[1]
+        with pytest.raises(ArithmeticError) as caught:
+            solve_saddle(prob)
+        assert type(caught.value) is ArithmeticError
+        assert str(caught.value) == "dual bracket expansion exceeded 2**60"
+
 
 class TestPrimalDualIterate:
     def test_fixed_point_at_solution(self):
