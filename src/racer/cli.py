@@ -213,14 +213,14 @@ def _train_config(args) -> TrainConfig:
     it has a --budget flag.
 
     Every config-file value decodes by the type of the field it sets; a key
-    that is no flag name of the command is a ParseError. Each value is
-    checked on its own, against a valid base config, so a bad one is blamed
-    on where it came from: a UsageError for a flag, a ParseError naming the
-    file and the key for the config file.
+    other than init_bias that is no flag name of the command is a
+    ParseError. Each value is checked on its own, against a valid base
+    config, so a bad one is blamed on where it came from: a UsageError for a
+    flag, a ParseError naming the file and the key for the config file.
     """
     file_cfg = {} if args.config is None else read_json_object(args.config, "config file")
     where = f"config file {args.config}: "
-    fields = {k: v for k, v in _TRAIN_FIELDS.items() if k != "budget" or hasattr(args, k)}
+    fields = {k: v for k, v in _TRAIN_FIELDS.items() if k == "init_bias" or hasattr(args, k)}
     for key in file_cfg:
         if key not in fields:
             raise ParseError(f"{where}unknown key {key!r}")
@@ -254,15 +254,14 @@ def _train_config(args) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    # train adds --budget, --mode and --seed; a sweep sets them per cell
     p.add_argument("--tau-r", dest="tau_r", type=float)
     p.add_argument("--tau-c", dest="tau_c", type=float)
-    p.add_argument("--mode", choices=MODES)
     p.add_argument("--beta", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--dual-lr", dest="dual_lr", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--val-fraction", dest="val_fraction", type=float)
     p.add_argument("--policy", choices=POLICY_KINDS)
     p.add_argument("--hidden", type=_widths, help="comma-separated hidden widths")
@@ -367,7 +366,7 @@ def _read_cell(path: Path, digest: str):
 
 
 def cmd_sweep(args) -> int:
-    template = _train_config(args)  # budget set per cell
+    template = _train_config(args)  # budget, seed and mode set per cell
     # an absent flag takes the defaults; an empty list reaches sweep_units' check
     budgets = DEFAULT_BUDGETS if args.budgets is None else _parse_floats(args.budgets)
     methods = (("racer", "all-instruct", "all-reasoning", "random") if args.methods is None
@@ -562,6 +561,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a routing policy")
     p.add_argument("--data", required=True)
     p.add_argument("--budget", type=float)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="run")
     _add_train_flags(p)
     p.set_defaults(handler=cmd_train)

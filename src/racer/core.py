@@ -516,6 +516,8 @@ def _load_csv(path: str) -> Iterator[tuple]:
         missing = [c for c in ("id", *_REQUIRED_FIELDS[2:]) if c not in reader.fieldnames]
         if missing or not feat_cols:
             raise ParseError(f"line 1: no {(missing or ['feat_*'])[0]} column in header")
+        if feat_cols != [f"feat_{j}" for j in range(len(feat_cols))]:  # any order, no gap
+            raise ParseError("line 1: feature columns must be exactly feat_0..feat_<d-1>")
         for row in reader:
             yield (reader.line_num, row.get("tag") or None, row["id"], [row[c] for c in feat_cols],
                    row["correct_0"], row["correct_1"], row["cost_0"], row["cost_1"])

@@ -345,8 +345,10 @@ class _Stack:
         if n <= lead.batch_size:
             raise ValidationError(f"dataset size {n} must exceed batch_size {lead.batch_size}")
         n_val = int(round(lead.val_fraction * n))
-        if n_val < 1 or n - n_val <= 0:
+        if n_val < 1:
             raise ValidationError("validation split is empty")
+        if n_val >= n:
+            raise ValidationError("training split is empty")
         data.require_finite_cost()  # the tilt needs it
 
         self.config, self.kind = lead, lead.policy_kind

@@ -118,6 +118,10 @@ OLD_CONFIG = {
 }
 OLD_CONFIG_DIGEST = "1022a1acc1a8b5af834fd31cfcf00076958a1d5a67c51d06db2ebfcf76ae3f0c"
 
+# a sweep's config-file keys: its training flags, with underscores, and init_bias
+SWEEP_KEYS = {"tau_r", "tau_c", "beta", "epochs", "batch_size", "lr", "dual_lr",
+              "val_fraction", "policy", "hidden", "optimizer", "init_bias"}
+
 
 @st.composite
 def dataset_texts(draw):
@@ -503,26 +507,36 @@ class TestTrain:
         cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
         source = (["--data", data_file, "--budget", 2] if command == "train"
                   else ["--train-data", data_file, "--budgets", 2, "--repeats", 1])
-        if command == "sweep" and '"budget"' in text:  # a budget is a train key only
-            message = "unknown key 'budget'"
+        # budget, seed and mode are train keys only: a sweep names the first
+        # key, in file order, that it does not take
+        untaken = [key for key in re.findall(r'"(\w+)":', text) if key not in SWEEP_KEYS]
+        if command == "sweep" and untaken:
+            message = f"unknown key {untaken[0]!r}"
         assert run(command, *source, "--config", cfg, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert f"config file {cfg}" in err and message in err
         assert "Traceback" not in err
 
-    def test_budget_is_a_train_config_key_only(self, data_file, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value, recorded", [
+        ("budget", 5, lambda config: config["budget"] == 5.0),
+        ("seed", 3, lambda config: config["seed"] == 3),
+        ("mode", "acer", lambda config: config["robust"]["mode"] == "acer"),
+    ], ids=["budget", "seed", "mode"])
+    def test_budget_is_a_train_config_key_only(self, data_file, tmp_path, capsys, key, value,
+                                               recorded):
+        # as are seed and mode: every sweep cell sets its own
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"budget": 5}))
+        cfg.write_text(json.dumps({key: value}))
         out = tmp_path / "sw"
         assert run("sweep", "--train-data", data_file, "--budgets", 2, "--repeats", 1,
                    "--methods", "all-instruct", "--config", cfg, "--out", out) == 2
         err = capsys.readouterr().err
-        assert f"config file {cfg}: unknown key 'budget'" in err
+        assert f"config file {cfg}: unknown key {key!r}" in err
         assert not list(out.glob("cells/*.json"))
-        assert run("train", "--data", data_file, "--epochs", 2, "--config", cfg,
+        budget = [] if key == "budget" else ["--budget", 2]
+        assert run("train", "--data", data_file, *budget, "--epochs", 2, "--config", cfg,
                    "--out", tmp_path / "tr") == 0
-        manifest = json.loads((tmp_path / "tr" / "manifest.json").read_text())
-        assert manifest["config"]["budget"] == 5.0
+        assert recorded(json.loads((tmp_path / "tr" / "manifest.json").read_text())["config"])
 
     @pytest.mark.parametrize("flag", ["--budget=-1", "--epochs=0", "--seed=-1",
                                       "--hidden=3,x", "--val-fraction=1"])
@@ -739,6 +753,22 @@ class TestEval:
         assert "field larger than field limit (131072)" in err
         assert "Traceback" not in err and not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("features", [["feat_0", "feat_2"], ["feat_1", "feat_01"],
+                                          ["feat_3"]], ids=["gap", "repeat", "no-feat-0"])
+    def test_csv_feature_columns_must_be_numbered_from_zero(self, tmp_path, capsys, features):
+        # each used to load, scoring a column as another feature
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(["id", *features, "correct_0,correct_1,cost_0,cost_1"]) + "\n"
+                        + ",".join(["a", *["0.5"] * len(features), "1,0,1.5,4.0"]) + "\n")
+        message = "line 1: feature columns must be exactly feat_0..feat_<d-1>"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(path)
+        assert run("eval", "--baseline", "all-instruct", "--data", path,
+                   "--out", tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and not (tmp_path / "ev").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "expected a JSON object, got list"),
         (MODEL_TEXT[:60], "JSONDecodeError"),
@@ -934,7 +964,10 @@ class TestSweep:
         ("--methods=,", "must be non-empty"),
         ("--repeats=0", "repeats must be at least 1"),
         ("--workers=0", "--workers must be at least 1"),
-        ("--budget=2", "unrecognized arguments: --budget=2"),  # each cell sets its own
+        # each cell sets its own budget, seed and mode
+        ("--budget=2", "unrecognized arguments: --budget=2"),
+        ("--seed=1", "unrecognized arguments: --seed=1"),
+        ("--mode=acer", "unrecognized arguments: --mode=acer"),
         ("--budgets=2,x", "bad numeric list '2,x'"),
         ("--test-data=te.jsonl", "--test-data expects name=path, got 'te.jsonl'"),
     ])

@@ -264,6 +264,9 @@ class TestTrain:
         # 30 rows at a fraction of 0.01 round to no validation row
         with pytest.raises(ValidationError, match="validation split is empty"):
             train(data, TrainConfig(budget=2.0, batch_size=8, val_fraction=0.01))
+        # and at 0.99 to 30 validation rows, none left to train on
+        with pytest.raises(ValidationError, match="training split is empty"):
+            train(data, TrainConfig(budget=2.0, batch_size=8, val_fraction=0.99))
 
     @pytest.mark.parametrize("field, value, message", [
         ("policy_kind", "tree", "policy_kind must be linear or feedforward, got 'tree'"),
