@@ -330,9 +330,10 @@ def usable_cpus() -> int:
 def load_dataset(path) -> Dataset:
     """Read a routing dataset, CSV for a ``.csv`` path and else JSONL, cost-normalized.
 
-    Record order is preserved. Raises ParseError naming the line (and field)
-    for undecodable records, ValidationError for invariant violations. A file
-    numpy cannot convert block by block is read again and converted by row.
+    Record order is preserved. Raises ParseError naming the file and the line
+    (and field) for undecodable records, ValidationError naming the file for
+    invariant violations. A file numpy cannot convert block by block is read
+    again and converted by row.
     A large JSONL file is decoded by worker processes, one byte range each.
     """
     path = str(path)
@@ -343,14 +344,16 @@ def load_dataset(path) -> Dataset:
             blocks = _column_blocks(loader(path))
         if not blocks:  # decode every record before converting any, row by row
             return _from_rows((f"line {n}", *row) for n, *row in list(loader(path)))
+        ids, tags, features, values = zip(*blocks)
+        values = np.concatenate(values, axis=1)
+        return Dataset.from_columns(map(str, itertools.chain(*ids)), itertools.chain(*tags),
+                                    np.concatenate(features), values[:2].T, values[2:].T)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
-    ids, tags, features, values = zip(*blocks)
-    values = np.concatenate(values, axis=1)
-    return Dataset.from_columns(map(str, itertools.chain(*ids)), itertools.chain(*tags),
-                                np.concatenate(features), values[:2].T, values[2:].T)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _pooled_blocks(path: str) -> list[tuple] | None:
@@ -599,6 +602,8 @@ class LinearPolicy:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim != 1:
+            raise ValidationError("linear policy weights must be a vector")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
@@ -616,6 +621,10 @@ class FeedForwardPolicy:
         bs = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
         if len(ws) != len(bs) or not ws:
             raise ValidationError("weights and biases must be non-empty and aligned")
+        if (any(w.ndim != 2 or b.shape != w.shape[:1] for w, b in zip(ws, bs))
+                or any(w.shape[0] != nxt.shape[1] for w, nxt in zip(ws, ws[1:]))
+                or ws[-1].shape[0] != 1):
+            raise ValidationError("feedforward policy layer shapes do not chain to one logit")
         for arr in ws + bs:
             arr.setflags(write=False)
         object.__setattr__(self, "weights", ws)
@@ -711,8 +720,9 @@ def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:
     params, n = [a[None] for a in params], len(data)
     u = np.empty(n)
     edges = [_SCORE_ROWS * i for i in range(max(n // _SCORE_ROWS, 1))] + [n]
-    for lo, hi in zip(edges, edges[1:]):
-        u[lo:hi] = _forward(params, data.features[None, lo:hi], keep_inputs=False)[0][0]
+    with np.errstate(over="ignore"):  # an infinite logit scores exactly 0 or 1
+        for lo, hi in zip(edges, edges[1:]):
+            u[lo:hi] = _forward(params, data.features[None, lo:hi], keep_inputs=False)[0][0]
     return sigmoid(u)
 
 
@@ -779,39 +789,3 @@ def evaluate_policy(policy: PolicySpec, data: Dataset, mode: str = "expected",
     if mode == "sampled":
         p = (counter_uniforms(seed, len(data)) < p).astype(np.float64)
     return Metrics(*map(float, _expected(p, data.correct, data.cost)))
-
-
-# ---------------------------------------------------------------------------
-# policy serialization (shared by the trainer and the CLI)
-# ---------------------------------------------------------------------------
-
-_POLICY_KINDS = {"tabular": TabularPolicy, "linear": LinearPolicy,
-                 "feedforward": FeedForwardPolicy, "constant": ConstantPolicy}
-
-
-def policy_to_dict(policy: PolicySpec) -> dict:
-    """{"kind": ..., **fields}; ``write_json`` writes its arrays as lists."""
-    for kind, cls in _POLICY_KINDS.items():
-        if isinstance(policy, cls):
-            return {"kind": kind, **vars(policy)}
-    raise TypeError(f"cannot serialize {type(policy).__name__}")
-
-
-def policy_from_dict(payload, where: str = "") -> PolicySpec:
-    """Inverse of policy_to_dict: the policy of the kind payload names, by
-    ``decode``; ParseError naming ``where`` if the weight shapes do not fit."""
-    if not isinstance(payload, dict):
-        raise ParseError(f"{where}expected a JSON object, got {type(payload).__name__}")
-    kind = decode_field(payload, "kind", str, where)
-    if kind not in _POLICY_KINDS:
-        raise ValidationError(f"unknown policy kind {kind!r}")
-    policy = decode(_POLICY_KINDS[kind], payload, where)
-    if kind == "linear" and policy.weights.ndim != 1:
-        raise ParseError(f"{where}linear policy weights must be a vector")
-    if kind == "feedforward":
-        ws, bs = policy.weights, policy.biases
-        if (any(w.ndim != 2 or b.shape != w.shape[:1] for w, b in zip(ws, bs))
-                or any(w.shape[0] != nxt.shape[1] for w, nxt in zip(ws, ws[1:]))
-                or ws[-1].shape[0] != 1):
-            raise ParseError(f"{where}feedforward policy layer shapes do not chain to one logit")
-    return policy

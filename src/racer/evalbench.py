@@ -89,6 +89,10 @@ class ScenarioConfig:
         dims = {len(d.feature_mean) for d in self.domains}
         if len(dims) != 1:
             raise ValidationError("all domains must share one feature dimension")
+        names = [d.name for d in self.domains]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"domain name {name!r} is repeated")
         if self.n < 1:
             raise ValidationError("n must be positive")
         if self.seed < 0:

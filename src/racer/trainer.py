@@ -20,23 +20,24 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import (
+    ConstantPolicy,
     Dataset,
     FeedForwardPolicy,
     LinearPolicy,
     Metrics,
     ParseError,
     PolicySpec,
+    TabularPolicy,
     ValidationError,
     _ONE,
     _expected,
     _forward,
     _params,
     _sigmoid,
+    decode,
     decode_field,
     encode_float,
     evaluate_policy,
-    policy_from_dict,
-    policy_to_dict,
     read_json_object,
     sigmoid,
     write_csv,
@@ -597,14 +598,19 @@ def history_to_csv(history: Sequence[EpochRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 _MODEL_FORMAT = "racer-model-v1"
+_MODEL_KINDS = {"tabular": TabularPolicy, "linear": LinearPolicy,
+                "feedforward": FeedForwardPolicy, "constant": ConstantPolicy}
 
 
 def save_model(path, policy: PolicySpec, instruct_cost_mean: float,
                config: TrainConfig | None = None) -> None:
     """Versioned JSON serialization; floats keep full round-trip precision."""
+    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(policy, cls)), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(policy).__name__}")
     payload = {
         "format": _MODEL_FORMAT,
-        "policy": policy_to_dict(policy),
+        "policy": {"kind": kind, **vars(policy)},
         "instruct_cost_mean": float(instruct_cost_mean),
         "config": config.to_dict() if config is not None else None,
         "config_digest": config.digest() if config is not None else None,
@@ -613,13 +619,28 @@ def save_model(path, policy: PolicySpec, instruct_cost_mean: float,
 
 
 def load_model(path) -> tuple[PolicySpec, float, dict]:
-    """(policy, instruct_cost_mean, payload) of a model file; ParseError
-    unless it decodes to a well-formed model."""
+    """(policy, instruct_cost_mean, payload) of a model file; a ParseError or
+    ValidationError naming the file unless it holds a well-formed policy with
+    finite weights and a positive, finite cost scale."""
     payload = read_json_object(path, "model file")
-    if payload.get("format") != _MODEL_FORMAT:
-        raise ValidationError(f"unsupported model format {payload.get('format')!r}")
-    where = f"model file {path}: "
-    if "policy" not in payload:
-        raise ParseError(f"{where}missing field 'policy'")
-    return (policy_from_dict(payload["policy"], f"{where}policy: "),
-            decode_field(payload, "instruct_cost_mean", float, where), payload)
+    try:
+        if payload.get("format") != _MODEL_FORMAT:
+            raise ValidationError(f"unsupported model format {payload.get('format')!r}")
+        if "policy" not in payload:
+            raise ParseError("missing field 'policy'")
+        record = payload["policy"]
+        if not isinstance(record, dict):
+            raise ParseError(f"policy: expected a JSON object, got {type(record).__name__}")
+        kind = decode_field(record, "kind", str, "policy: ")
+        if kind not in _MODEL_KINDS:
+            raise ValidationError(f"unknown policy kind {kind!r}")
+        policy = decode(_MODEL_KINDS[kind], record, "policy: ")
+        # here, not in the policy types: a training snapshot may hold any value
+        if kind in POLICY_KINDS and not all(np.isfinite(a).all() for a in _params(policy)):
+            raise ValidationError("policy weights and biases must be finite")
+        cost_mean = decode_field(payload, "instruct_cost_mean", float)
+        if not 0 < cost_mean < math.inf:
+            raise ValidationError("instruct_cost_mean must be positive and finite")
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"model file {path}: {exc}") from None
+    return policy, cost_mean, payload

@@ -384,6 +384,20 @@ class TestGenSynth:
         assert str(path) in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("shift", [[], ["--apply-shift"]], ids=["plain", "apply-shift"])
+    def test_repeated_domain_name_is_data_error(self, tmp_path, capsys, shift):
+        # it used to generate rows tagged with one name for both domains, and
+        # --apply-shift blamed the mixture weights, naming no file
+        scenario = json.loads((SCENARIOS / "shift_up.json").read_text())
+        scenario["domains"][1]["name"] = "light"
+        scenario["shift"] = {"light": 1.0}
+        path, out = tmp_path / "s.json", tmp_path / "d.jsonl"
+        path.write_text(json.dumps(scenario))
+        assert run("gen-synth", "--scenario", path, "--n", 20, *shift, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: scenario file {path}: domain name 'light' is repeated\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(OVERFLOWING_SCENARIOS))
     def test_overflowing_scenario_is_data_error(self, tmp_path, capsys, case):
         # the generator's draws used to print "RuntimeWarning: overflow
@@ -792,10 +806,12 @@ class TestEval:
         (model_text(kind="tree"), "unknown policy kind 'tree'"),
         (json.dumps({**json.loads(MODEL_TEXT), "policy": {"kind": "tabular", "table": ["a"]}}),
          "policy: field 'table' is not an object of numbers"),
+        (model_text(kind="feedforward", weights=[[[1.0, 0.0], [0.0, 1.0]]], biases=[[0.0, 0.0]]),
+         "layer shapes do not chain"),
     ], ids=["list", "truncated", "matrix-weights", "text-bias", "numeric-text-bias",
             "bool-weights", "text-weights", "bool-scale", "unchained-layers", "bias-shape",
             "negative-scale", "old-format", "no-policy", "number-policy", "unknown-kind",
-            "list-table"])
+            "list-table", "two-logits"])
     def test_bad_model_file_is_data_error(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.jsonl"
         data.write_text(json.dumps(RECORD) + "\n")
@@ -803,8 +819,35 @@ class TestEval:
         model.write_text(text)
         assert run("eval", "--model", model, "--data", data, "--out", tmp_path / "ev") == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"error: model file {model}: ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["eval"], ["inspect-weights", "--tau", 1, "--target",
+                                                    "cost"]], ids=["eval", "inspect-weights"])
+    @pytest.mark.parametrize("text, message", [
+        (model_text(weights=[math.nan, 0.0]), "policy weights and biases must be finite"),
+        (model_text(weights=[-math.inf, 0.0]), "policy weights and biases must be finite"),
+        (model_text(bias=math.inf), "policy weights and biases must be finite"),
+        (model_text(kind="feedforward", weights=[[[1.0, 0.0]], [[1.0]]],
+                    biases=[[0.0], [math.nan]]), "policy weights and biases must be finite"),
+        (model_text(instruct_cost_mean=0.0), "instruct_cost_mean must be positive and finite"),
+        (model_text(instruct_cost_mean="inf"), "instruct_cost_mean must be positive and finite"),
+        (model_text(instruct_cost_mean=math.nan),
+         "instruct_cost_mean must be positive and finite"),
+    ], ids=["nan-weight", "infinite-weight", "infinite-bias", "nan-layer-bias", "zero-scale",
+            "infinite-scale", "nan-scale"])
+    def test_non_finite_model_is_data_error(self, tmp_path, capsys, command, text, message):
+        # a NaN weight used to write {"accuracy": NaN, ...} from eval and exit
+        # 3 from inspect-weights, and a bad scale failed without the file's name
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps(RECORD) + "\n")
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert run(*command, "--model", model, "--data", data, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: model file {model}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "model.json"]
 
     @pytest.mark.parametrize("command", [["eval"], ["inspect-weights", "--tau", 1, "--target",
                                                     "cost"]], ids=["eval", "inspect-weights"])
@@ -820,7 +863,8 @@ class TestEval:
         assert run(*command, "--model", tmp_path / "model.json", "--data", data,
                    "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: context 'a': probability must lie in [0, 1]")
+        assert err.startswith(f"error: model file {tmp_path / 'model.json'}: context 'a': "
+                              "probability must lie in [0, 1]")
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "model.json"]
 
@@ -1092,6 +1136,17 @@ class TestSweep:
             code, err = run_quietly(*args, "--resume", "--out", tmp)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+    def test_bad_test_split_record_names_its_file(self, data_file, tmp_path, capsys):
+        # this used to print only "error: line 1: missing field 'features'"
+        held = tmp_path / "h.jsonl"
+        held.write_text(json.dumps({"id": "a"}) + "\n")
+        assert run("sweep", "--train-data", data_file, "--test-data", f"held={held}",
+                   "--budgets", "2", "--repeats", "1", "--methods", "all-instruct",
+                   "--out", tmp_path / "sw") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {held}: line 1: missing field 'features'\n"
+        assert not (tmp_path / "sw").exists()
 
     def test_test_split_of_another_dimension_fails_before_training(self, data_file, tmp_path,
                                                                    capsys, monkeypatch):

@@ -28,7 +28,6 @@ from racer.core import (
     evaluate_policy,
     load_dataset,
     policy_probs,
-    policy_to_dict,
     save_dataset,
     sigmoid,
     write_json,
@@ -38,6 +37,7 @@ from racer.core import (
     _sigmoid,
 )
 from racer.evalbench import PRESET_SCENARIOS, gen_synthetic
+from racer.trainer import save_model
 
 
 def write_jsonl(path, records):
@@ -165,6 +165,13 @@ class TestPolicyProb:
         with pytest.raises(ValidationError, match="dimension"):
             policy_probs(policy, Dataset([inst]))
 
+    def test_overflowing_logit_scores_without_a_warning(self):
+        # the matmul overflows to an infinite logit; this used to print
+        # "RuntimeWarning: overflow encountered in matmul"
+        policy = LinearPolicy(np.array([1e308, -1e308]), 0.0)
+        data = Dataset([make_instance(i, [2.0, 2.0 - i], (1, 0), (1.0, 2.0)) for i in range(2)])
+        assert set(policy_probs(policy, data).tolist()) <= {0.0, 1.0}
+
     def test_unknown_tabular_id(self):
         policy = TabularPolicy({"other": 0.4})
         inst = make_instance(0, [1.0], (1, 1), (1.0, 2.0))
@@ -181,9 +188,17 @@ class TestPolicyProb:
     (lambda: ConstantPolicy(math.nan), ValidationError, "p_reason must lie in [0, 1]"),
     (lambda: _params(ConstantPolicy(0.5)), TypeError,
      "ConstantPolicy has no trainable parameters"),
-    (lambda: policy_to_dict(object()), TypeError, "cannot serialize object"),
+    (lambda: save_model(Path(tempfile.gettempdir()) / "never-written.json", object(), 1.0),
+     TypeError, "cannot serialize object"),
+    (lambda: LinearPolicy(np.ones((2, 4)), 0.0), ValidationError,
+     "linear policy weights must be a vector"),
+    (lambda: FeedForwardPolicy((np.ones((3, 2)), np.ones((1, 4))), (np.ones(3), np.ones(1))),
+     ValidationError, "feedforward policy layer shapes do not chain to one logit"),
+    (lambda: FeedForwardPolicy((np.ones((4, 2)), np.ones((3, 4))), (np.ones(4), np.ones(3))),
+     ValidationError, "feedforward policy layer shapes do not chain to one logit"),
 ], ids=["no-layer", "unaligned-layers", "constant-above-one", "constant-nan",
-        "constant-params", "serialize-object"])
+        "constant-params", "serialize-object", "matrix-linear", "unchained-layers",
+        "three-logits"])
 def test_invalid_policy_names_its_fault(call, error, message):
     with pytest.raises(error) as caught:
         call()

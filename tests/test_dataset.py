@@ -357,6 +357,29 @@ def test_non_utf8_file_is_parse_error(tmp_path):
         load_dataset(path)
 
 
+_CSV_HEADER = "id,feat_0,correct_0,correct_1,cost_0,cost_1\n"
+
+
+@pytest.mark.parametrize("name, text, error, message", [
+    ("d.jsonl", '{"id": "a"}\n', ParseError, "line 1: missing field 'features'"),
+    ("d.jsonl", '{"id": "a", "features": [1.0], "correct_0": 0.5, "correct_1": 0, '
+     '"cost_0": 1, "cost_1": 2}\n', ValidationError, "instance 'a': correct flags must be 0 or 1"),
+    ("d.jsonl", "", ValidationError, "dataset is empty"),
+    ("d.csv", _CSV_HEADER.replace("feat_0", "feat_1"), ParseError,
+     "line 1: feature columns must be exactly feat_0..feat_<d-1>"),
+    ("d.csv", _CSV_HEADER + "a,x,1,0,1,2\n", ParseError, "line 2: field 'features' is not numeric"),
+    ("d.csv", _CSV_HEADER + "a,1,1,0,1,-2\n", ValidationError,
+     "instance 'a': costs must be positive and finite"),
+], ids=["missing-field", "flag", "empty", "csv-header", "csv-text-feature", "csv-cost"])
+def test_every_fault_names_the_file(tmp_path, name, text, error, message):
+    # each used to name only the line or the instance
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(error) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # block seams: load_dataset and save_dataset in blocks of _BLOCK_ROWS rows
 # ---------------------------------------------------------------------------
@@ -480,7 +503,7 @@ def test_line_decoding_keeps_the_json_loads_outcome(tmp_path, line, outcome):
     error = ValidationError if outcome.startswith("instance") else ParseError
     with pytest.raises(error) as caught:
         load_dataset(path)
-    assert str(caught.value).startswith(outcome)
+    assert str(caught.value).startswith(f"{path}: {outcome}")
 
 
 def check_io_memory(tmp_path, n=10_000):

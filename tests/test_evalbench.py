@@ -108,6 +108,9 @@ def one_domain(n=10, **fields):
         DomainSpec(**{**DOMAIN, "weight": 0.5}),
         DomainSpec(**{**DOMAIN, "weight": 0.5, "feature_mean": (0.0, 1.0)})), n=10),
      "all domains must share one feature dimension"),
+    (lambda: ScenarioConfig(domains=(DomainSpec(**{**DOMAIN, "weight": 0.5}),
+                                     DomainSpec(**{**DOMAIN, "weight": 0.5})), n=10),
+     "domain name 'd' is repeated"),
     (lambda: one_domain(n=0), "n must be positive"),
     (lambda: one_domain(instruct_cost_sigma=-1.0),
      "instruct_cost_sigma must be non-negative and finite"),
@@ -116,8 +119,8 @@ def one_domain(n=10, **fields):
     (lambda: shift_scenarios(two_domain(), concentration=1.0),
      "concentration must lie in (0, 1)"),
 ], ids=["p-instruct", "nan-p-reasoning", "ratio-median", "negative-weight", "ratio-sigma",
-        "instruct-median", "no-domain", "feature-dimensions", "n", "instruct-sigma",
-        "agreement", "shift-one-domain", "shift-concentration"])
+        "instruct-median", "no-domain", "feature-dimensions", "repeated-name", "n",
+        "instruct-sigma", "agreement", "shift-one-domain", "shift-concentration"])
 def test_invalid_scenario_names_its_fault(build, message):
     with pytest.raises(ValidationError) as caught:
         build()
