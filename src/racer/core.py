@@ -674,15 +674,27 @@ def _params(policy: PolicySpec) -> list[np.ndarray]:
     raise TypeError(f"{type(policy).__name__} has no trainable parameters")
 
 
+# Rows per block of a _forward pass that keeps no inputs, so its layers hold
+# at most 2 * _SCORE_ROWS - 1 rows whatever the pass's size. The last block
+# takes the tail, because OpenBLAS gives a row other bits in a short matmul.
+# On OpenBLAS 0.3.31 (x86-64, Haswell kernels) a block this long got the bits
+# of one whole pass on one thread at 1, 2 and 4 threads.
+_SCORE_ROWS = 1024
+
+
 def _forward(params: Sequence[np.ndarray], x: np.ndarray, *, keep_inputs: bool = True):
     """Logits (R, B) of a stack of R replicas, each parameter with a leading
     replica axis and x of shape (R, B, d), and the layer inputs the trainer's
     backward pass needs. Each replica gets bitwise the numbers it gets alone.
-    Each layer's output is one array: the matmul's, to which the bias is
-    added (and, in a hidden layer, ReLU applied) in place. A pass that no
-    backward pass follows passes keep_inputs=False and gets () for the
-    inputs: each layer's input is then dropped once its output exists, so at
-    most two adjacent layers are held at once."""
+    Each layer's output is the matmul's, with the bias added (and a hidden
+    layer's ReLU applied) in place. A pass no backward pass follows (scoring,
+    validation, a part's last step 4) passes keep_inputs=False and gets ():
+    each layer's input is dropped once its output exists, and 2 * _SCORE_ROWS
+    rows or more run in blocks; a block holds at most two adjacent layers."""
+    if not keep_inputs and x.shape[1] >= 2 * _SCORE_ROWS:
+        edges = [*range(0, x.shape[1] - _SCORE_ROWS + 1, _SCORE_ROWS), x.shape[1]]
+        return np.concatenate([_forward(params, x[:, lo:hi], keep_inputs=False)[0]
+                               for lo, hi in zip(edges, edges[1:])], axis=1), ()
     acts = [x] if keep_inputs else []
     h = x
     for w, b in zip(params[0:-2:2], params[1:-2:2]):
@@ -694,14 +706,6 @@ def _forward(params: Sequence[np.ndarray], x: np.ndarray, *, keep_inputs: bool =
     u = (h @ params[-2].transpose(0, 2, 1))[..., 0]
     u += params[-1]
     return u, tuple(acts)
-
-
-# Rows policy_probs scores per forward pass, so its layers hold at most
-# 2 * _SCORE_ROWS - 1 rows whatever the dataset's size. The last block takes
-# the tail, because OpenBLAS gives a row other bits in a short matmul. On
-# OpenBLAS 0.3.31 (x86-64, Haswell kernels) a block this long got the bits
-# of one whole pass on one thread at 1, 2 and 4 threads.
-_SCORE_ROWS = 1024
 
 
 def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:
@@ -717,12 +721,12 @@ def policy_probs(policy: PolicySpec, data: Dataset) -> np.ndarray:
     if data.n_features != params[0].shape[-1]:
         raise ValidationError(f"feature dimension {data.n_features} != policy "
                               f"{'dimension' if linear else 'input'} {params[0].shape[-1]}")
-    params, n = [a[None] for a in params], len(data)
-    u = np.empty(n)
-    edges = [_SCORE_ROWS * i for i in range(max(n // _SCORE_ROWS, 1))] + [n]
-    with np.errstate(over="ignore"):  # an infinite logit scores exactly 0 or 1
-        for lo, hi in zip(edges, edges[1:]):
-            u[lo:hi] = _forward(params, data.features[None, lo:hi], keep_inputs=False)[0][0]
+    # an infinite logit scores exactly 0 or 1; a NaN one (inf * 0) is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _forward([a[None] for a in params], data.features[None], keep_inputs=False)[0][0]
+    nan = np.flatnonzero(np.isnan(u))
+    if nan.size:
+        raise FloatingPointError(f"instance {data.ids[nan[0]]!r}: the policy's logit is NaN")
     return sigmoid(u)
 
 

@@ -868,6 +868,28 @@ class TestEval:
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "model.json"]
 
+    @pytest.mark.parametrize("command", [["eval"], ["eval", "--mode", "sampled"],
+                                         ["inspect-weights", "--tau", 1, "--target", "cost"]],
+                             ids=["eval", "eval-sampled", "inspect-weights"])
+    def test_nan_logit_of_finite_weights_is_numeric_failure(self, tmp_path, capsys, command):
+        # the hidden unit 2 * 1e308 overflows to inf, and inf * 0 is NaN. eval
+        # used to write {"accuracy": NaN, ...} and exit 0 (sampled mode: route
+        # the row to instruct), and inspect-weights blamed the tilt
+        data = tmp_path / "d.jsonl"
+        data.write_text("".join(json.dumps({**RECORD, "id": i, "features": [f]}) + "\n"
+                                for i, f in (("a", 0.0), ("b", 2.0), ("c", 2.0))))
+        model = tmp_path / "model.json"
+        model.write_text(model_text(kind="feedforward", weights=[[[1e308]], [[0.0]]],
+                                    biases=[[0.0], [0.0]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*command, "--model", model, "--data", data,
+                       "--out", tmp_path / "out") == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("error: numeric failure (FloatingPointError: "
+                                           "instance 'b': the policy's logit is NaN)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "model.json"]
+
     @settings(max_examples=150, deadline=None)
     @given(data_text=dataset_texts(), model_text=model_texts())
     def test_fuzzed_data_and_model_files_never_escape(self, data_text, model_text):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -171,6 +172,22 @@ class TestPolicyProb:
         policy = LinearPolicy(np.array([1e308, -1e308]), 0.0)
         data = Dataset([make_instance(i, [2.0, 2.0 - i], (1, 0), (1.0, 2.0)) for i in range(2)])
         assert set(policy_probs(policy, data).tolist()) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("mode", ["expected", "sampled"])
+    def test_nan_logit_of_finite_weights_is_refused(self, mode):
+        # 2 * 1e308 overflows to inf in the hidden unit, and inf * 0 is NaN:
+        # expected mode used to score NaN and sampled mode to route the row
+        # to instruct, each with "invalid value encountered in matmul"
+        policy = FeedForwardPolicy((np.array([[1e308]]), np.array([[0.0]])),
+                                   (np.zeros(1), np.zeros(1)))
+        data = Dataset([make_instance(i, [f], (1, 0), (1.0, 2.0))
+                        for i, f in enumerate([0.0, 1e-300, 2.0, 3.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert policy_probs(policy, data.subset([0, 1])).tolist() == [0.5, 0.5]
+            with pytest.raises(FloatingPointError) as caught:
+                evaluate_policy(policy, data, mode=mode)
+        assert str(caught.value) == "instance 'z2': the policy's logit is NaN"
 
     def test_unknown_tabular_id(self):
         policy = TabularPolicy({"other": 0.4})

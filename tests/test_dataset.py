@@ -567,6 +567,41 @@ def test_worker_memory_does_not_hold_every_row_of_its_range(tmp_path):
     assert peak <= 1e6 + 420 * n, peak
 
 
+@pytest.mark.parametrize("bad", [
+    b'{"id": "x", "features": [1.0\n',
+    b'{"id": "x", "features": [1.0], "correct_0": 1, "correct_1": 0, "cost_0": 1.0}\n',
+    b'{"id": "\xff", "features": [1.0], "correct_0": 1, "correct_1": 0, "cost_0": 1.0, '
+    b'"cost_1": 2.0}\n',
+], ids=["bad-json", "missing-field", "not-utf-8"])
+def test_range_blocks_is_none_for_a_range_that_does_not_decode(tmp_path, bad):
+    # a worker's body, run in-process: a fault in its range is None, which
+    # sends load_dataset to the in-process read that reports it
+    good = b"".join(json.dumps({"id": f"r{i}", "features": [float(i), -1.0], "correct_0": 1,
+                                "correct_1": 0, "cost_0": 1.5, "cost_1": 4.0}).encode() + b"\n"
+                    for i in range(3))
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(good + bad + good)
+    (ids, tags, features, values), = racer.core._range_blocks(str(path), 0, len(good))
+    assert ids == ("r0", "r1", "r2") and tags == [None] * 3
+    assert features.tolist() == [[0.0, -1.0], [1.0, -1.0], [2.0, -1.0]]
+    assert values.tolist() == [[1.0] * 3, [0.0] * 3, [1.5] * 3, [4.0] * 3]
+    for start, stop in ((len(good), len(good + bad)), (0, len(good + bad + good))):
+        assert racer.core._range_blocks(str(path), start, stop) is None
+    assert racer.core._range_blocks(str(path), len(good + bad), len(good + bad + good))
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    # os.sched_getaffinity is Linux-only; elsewhere the CPU count, which
+    # os.cpu_count() gives as None when it cannot tell, is then taken as 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert racer.core.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert racer.core.usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert racer.core.usable_cpus() == 1
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_equal_str_tags_load_as_one_object(tmp_path, fmt):
     # a 50k-row magpie-ultra file loaded as 50 000 copies of its one tag

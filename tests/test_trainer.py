@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -652,6 +652,50 @@ class TestLeanStep:
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = stack_train(data, configs)
         assert [outcome_bits(o) for o in outcomes] == [outcome_bits(o) for o in expected]
+
+
+class TestBlockedValidation:
+    """Validation and evaluate_policy are one scoring pass: _forward runs
+    every pass that keeps no inputs in blocks of _SCORE_ROWS rows."""
+
+    @pytest.mark.parametrize("kind", ["linear", "feedforward"])
+    def test_validation_is_evaluate_policy_in_blocks(self, monkeypatch, kind):
+        # 16-row blocks: the 100 validation rows are cut at 16, 32, ..., 80,
+        # the last block taking the tail, and the batches of 25 rows are one
+        # block each. Each pass that keeps no inputs is recorded with the
+        # number of passes it runs itself: none for one that runs its layers
+        monkeypatch.setattr(racer.core, "_SCORE_ROWS", 16)
+        forward, passes = racer.core._forward, []
+
+        def traced(params, x, *, keep_inputs=True):
+            if keep_inputs:
+                return forward(params, x)
+            entry = [x.shape[1], len(passes)]
+            passes.append(entry)
+            out = forward(params, x, keep_inputs=False)
+            entry[1] = len(passes) - entry[1] - 1
+            return out
+
+        monkeypatch.setattr(racer.core, "_forward", traced)
+        monkeypatch.setattr(racer.trainer, "_forward", traced)
+        data = routing_dataset(seed=5, n=200)
+        base = TrainConfig(budget=2.0, epochs=2, batch_size=25, primal_lr=2e-2, dual_lr=0.1,
+                           policy_kind=kind, hidden=(5, 3), val_fraction=0.5)
+        configs = [replace(base, seed=s, budget=b) for s, b in ((0, 2.0), (1, 3.0), (2, 4.0))]
+        outcomes = train(data, configs)
+        # each epoch: step 4 of the part's last batch, then validation
+        blocked = [100, 16, 16, 16, 16, 16, 20]
+        assert [rows for rows, _ in passes] == ([25] + blocked) * base.epochs
+        for config, outcome in zip(configs, outcomes):
+            split_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
+            val = data.subset(split_rng.permutation(len(data))[100:])
+            for checkpoint in outcome.checkpoints:
+                start = len(passes)
+                scored = evaluate_policy(checkpoint.policy, val)
+                assert [rows for rows, _ in passes[start:]] == blocked
+                assert ([v.hex() for v in astuple(checkpoint.metrics)]
+                        == [v.hex() for v in astuple(scored)])
+        assert max(rows for rows, inner in passes if not inner) < 32
 
 
 # finite logits, with the saturation and exp-underflow edges
